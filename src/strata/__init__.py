@@ -13,6 +13,7 @@ from .adjacency import (
     is_adjacent,
     legal_splits,
     poset_successors,
+    splits_into,
 )
 from .braids import (
     BraidWord,

@@ -27,6 +27,7 @@ from .errors import (
     NoOtherWeights,
     NotInKernel,
     PreconditionUnmet,
+    ZeroWeight,
 )
 
 RHO = "rho"
@@ -85,6 +86,8 @@ class MarkedSurface:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MarkedSurface":
+        if not isinstance(data, dict) or "genus" not in data or "weights" not in data:
+            raise InvalidSurface("surface JSON needs 'genus' and 'weights'")
         return MarkedSurface(
             data["genus"],
             tuple(data["weights"]),
@@ -124,10 +127,15 @@ class Letter:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Letter":
+        if not isinstance(data, dict) or "kind" not in data:
+            raise InvalidLetter("letter JSON needs 'kind'")
         kind = data["kind"]
-        if kind not in _SECOND_KEY:
-            raise InvalidLetter("unknown letter kind %r" % kind)
-        return Letter(kind, data["i"], data[_SECOND_KEY[kind]], data.get("exp", 1))
+        if not isinstance(kind, str) or kind not in _SECOND_KEY:
+            raise InvalidLetter("unknown letter kind %r" % (kind,))
+        second = _SECOND_KEY[kind]
+        if "i" not in data or second not in data:
+            raise InvalidLetter("%s letter JSON needs 'i' and %r" % (kind, second))
+        return Letter(kind, data["i"], data[second], data.get("exp", 1))
 
 
 def rho(i: int, r: int, exp: int = 1) -> Letter:
@@ -209,6 +217,8 @@ class BraidWord:
 
     @staticmethod
     def from_json_dict(data: dict) -> "BraidWord":
+        if not isinstance(data, dict) or "surface" not in data:
+            raise InvalidSurface("braid-word JSON needs 'surface'")
         surf = MarkedSurface.from_json_dict(data["surface"])
         return BraidWord(
             surf, tuple(Letter.from_json_dict(d) for d in data.get("letters", []))
@@ -328,13 +338,15 @@ def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
 
     Returns (d, coeffs) where coeffs[l] = d and sum(coeffs[i] * weights[i])
     is 0: the witness of the integer relation.  d equals G / gcd(G, w_l)
-    with G the gcd of the remaining weights.
+    with G the gcd of the remaining weights.  Every weight must be non-zero.
     """
     weights = tuple(weights)
     if not 0 <= l < len(weights):
         raise IndexOutOfRange("weight index %d out of range" % l)
     if len(weights) < 2:
         raise NoOtherWeights("need at least one other weight to balance against")
+    if 0 in weights:
+        raise ZeroWeight("weights must be non-zero, got %r" % (weights,))
     others = [(idx, w) for idx, w in enumerate(weights) if idx != l]
     g = 0
     witness = [0] * len(weights)
@@ -529,7 +541,8 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
 def concatenate_factors(
     surf: MarkedSurface, certs: Sequence[FactorCertificate]
 ) -> BraidWord:
-    word = BraidWord(surf)
+    """The product of the factors' words, left to right, built in one pass."""
     for cert in certs:
-        word = word * cert.word
-    return word
+        if cert.word.surface != surf:
+            raise InvalidSurface("cannot concatenate words over different surfaces")
+    return BraidWord(surf, tuple(lt for cert in certs for lt in cert.word.letters))

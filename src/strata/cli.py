@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 
 from . import adjacency, braids, criteria, graphs, signatures
-from .errors import StrataError
+from .errors import InvalidJson, StrataError
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -33,7 +33,10 @@ def _signature(args) -> signatures.StratumSignature:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # malformed JSON or text that is not UTF-8
+            raise InvalidJson("%s: %s" % (path, err))
 
 
 def cmd_info(args) -> tuple[dict, list[str]]:
@@ -175,10 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--budget", type=int, default=60000, help="search budget in ms")
-    search.add_argument(
-        "--threads", type=int, default=1,
-        help="upper bound on internal search parallelism (runs sequentially)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="strata",

@@ -21,6 +21,10 @@ class EmptyStratum(StrataError):
     code = "empty-stratum"
 
 
+class InvalidJson(StrataError):
+    code = "invalid-json"
+
+
 class InvalidSpec(StrataError):
     code = "invalid-spec"
 
@@ -55,6 +59,10 @@ class IndexOutOfRange(StrataError):
 
 class NoOtherWeights(StrataError):
     code = "no-other-weights"
+
+
+class ZeroWeight(StrataError):
+    code = "zero-weight"
 
 
 class NotInKernel(StrataError):

@@ -67,3 +67,26 @@ def random_kernel_word(surf: st.MarkedSurface, rng, length: int = 8) -> st.Braid
         sign = -1 if val > 0 else 1
         balance.extend([st.rho(ones[0], r, sign)] * abs(val))
     return st.BraidWord(surf, word.letters + tuple(balance))
+
+
+def bfs_refinements(lower: st.StratumSignature, max_poles: int) -> set[tuple[int, ...]]:
+    """Oracle: the orders of every signature reachable from ``lower`` by
+    splits with at most ``max_poles`` poles, ``lower`` included, found by a
+    breadth-first search through every intermediate signature.
+
+    Splits never remove a pole, so pruning states with more poles loses no
+    target within the bound, and one search answers ``is_adjacent`` for
+    every higher signature of that lower one.
+    """
+    seen = {lower.orders}
+    frontier = [lower]
+    while frontier:
+        fresh: list[st.StratumSignature] = []
+        for state in frontier:
+            for nxt in st.poset_successors(state):
+                if nxt.orders.count(-1) > max_poles or nxt.orders in seen:
+                    continue
+                seen.add(nxt.orders)
+                fresh.append(nxt)
+        frontier = fresh
+    return seen

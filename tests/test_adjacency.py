@@ -4,6 +4,7 @@ import random
 import pytest
 
 import strata as st
+from support import bfs_refinements, enumerate_signatures, positive_partitions
 from strata.errors import (
     BadSum,
     GenusMismatch,
@@ -174,6 +175,103 @@ class TestIsAdjacent:
     def test_even_split_parity_blocks_refinement(self):
         # an order-2 zero cannot break into two simple zeros
         assert not st.is_adjacent(sig(2, (2, 1, 1)), sig(2, (2, 2)))
+
+    def test_pole_lets_a_part_exceed_its_source(self):
+        assert st.is_adjacent(sig(2, (6, -1, -1)), sig(2, (4,)))
+        # but (7, -1) is two odd parts of an even zero
+        assert not st.is_adjacent(sig(3, (7, 2, -1)), sig(3, (6, 2)))
+
+    def test_equal_entries_need_a_zero_left_over(self):
+        # every zero of lower has an equal entry in higher; the leftover
+        # (4, 2) and six spare poles sum to 0 and must join one of them
+        higher = sig(4, (6, 4, 4, 3, 2, 1) + (-1,) * 8)
+        assert st.is_adjacent(higher, sig(4, (6, 4, 3, 1, -1, -1)))
+
+    def test_many_poles_to_one_zero(self):
+        # a breadth-first search over signatures took minutes on this pair
+        higher = sig(5, (3,) + (2,) * 8 + (1,) * 11 + (-1,) * 14)
+        assert st.is_adjacent(higher, sig(5, (16,)))
+
+    def test_all_simple_zeros_genus_six(self):
+        assert st.is_adjacent(sig(6, (1,) * 20), sig(6, (20,)))
+
+    def test_fewer_poles_unreachable(self):
+        assert not st.is_adjacent(sig(5, (1,) * 16), sig(5, (18, -1, -1)))
+
+    def test_matches_oracle_exhaustively(self):
+        # every pair at g <= 3 with at most 4 poles, one search per lower
+        pairs = 0
+        for g in range(4):
+            sigs = enumerate_signatures(g, max_poles=4)
+            for lower in sigs:
+                reach = bfs_refinements(lower, max_poles=4)
+                for higher in sigs:
+                    assert st.is_adjacent(higher, lower) == (higher.orders in reach), (
+                        higher.orders,
+                        lower.orders,
+                    )
+                    pairs += 1
+        assert pairs > 51000
+
+
+def multiset_refinements(order, max_len):
+    """Every parts multiset a zero reaches with at most ``max_len`` parts,
+    by breadth-first search over raw sorted tuples."""
+    seen = {(order,)}
+    frontier = [(order,)]
+    while frontier:
+        fresh = []
+        for state in frontier:
+            for idx, k in enumerate(state):
+                if k < 1:
+                    continue
+                for m in (2, 3, 4):
+                    if len(state) - 1 + m > max_len:
+                        continue
+                    for parts in itertools.combinations_with_replacement(
+                        range(-1, k + m), m
+                    ):
+                        if 0 in parts or sum(parts) != k:
+                            continue
+                        if m == 2 and k % 2 == 0 and parts[0] % 2 != 0:
+                            continue
+                        nxt = tuple(sorted(state[:idx] + state[idx + 1 :] + parts))
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            fresh.append(nxt)
+        frontier = fresh
+    return seen
+
+
+class TestSplitsInto:
+    def test_matches_multiset_search(self):
+        max_len = 7
+        for k in range(1, 11):
+            reach = multiset_refinements(k, max_len)
+            checked = set()
+            for poles in range(max_len):
+                for positive in positive_partitions(k + poles):
+                    parts = tuple(sorted(positive + (-1,) * poles))
+                    if len(parts) > max_len:
+                        continue
+                    assert st.splits_into(k, parts) == (parts in reach), (k, parts)
+                    checked.add(parts)
+            assert reach <= checked
+
+    def test_rule_cases(self):
+        assert st.splits_into(4, (4,))
+        assert st.splits_into(4, (2, 2))
+        assert not st.splits_into(4, (3, 1))
+        assert not st.splits_into(4, (5, -1))
+        assert st.splits_into(3, (4, -1))
+        assert st.splits_into(4, (1, 1, 1, 1, 1, -1))
+
+    def test_malformed_parts(self):
+        assert not st.splits_into(4, (2, 1))
+        assert not st.splits_into(4, (4, 0))
+        assert not st.splits_into(4, (6, -2))
+        assert not st.splits_into(-1, (-1,))
+        assert not st.splits_into(4, ())
 
 
 class TestGrouping:

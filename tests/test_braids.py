@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from collections import Counter
 
@@ -14,6 +16,7 @@ from strata.errors import (
     NoOtherWeights,
     NotInKernel,
     PreconditionUnmet,
+    ZeroWeight,
 )
 from support import random_kernel_word, random_word
 
@@ -198,6 +201,12 @@ class TestMinimalD:
         with pytest.raises(IndexOutOfRange):
             st.minimal_d((4, 6), 2)
 
+    def test_zero_weight_rejected(self):
+        with pytest.raises(ZeroWeight):
+            st.minimal_d((0, 5), 1)
+        with pytest.raises(ZeroWeight):
+            st.minimal_d((4, 0), 0)
+
 
 class TestFactorByPermutation:
     def test_pure_exchange(self):
@@ -290,6 +299,22 @@ class TestFactorize:
             certs = st.factorize_kernel_word(z)
             assert all(c.tag != I_COMMUTATOR for c in certs)
 
+    def test_concatenation_matches_left_fold(self):
+        rng = random.Random(31)
+        for length in (0, 8, 200):
+            z = random_kernel_word(FLAGSHIP, rng, length)
+            certs = st.factorize_kernel_word(z)
+            folded = functools.reduce(
+                operator.mul, (c.word for c in certs), st.BraidWord(FLAGSHIP)
+            )
+            assert st.concatenate_factors(FLAGSHIP, certs) == folded
+
+    def test_concatenation_rejects_other_surface(self):
+        certs = st.factorize_kernel_word(word(FLAGSHIP, st.rho(1, 1), st.rho(2, 1, -1)))
+        other = st.MarkedSurface(5, (1,) * 12 + (2, 2))
+        with pytest.raises(InvalidSurface):
+            st.concatenate_factors(other, certs)
+
     def test_kappa_on_peeled_point_becomes_square_transposition(self):
         z = word(FLAGSHIP, st.kappa(13, 14), st.kappa(1, 2, -1))
         certs = st.factorize_kernel_word(z)
@@ -367,3 +392,21 @@ class TestJson:
             "l": 1,
             "exp": 1,
         }
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            ([], InvalidSurface),
+            ({"letters": []}, InvalidSurface),
+            ({"surface": {"genus": 2}}, InvalidSurface),
+            ({"surface": {"genus": 2, "weights": [4]}, "letters": [{"i": 1}]}, InvalidLetter),
+            ({"surface": {"genus": 2, "weights": [4]}, "letters": [{"kind": []}]}, InvalidLetter),
+            (
+                {"surface": {"genus": 2, "weights": [4]}, "letters": [{"kind": "sigma", "i": 1}]},
+                InvalidLetter,
+            ),
+        ],
+    )
+    def test_missing_keys_rejected(self, data, error):
+        with pytest.raises(error):
+            st.BraidWord.from_json_dict(data)

@@ -94,6 +94,11 @@ class TestCheckAndBounds:
         assert code == 0
         assert doc["payload"] == {"d": 3, "coeffs": [3, -2]}
 
+    def test_dmin_zero_weight(self, capsys):
+        code, doc = run(capsys, "dmin", "--weights", "0,5", "--index", "1")
+        assert code == 1 and doc["status"] == "error"
+        assert doc["payload"]["code"] == "zero-weight"
+
 
 class TestCover:
     def test_pole_heavy_cover(self, capsys):
@@ -180,6 +185,25 @@ class TestGraphPipeline:
     def test_missing_file(self, capsys):
         code, doc = run(capsys, "aj", "--word", "/nonexistent/word.json")
         assert code == 1 and doc["payload"]["code"] == "io"
+
+    def test_malformed_json(self, capsys, tmp_path):
+        word_file = tmp_path / "word.json"
+        word_file.write_text("{bad")
+        code, doc = run(capsys, "aj", "--word", str(word_file))
+        assert code == 1 and doc["payload"]["code"] == "invalid-json"
+
+    def test_letter_missing_key(self, capsys, tmp_path):
+        word_file = tmp_path / "word.json"
+        word_file.write_text(
+            json.dumps(
+                {
+                    "surface": {"genus": 2, "weights": [1, 1, 1, 1]},
+                    "letters": [{"kind": "rho", "i": 1}],
+                }
+            )
+        )
+        code, doc = run(capsys, "aj", "--word", str(word_file))
+        assert code == 1 and doc["payload"]["code"] == "invalid-letter"
 
 
 class TestFactorizeCommand:
