@@ -88,12 +88,17 @@ class MarkedSurface:
     def from_json_dict(data: dict) -> "MarkedSurface":
         if not isinstance(data, dict) or "genus" not in data or "weights" not in data:
             raise InvalidSurface("surface JSON needs 'genus' and 'weights'")
-        return MarkedSurface(
-            data["genus"],
-            tuple(data["weights"]),
-            data.get("punctures", 0),
-            data.get("stratum_mode", False),
-        )
+        genus, weights = data["genus"], data["weights"]
+        punctures = data.get("punctures", 0)
+        stratum_mode = data.get("stratum_mode", False)
+        # type() rather than isinstance: JSON true/false decode to bool, an int
+        if type(genus) is not int or type(punctures) is not int:
+            raise InvalidSurface("surface 'genus' and 'punctures' must be integers")
+        if not isinstance(weights, list) or any(type(w) is not int for w in weights):
+            raise InvalidSurface("surface 'weights' must be a list of integers")
+        if type(stratum_mode) is not bool:
+            raise InvalidSurface("surface 'stratum_mode' must be true or false")
+        return MarkedSurface(genus, tuple(weights), punctures, stratum_mode)
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,12 @@ class Letter:
         second = _SECOND_KEY[kind]
         if "i" not in data or second not in data:
             raise InvalidLetter("%s letter JSON needs 'i' and %r" % (kind, second))
-        return Letter(kind, data["i"], data[second], data.get("exp", 1))
+        fields = (data["i"], data[second], data.get("exp", 1))
+        if any(type(x) is not int for x in fields):
+            raise InvalidLetter(
+                "%s letter fields 'i', %r and 'exp' must be integers" % (kind, second)
+            )
+        return Letter(kind, *fields)
 
 
 def rho(i: int, r: int, exp: int = 1) -> Letter:
@@ -220,9 +230,10 @@ class BraidWord:
         if not isinstance(data, dict) or "surface" not in data:
             raise InvalidSurface("braid-word JSON needs 'surface'")
         surf = MarkedSurface.from_json_dict(data["surface"])
-        return BraidWord(
-            surf, tuple(Letter.from_json_dict(d) for d in data.get("letters", []))
-        )
+        letters = data.get("letters", [])
+        if not isinstance(letters, list):
+            raise InvalidLetter("braid-word 'letters' must be a list")
+        return BraidWord(surf, tuple(Letter.from_json_dict(d) for d in letters))
 
 
 def _reduce_letters(letters: Sequence[Letter]) -> list[Letter]:

@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 
 from . import adjacency, braids, criteria, graphs, signatures
-from .errors import InvalidJson, StrataError
+from .errors import InvalidIntList, InvalidJson, StrataError
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -24,7 +24,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise StrataError("expected a comma-separated list of integers, got %r" % text)
+        raise InvalidIntList("expected a comma-separated list of integers, got %r" % text)
 
 
 def _signature(args) -> signatures.StratumSignature:

@@ -29,6 +29,10 @@ class InvalidSpec(StrataError):
     code = "invalid-spec"
 
 
+class InvalidIntList(StrataError):
+    code = "invalid-int-list"
+
+
 class InvalidSurface(StrataError):
     code = "invalid-surface"
 

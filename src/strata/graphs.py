@@ -7,6 +7,13 @@ falls out of the Euler count.  On top of the raw encoding the module builds
 complete-graph embeddings of prescribed genus, walks them down to a target
 face count, subdivides up to a target vertex count, and reads off the
 exchange generators living on the edges.
+
+Complete-graph embeddings take one path: a frozen rotation for the two
+minimum-genus cases the builder does not reach for every seed (K_7 on the
+torus, K_8 at genus 2), and otherwise a seeded incremental builder that inserts the
+edges of K_n into a spanning star one at a time, choosing each insertion's
+corners by face labels so that the face count moves by the scheduled +1 or
+-1 (the edge-insertion face rule, Gross & Tucker, Topological Graph Theory).
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ from .errors import (
     TooManyFaces,
 )
 
-MAX_COMPLETE_VERTICES = 8  # exhaustive/local search stays tractable up to here
+# the incremental builder fails at the minimum genus of K_9 (g = 3) and K_10
+# (g = 4) for most seeds, and the frozen table stops at K_8
+MAX_COMPLETE_VERTICES = 8
 
 
 def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
@@ -63,6 +72,15 @@ def _face_count(sigma: list[int] | tuple[int, ...]) -> int:
             seen[cur] = True
             cur = sigma[cur ^ 1]
     return count
+
+
+def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
+    # vertex rotation from its cycles, each listing the darts at one vertex
+    sigma = [0] * n_darts
+    for cyc in cycles:
+        for pos, d in enumerate(cyc):
+            sigma[d] = cyc[(pos + 1) % len(cyc)]
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -137,17 +155,28 @@ class CombinatorialMap:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CombinatorialMap":
+        if not isinstance(data, dict):
+            raise InvalidSpec("map JSON must be an object")
         if data.get("alpha_convention") != "pairs":
             raise InvalidSpec("unsupported alpha convention %r" % data.get("alpha_convention"))
-        n = data["darts"]
+        n, cycles = data.get("darts"), data.get("sigma")
+        # type() rather than isinstance: JSON true/false decode to bool, an int
+        if type(n) is not int:
+            raise InvalidSpec("map JSON needs an integer 'darts'")
+        if not isinstance(cycles, list) or any(
+            not isinstance(cyc, list) or any(type(d) is not int for d in cyc)
+            for cyc in cycles
+        ):
+            raise InvalidSpec("map 'sigma' must be a list of integer lists")
+        total = sum(map(len, cycles))
+        if total != n:
+            raise InvalidSpec("rotation cycles hold %d darts, expected %d" % (total, n))
         sigma = [-1] * n
-        for cyc in data["sigma"]:
+        for cyc in cycles:
             for pos, d in enumerate(cyc):
                 if not 0 <= d < n or sigma[d] != -1:
                     raise InvalidSpec("bad dart %r in rotation cycles" % (d,))
                 sigma[d] = cyc[(pos + 1) % len(cyc)]
-        if -1 in sigma:
-            raise InvalidSpec("rotation cycles do not cover all darts")
         return CombinatorialMap(tuple(sigma))
 
 
@@ -205,13 +234,9 @@ def build_map(
         darts_at[v].append(2 * e + 1)
     if rotations is not None:
         darts_at = rotations
-    sigma = [0] * (2 * len(edges))
-    for order in darts_at:
-        if not order:
-            raise InvalidSpec("isolated vertex in map construction")
-        for pos, d in enumerate(order):
-            sigma[d] = order[(pos + 1) % len(order)]
-    return CombinatorialMap(tuple(sigma))
+    if not all(darts_at):
+        raise InvalidSpec("isolated vertex in map construction")
+    return CombinatorialMap(tuple(_sigma_of(darts_at, 2 * len(edges))))
 
 
 def complete_graph_genus_range(n: int) -> tuple[int, int]:
@@ -233,17 +258,14 @@ def _kn_sigma(n: int, neighbor_orders: list[list[int]]) -> list[int]:
     for e, (u, v) in enumerate(edges):
         dart_of[(u, v)] = 2 * e
         dart_of[(v, u)] = 2 * e + 1
-    sigma = [0] * (n * (n - 1))
-    for v, order in enumerate(neighbor_orders):
-        darts = [dart_of[(v, u)] for u in order]
-        for pos, d in enumerate(darts):
-            sigma[d] = darts[(pos + 1) % len(darts)]
-    return sigma
+    cycles = [[dart_of[(v, u)] for u in order] for v, order in enumerate(neighbor_orders)]
+    return _sigma_of(cycles, n * (n - 1))
 
 
-# minimum-genus rotation for K_8 (genus 2, 18 faces), found once by annealing
-# on the face count and frozen for determinism; the incremental builder below
-# does not reach this corner
+# minimum-genus rotations the incremental builder below does not reach for
+# every seed, frozen for determinism and keyed by (n, g).  K_8 at genus 2
+# (18 faces) was found once by annealing on the face count; K_7 at genus 1 is
+# Heawood's cyclic torus triangulation (Ringel, Map Color Theorem, 1974)
 _K8_GENUS2_ROTATION = (
     (3, 7, 5, 1, 4, 6, 2),
     (4, 7, 6, 3, 2, 0, 5),
@@ -254,54 +276,35 @@ _K8_GENUS2_ROTATION = (
     (2, 0, 4, 1, 7, 3, 5),
     (4, 2, 5, 0, 3, 6, 1),
 )
+_FROZEN_ROTATIONS = {
+    (7, 1): tuple(tuple((v + d) % 7 for d in (1, 3, 2, 6, 4, 5)) for v in range(7)),
+    (8, 2): _K8_GENUS2_ROTATION,
+}
 
 
-def _transitive_orders(n: int) -> "itertools.chain":
-    # one difference sequence applied at every vertex; first difference pinned
-    # to 1 since rotating a cyclic order changes nothing
-    def orders(diffs: tuple[int, ...]) -> list[list[int]]:
-        return [[(v + d) % n for d in diffs] for v in range(n)]
-
-    return (orders((1,) + rest) for rest in itertools.permutations(range(2, n)))
-
-
-def _all_neighbor_orders(n: int) -> "itertools.product":
-    # cyclic orders at each vertex, first neighbor pinned per vertex
-    per_vertex = []
-    for v in range(n):
-        others = [u for u in range(n) if u != v]
-        head, tail = others[0], others[1:]
-        per_vertex.append([[head] + list(p) for p in itertools.permutations(tail)])
-    return itertools.product(*per_vertex)
-
-
-def _rot_face_count(rot: list[list[int]]) -> int:
-    sigma: dict[int, int] = {}
-    for cyc in rot:
-        for pos, d in enumerate(cyc):
-            sigma[d] = cyc[(pos + 1) % len(cyc)]
-    seen: set[int] = set()
-    count = 0
-    for start in sigma:
-        if start in seen:
-            continue
-        count += 1
+def _face_labels(rot: list[list[int]], n_darts: int) -> list[int]:
+    # label[d] names the face holding dart d: the first dart met on its orbit
+    sigma = _sigma_of(rot, n_darts)
+    label = [-1] * n_darts
+    for start in range(n_darts):
         cur = start
-        while cur not in seen:
-            seen.add(cur)
+        while label[cur] < 0:
+            label[cur] = start
             cur = sigma[cur ^ 1]
-    return count
+    return label
 
 
 def _incremental_embed(
-    n: int, g: int, f_target: int, seed: int, deadline: float
+    n: int, g: int, seed: int, deadline: float
 ) -> CombinatorialMap | None:
     """Grow K_n edge by edge from a spanning star, steering the face count.
 
-    Every insertion changes the face count by exactly one: +1 splits a face,
-    -1 merges two through a fresh handle (genus + 1).  Exactly g merges are
-    scheduled, taken as early as the face structure allows; dead ends retry
-    with a reshuffled edge order.
+    Every insertion changes the face count by exactly one.  The corner after
+    dart d lies on the face of sigma(d); an edge joining two corners of one
+    face splits it (+1), an edge joining corners of two faces merges them
+    through a fresh handle (-1, genus + 1).  Exactly g merges are scheduled,
+    taken as early as the face structure allows; dead ends retry with a
+    reshuffled edge order.
     """
     rest = [(u, v) for u, v in itertools.combinations(range(n), 2) if u != 0]
     if len(rest) < g:
@@ -317,43 +320,34 @@ def _incremental_embed(
         rot = [[2 * k for k in range(n - 1)]] + [[2 * k + 1] for k in range(n - 1)]
         next_dart = 2 * (n - 1)
         splits, merges = len(rest) - g, g
-        faces = 1
-        ok = True
         for u, v in order:
-            x, y = next_dart, next_dart + 1
-            placed = False
-            for want in ((-1, 1) if merges > 0 else (1,)):
-                if want == 1 and splits <= 0:
-                    continue
-                for ra in range(len(rot[u])):
-                    for rb in range(len(rot[v])):
-                        rot[u].insert(ra + 1, x)
-                        rot[v].insert(rb + 1, y)
-                        fresh = _rot_face_count(rot)
-                        if fresh - faces == want:
-                            faces = fresh
-                            if want == 1:
-                                splits -= 1
-                            else:
-                                merges -= 1
-                            placed = True
-                            break
-                        rot[u].remove(x)
-                        rot[v].remove(y)
-                    if placed:
-                        break
-                if placed:
-                    break
-            if not placed:
-                ok = False
+            label = _face_labels(rot, next_dart)
+            faces_u = [label[rot[u][(ra + 1) % len(rot[u])]] for ra in range(len(rot[u]))]
+            faces_v = [label[rot[v][(rb + 1) % len(rot[v])]] for rb in range(len(rot[v]))]
+            # merges first while any remain, then splits
+            wanted = [False] * (merges > 0) + [True] * (splits > 0)
+            found = next(
+                (
+                    (split, ra, rb)
+                    for split in wanted
+                    for ra, fu in enumerate(faces_u)
+                    for rb, fv in enumerate(faces_v)
+                    if (fu == fv) == split
+                ),
+                None,
+            )
+            if found is None:
                 break
+            split, ra, rb = found
+            if split:
+                splits -= 1
+            else:
+                merges -= 1
+            rot[u].insert(ra + 1, next_dart)
+            rot[v].insert(rb + 1, next_dart + 1)
             next_dart += 2
-        if ok and faces == f_target:
-            sigma = [0] * next_dart
-            for cyc in rot:
-                for pos, d in enumerate(cyc):
-                    sigma[d] = cyc[(pos + 1) % len(cyc)]
-            return CombinatorialMap(tuple(sigma))
+        else:
+            return CombinatorialMap(tuple(_sigma_of(rot, next_dart)))
     return None
 
 
@@ -362,9 +356,10 @@ def embed_complete(
 ) -> CombinatorialMap:
     """A rotation system for the complete graph K_n with the requested genus.
 
-    Deterministic vertex-transitive rotations are tried first, then (n <= 5)
-    exhaustive enumeration, then seeded local search over single-vertex
-    rotation mutations with the face-count distance as objective.
+    One path covers 3 <= n <= MAX_COMPLETE_VERTICES: the frozen minimum-genus
+    rotations of K_7 (genus 1) and K_8 (genus 2) are returned as stored, and
+    every other genus comes from the seeded incremental builder; BudgetExceeded
+    is raised when its attempts or the budget run out.
     """
     if n < 3 or n > MAX_COMPLETE_VERTICES:
         raise OutOfRange("complete-graph embedding supports 3 <= n <= %d" % MAX_COMPLETE_VERTICES)
@@ -375,91 +370,21 @@ def embed_complete(
             % (g, gamma, gamma_max, n)
         )
     n_edges = n * (n - 1) // 2
-    f_target = n_edges - n + 2 - 2 * g
-    if f_target < 1:
+    if n_edges - n + 2 - 2 * g < 1:
         # a 2-cell decomposition needs at least one face; the published upper
         # formula rounds up, so trim the unreachable top here
         raise OutOfRange("no 2-cell embedding of K_%d has genus %d" % (n, g))
-    deadline = time.monotonic() + budget_ms / 1000.0
 
-    if n == 8 and g == 2:
-        return CombinatorialMap(
-            tuple(_kn_sigma(8, [list(r) for r in _K8_GENUS2_ROTATION]))
+    frozen = _FROZEN_ROTATIONS.get((n, g))
+    if frozen is not None:
+        return CombinatorialMap(tuple(_kn_sigma(n, frozen)))
+    built = _incremental_embed(n, g, seed, time.monotonic() + budget_ms / 1000.0)
+    if built is None:
+        raise BudgetExceeded(
+            "incremental embedding of K_%d at genus %d ran out of attempts or budget"
+            % (n, g)
         )
-
-    warm: list[list[int]] | None = None
-    warm_score = None
-    for orders in _transitive_orders(n):
-        sigma = _kn_sigma(n, orders)
-        score = abs(_face_count(sigma) - f_target)
-        if score == 0:
-            return CombinatorialMap(tuple(sigma))
-        if warm_score is None or score < warm_score:
-            warm, warm_score = [list(o) for o in orders], score
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("embedding search ran out of budget")
-
-    if n <= 5:
-        for orders in _all_neighbor_orders(n):
-            sigma = _kn_sigma(n, [list(o) for o in orders])
-            if _face_count(sigma) == f_target:
-                return CombinatorialMap(tuple(sigma))
-        raise OutOfRange("no rotation system of K_%d reaches genus %d" % (n, g))
-
-    built = _incremental_embed(n, g, f_target, seed, deadline)
-    if built is not None:
-        return built
-
-    edges = _kn_edges(n)
-    dart_of: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(edges):
-        dart_of[(u, v)] = 2 * e
-        dart_of[(v, u)] = 2 * e + 1
-
-    def resigma(sigma: list[int], v: int, order: list[int]) -> None:
-        darts = [dart_of[(v, u)] for u in order]
-        for pos, d in enumerate(darts):
-            sigma[d] = darts[(pos + 1) % len(darts)]
-
-    rng = random.Random(seed)
-    max_restarts = 3000
-    stale_cap = 400
-    for restart in range(max_restarts):
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("embedding search ran out of budget")
-        if warm is not None and restart % 2 == 0:
-            orders = [list(o) for o in warm]
-            for _ in range(restart // 2):  # progressively stronger perturbation
-                v = rng.randrange(n)
-                a, b = rng.sample(range(n - 1), 2)
-                orders[v][a], orders[v][b] = orders[v][b], orders[v][a]
-        else:
-            orders = []
-            for v in range(n):
-                others = [u for u in range(n) if u != v]
-                rng.shuffle(others)
-                orders.append(others)
-        sigma = _kn_sigma(n, orders)
-        score = abs(_face_count(sigma) - f_target)
-        stale = 0
-        while stale < stale_cap:
-            if score == 0:
-                return CombinatorialMap(tuple(sigma))
-            v = rng.randrange(n)
-            a, b = rng.sample(range(n - 1), 2)
-            orders[v][a], orders[v][b] = orders[v][b], orders[v][a]
-            resigma(sigma, v, orders[v])
-            cand = abs(_face_count(sigma) - f_target)
-            if cand <= score:
-                stale = stale + 1 if cand == score else 0
-                score = cand
-            else:
-                orders[v][a], orders[v][b] = orders[v][b], orders[v][a]
-                resigma(sigma, v, orders[v])
-                stale += 1
-        if score == 0:
-            return CombinatorialMap(tuple(sigma))
-    raise BudgetExceeded("embedding search exceeded the restart cap")
+    return built
 
 
 def _rebuild_without_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
@@ -474,11 +399,7 @@ def _rebuild_without_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
         if not kept:
             raise NoRemovableEdge("removing edge %d would isolate a vertex" % e)
         cycles.append(kept)
-    sigma = [0] * (m.n_darts - 2)
-    for cyc in cycles:
-        for pos, d in enumerate(cyc):
-            sigma[d] = cyc[(pos + 1) % len(cyc)]
-    return CombinatorialMap(tuple(sigma))
+    return CombinatorialMap(tuple(_sigma_of(cycles, m.n_darts - 2)))
 
 
 def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
@@ -517,11 +438,7 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
     for cyc in m.vertices():
         cycles.append([2 * E + 1 if d == 2 * e + 1 else d for d in cyc])
     cycles.append([2 * e + 1, 2 * E])
-    sigma = [0] * (m.n_darts + 2)
-    for cyc in cycles:
-        for pos, d in enumerate(cyc):
-            sigma[d] = cyc[(pos + 1) % len(cyc)]
-    return CombinatorialMap(tuple(sigma))
+    return CombinatorialMap(tuple(_sigma_of(cycles, m.n_darts + 2)))
 
 
 def construct_graph(

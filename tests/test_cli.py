@@ -42,6 +42,11 @@ class TestInfo:
         assert doc["status"] == "error"
         assert doc["payload"]["code"] == "invalid-signature"
 
+    def test_non_integer_orders(self, capsys):
+        code, doc = run(capsys, "info", "--genus", "2", "--orders", "1,x")
+        assert code == 1 and doc["status"] == "error"
+        assert doc["payload"]["code"] == "invalid-int-list"
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["info", "--genus", "2"])
@@ -204,6 +209,57 @@ class TestGraphPipeline:
         )
         code, doc = run(capsys, "aj", "--word", str(word_file))
         assert code == 1 and doc["payload"]["code"] == "invalid-letter"
+
+
+def _file_code(capsys, tmp_path, command, flag, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, doc = run(capsys, command, flag, str(path))
+    assert code == 1 and doc["status"] == "error"
+    return doc["payload"]["code"]
+
+
+GENUS_TWO = {"genus": 2, "weights": [1, 1, 1, 1]}
+
+
+class TestInputTypes:
+    @pytest.mark.parametrize(
+        "letters",
+        [
+            [{"kind": "rho", "i": "x", "r": 1}],
+            [{"kind": "rho", "i": 1, "r": 1, "exp": 1.0}],
+            7,
+        ],
+    )
+    def test_bad_letter_field(self, capsys, tmp_path, letters):
+        word = {"surface": GENUS_TWO, "letters": letters}
+        assert _file_code(capsys, tmp_path, "aj", "--word", word) == "invalid-letter"
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"weights": ["1", "1", "1", "1"]},
+            {"genus": 2.5},
+            {"punctures": "2"},
+            {"stratum_mode": "yes"},
+        ],
+    )
+    def test_bad_surface_field(self, capsys, tmp_path, field):
+        word = {"surface": dict(GENUS_TWO, **field), "letters": []}
+        assert _file_code(capsys, tmp_path, "aj", "--word", word) == "invalid-surface"
+
+    def test_map_missing_darts(self, capsys, tmp_path):
+        data = {"alpha_convention": "pairs"}
+        assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
+
+    def test_map_string_darts(self, capsys, tmp_path):
+        data = {"darts": "4", "sigma": [[0, 2], [1], [3]], "alpha_convention": "pairs"}
+        assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
+
+    @pytest.mark.parametrize("sigma", [None, "0,1", [0, 1], [[0], ["1"]]])
+    def test_map_bad_sigma(self, capsys, tmp_path, sigma):
+        data = {"darts": 2, "sigma": sigma, "alpha_convention": "pairs"}
+        assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
 
 
 class TestFactorizeCommand:

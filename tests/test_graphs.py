@@ -100,10 +100,35 @@ class TestEmbedComplete:
         with pytest.raises(OutOfRange):
             st.embed_complete(3, 1)
 
-    def test_local_search_path(self):
+    def test_incremental_builder_path(self):
         m = st.embed_complete(6, 3, seed=1)
         r = m.report()
         assert (r.V, r.genus, r.simple) == (6, 3, True)
+
+    def test_every_supported_genus(self):
+        for n in range(3, 9):
+            E = n * (n - 1) // 2
+            gamma, gamma_max = st.complete_graph_genus_range(n)
+            for g in range(gamma, gamma_max + 1):
+                F = E - n + 2 - 2 * g
+                if F < 1:
+                    continue
+                for seed in range(10):
+                    r = st.embed_complete(n, g, seed=seed).report()
+                    assert (r.V, r.E, r.F, r.genus, r.simple) == (n, E, F, g, True)
+
+    def test_k7_torus_frozen_for_builder_misses(self):
+        # the builder alone finds no genus-1 K_7 for these seeds
+        edges = list(itertools.combinations(range(7), 2))
+        dart = {}
+        for e, (u, v) in enumerate(edges):
+            dart[(u, v)], dart[(v, u)] = 2 * e, 2 * e + 1
+        cyclic = [[dart[(v, (v + d) % 7)] for d in (1, 3, 2, 6, 4, 5)] for v in range(7)]
+        expected = st.build_map(7, edges, rotations=cyclic)
+        for seed in (10, 20, 29):
+            m = st.embed_complete(7, 1, seed=seed)
+            assert m == expected
+            assert m.report().F == 14
 
     def test_seed_determinism(self):
         a = st.embed_complete(6, 2, seed=42)
