@@ -3,68 +3,96 @@
 Signature classification, the splitting poset, weighted surface braid words
 with their homology abelianization, certified kernel factorization, rotation
 system graph embeddings, and the integer bounds tying them together.
+
+The package is lazy (PEP 562): a public name, or a submodule, is imported on
+first access and then cached here, so ``import strata`` loads nothing else
+and each CLI subcommand loads only the modules it uses.
 """
 
-from .adjacency import (
-    GroupingSpec,
-    SplitMove,
-    apply_split,
-    check_grouping,
-    is_adjacent,
-    legal_splits,
-    poset_successors,
-    splits_into,
-)
-from .braids import (
-    BraidWord,
-    FactorCertificate,
-    Letter,
-    MarkedSurface,
-    abel_jacobi,
-    certify_i_commutator,
-    certify_null_rho,
-    concatenate_factors,
-    factor_by_permutation,
-    factorize_kernel_word,
-    free_reduce,
-    in_kernel,
-    kappa,
-    minimal_d,
-    permutation_image,
-    puncture_loop,
-    rho,
-    sigma,
-)
-from .criteria import (
-    a_min,
-    gen2_cascade_ok,
-    point_bound,
-    satisfies_hy2,
-    satisfies_main_theorem,
-    satisfies_null_prop,
-)
-from .graphs import (
-    CombinatorialMap,
-    EmbeddedGraphReport,
-    assign_face_pairs,
-    build_map,
-    complete_graph_genus_range,
-    construct_graph,
-    copeland_generators,
-    delete_edge_preserving,
-    embed_complete,
-    subdivide_edge,
-    trace_faces,
-)
-from .signatures import (
-    ConnectivityReport,
-    DoubleCoverSpec,
-    StratumSignature,
-    classify_connectivity,
-    connectivity,
-    dimension,
-    double_cover,
-    is_empty,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# every public name, grouped by the submodule that defines it
+_EXPORTS = {
+    "adjacency": (
+        "GroupingSpec",
+        "SplitMove",
+        "apply_split",
+        "check_grouping",
+        "is_adjacent",
+        "legal_splits",
+        "poset_successors",
+        "splits_into",
+    ),
+    "braids": (
+        "BraidWord",
+        "FactorCertificate",
+        "Letter",
+        "MarkedSurface",
+        "abel_jacobi",
+        "certify_i_commutator",
+        "certify_null_rho",
+        "concatenate_factors",
+        "factor_by_permutation",
+        "factorize_kernel_word",
+        "free_reduce",
+        "in_kernel",
+        "kappa",
+        "minimal_d",
+        "permutation_image",
+        "puncture_loop",
+        "rho",
+        "sigma",
+    ),
+    "criteria": (
+        "a_min",
+        "gen2_cascade_ok",
+        "point_bound",
+        "satisfies_hy2",
+        "satisfies_main_theorem",
+        "satisfies_null_prop",
+    ),
+    "graphs": (
+        "CombinatorialMap",
+        "EmbeddedGraphReport",
+        "assign_face_pairs",
+        "build_map",
+        "complete_graph_genus_range",
+        "construct_graph",
+        "copeland_generators",
+        "delete_edge_preserving",
+        "embed_complete",
+        "subdivide_edge",
+        "trace_faces",
+    ),
+    "signatures": (
+        "ConnectivityReport",
+        "DoubleCoverSpec",
+        "StratumSignature",
+        "classify_connectivity",
+        "connectivity",
+        "dimension",
+        "double_cover",
+        "is_empty",
+    ),
+}
+_SUBMODULES = ("adjacency", "braids", "cli", "criteria", "errors", "graphs", "signatures")
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
+    elif name in _ORIGIN:
+        value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

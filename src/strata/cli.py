@@ -4,6 +4,9 @@ Every invocation prints a single JSON document shaped as
 ``{"status": ..., "payload": ..., "diagnostics": [...]}`` and exits with
 0 on success, 1 on a domain error, 2 on a usage error.  Output for a fixed
 seed is byte-identical across runs.
+
+Start-up dominates a one-shot run, so each handler imports the library
+modules it uses and a run loads only those.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import json
 import sys
 from collections import Counter
 
-from . import adjacency, braids, criteria, graphs, signatures
-from .errors import InvalidIntList, InvalidJson, StrataError
+from .errors import InvalidIntList, InvalidJson, OutOfRange, StrataError
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -27,7 +29,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise InvalidIntList("expected a comma-separated list of integers, got %r" % text)
 
 
-def _signature(args) -> signatures.StratumSignature:
+def _signature(args):
+    from . import signatures
+
     return signatures.StratumSignature(args.genus, _parse_int_list(args.orders))
 
 
@@ -40,6 +44,8 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_info(args) -> tuple[dict, list[str]]:
+    from . import signatures
+
     s = _signature(args)
     payload: dict = {
         "genus": s.genus,
@@ -55,6 +61,10 @@ def cmd_info(args) -> tuple[dict, list[str]]:
 
 
 def cmd_poset(args) -> tuple[dict, list[str]]:
+    from . import adjacency, signatures
+
+    if args.depth < 0:
+        raise OutOfRange("--depth must be non-negative, got %d" % args.depth)
     root = signatures.StratumSignature(args.genus, _parse_int_list(args.root))
     include_poles = not args.no_poles
     notes: list[str] = []
@@ -92,6 +102,8 @@ def cmd_poset(args) -> tuple[dict, list[str]]:
 
 
 def cmd_aj(args) -> tuple[dict, list[str]]:
+    from . import braids
+
     word = braids.BraidWord.from_json_dict(_load_json(args.word))
     return {
         "vector": list(braids.abel_jacobi(word)),
@@ -101,6 +113,8 @@ def cmd_aj(args) -> tuple[dict, list[str]]:
 
 
 def cmd_factorize(args) -> tuple[dict, list[str]]:
+    from . import braids
+
     word = braids.BraidWord.from_json_dict(_load_json(args.word))
     certs = braids.factorize_kernel_word(word)
     combined = braids.concatenate_factors(word.surface, certs)
@@ -116,6 +130,8 @@ def cmd_factorize(args) -> tuple[dict, list[str]]:
 
 
 def cmd_graph(args) -> tuple[dict, list[str]]:
+    from . import graphs
+
     m = graphs.construct_graph(
         args.genus, args.faces, args.vertices, seed=args.seed, budget_ms=args.budget
     )
@@ -123,12 +139,16 @@ def cmd_graph(args) -> tuple[dict, list[str]]:
 
 
 def cmd_copeland(args) -> tuple[dict, list[str]]:
+    from . import graphs
+
     m = graphs.CombinatorialMap.from_json_dict(_load_json(args.map))
     words = graphs.copeland_generators(m)
     return {"generators": [w.to_json_dict() for w in words]}, []
 
 
 def cmd_check(args) -> tuple[dict, list[str]]:
+    from . import criteria
+
     s = _signature(args)
     payload: dict = {
         "genus": s.genus,
@@ -159,6 +179,8 @@ def cmd_check(args) -> tuple[dict, list[str]]:
 
 
 def cmd_cover(args) -> tuple[dict, list[str]]:
+    from . import signatures
+
     base = signatures.StratumSignature(0, _parse_int_list(args.base_orders))
     spec = signatures.DoubleCoverSpec(
         base, frozenset(_parse_int_list(args.ramify)), args.target_genus
@@ -168,6 +190,8 @@ def cmd_cover(args) -> tuple[dict, list[str]]:
 
 
 def cmd_dmin(args) -> tuple[dict, list[str]]:
+    from . import braids
+
     d, coeffs = braids.minimal_d(_parse_int_list(args.weights), args.index)
     return {"d": d, "coeffs": list(coeffs)}, []
 

@@ -8,9 +8,12 @@ changes which strata the generation results cover.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .errors import OutOfRange
-from .signatures import StratumSignature
+
+if TYPE_CHECKING:
+    from .signatures import StratumSignature
 
 
 def _ceil_sqrt(x: int) -> int:

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import strata as st
 from strata.cli import main
@@ -66,6 +74,11 @@ class TestPoset:
         code, doc = run(capsys, "poset", "--genus", "2", "--root", "4", "--no-poles")
         assert code == 0
         assert len(doc["payload"]["edges"]) == 3
+
+    def test_negative_depth(self, capsys):
+        code, doc = run(capsys, "poset", "--genus", "3", "--root", "8", "--depth", "-1")
+        assert code == 1 and doc["status"] == "error"
+        assert doc["payload"]["code"] == "out-of-range"
 
     def test_two_component_diagnostic(self, capsys):
         code, doc = run(capsys, "poset", "--genus", "3", "--root", "6,2", "--depth", "0")
@@ -295,3 +308,223 @@ class TestPretty:
         out = capsys.readouterr().out
         assert out.startswith("{\n")
         json.loads(out)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LIBRARY = {"adjacency", "braids", "criteria", "graphs", "signatures"}
+
+
+def _loaded(*argv):
+    """The ``strata`` submodules a fresh interpreter holds after ``main(argv)``;
+    with no ``argv`` it only imports ``strata.cli``."""
+    script = "\n".join(
+        [
+            "import sys",
+            "from strata.cli import main",
+            "main(%r)" % list(argv) if argv else "",
+            "print(' '.join(m[7:] for m in sys.modules if m.startswith('strata.')))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImportFootprint:
+    def test_import_loads_no_library_module(self):
+        assert not _loaded() & LIBRARY
+
+    def test_info_loads_only_signatures(self):
+        assert _loaded("info", "--genus", "2", "--orders", "4") == {"cli", "errors", "signatures"}
+
+    def test_dmin_skips_signatures(self):
+        loaded = _loaded("dmin", "--weights", "4,6", "--index", "0")
+        assert not loaded & {"signatures", "adjacency", "graphs"}
+
+    def test_poset_skips_braids_and_graphs(self):
+        loaded = _loaded("poset", "--genus", "3", "--root", "8")
+        assert not loaded & {"braids", "graphs"}
+
+
+# --- the envelope contract over generated argv --------------------------------
+
+FILE = "{file}"  # stands for the path of the generated input file
+# never an integer, so a garbled --depth or --genus cannot ask for unbounded work
+GARBAGE = hs.tuples(
+    hs.text(alphabet="0123456789- ", max_size=3),
+    hs.sampled_from("x,."),
+    hs.text(alphabet="0123456789,-x. ", max_size=3),
+).map("".join)
+SECOND = {"rho": "r", "sigma": "j", "kappa": "j", "kappa_puncture": "l"}
+KEYS = (
+    "surface", "letters", "genus", "weights", "punctures", "stratum_mode", "kind", "i", "r",
+    "j", "l", "exp", "darts", "sigma", "alpha_convention",
+)
+JSON_VALUES = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers(-3, 3) | hs.sampled_from(["", "x", "rho", "pairs"]),
+    lambda inner: hs.lists(inner, max_size=3) | hs.dictionaries(hs.sampled_from(KEYS), inner),
+    max_leaves=8,
+)
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+def _ints(lo, hi, max_size=5):
+    return hs.lists(hs.integers(lo, hi), max_size=max_size)
+
+
+@hs.composite
+def _orders(draw, genus):
+    """Orders summing to 4g - 4 (positive parts and poles), or now and then
+    any short integer list."""
+    if draw(hs.integers(0, 3)) == 0:
+        return draw(_ints(-2, 8))
+    poles = draw(hs.integers(0, 2)) + max(0, 4 - 4 * genus)
+    total = 4 * genus - 4 + poles
+    cuts = sorted(draw(hs.sets(hs.integers(1, max(1, total - 1)), max_size=4)))
+    bounds = [0] + [c for c in cuts if c < total] + [max(total, 0)]
+    return [b - a for a, b in zip(bounds, bounds[1:]) if a < b] + [-1] * poles
+
+
+@hs.composite
+def _word_doc(draw):
+    genus = draw(hs.integers(1, 3))
+    weights = draw(_orders(genus)) or [1]
+    n = len(weights)
+    letters = draw(
+        hs.lists(
+            hs.tuples(
+                hs.sampled_from(sorted(SECOND)),
+                hs.integers(1, n),
+                hs.integers(1, n),
+                hs.sampled_from([1, -1]),
+            ),
+            max_size=6,
+        )
+    )
+    if draw(hs.booleans()):  # append the inverse: a word in the kernel
+        letters += [(kind, i, second, -exp) for kind, i, second, exp in reversed(letters)]
+    return json.dumps(
+        {
+            "surface": {
+                "genus": genus,
+                "weights": weights,
+                "punctures": draw(hs.integers(0, 1)),
+                "stratum_mode": draw(hs.booleans()),
+            },
+            "letters": [
+                {"kind": kind, "i": i, SECOND[kind]: second, "exp": exp}
+                for kind, i, second, exp in letters
+            ],
+        }
+    )
+
+
+@hs.composite
+def _map_doc(draw):
+    """A simple graph on at most five vertices with a random rotation at each."""
+    n = draw(hs.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(hs.lists(hs.sampled_from(pairs), unique=True, min_size=1))
+    at = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        at[u].append(2 * e)
+        at[v].append(2 * e + 1)
+    sigma = [draw(hs.permutations(darts)) for darts in at if darts]
+    return json.dumps({"darts": 2 * len(edges), "sigma": sigma, "alpha_convention": "pairs"})
+
+
+@hs.composite
+def _options(draw, command):
+    """Well-formed option values for ``command``, and the text of its input file
+    (None: no file)."""
+    genus = draw(hs.sampled_from([2, 3, 1, 4, 0, -1]))
+    if command in ("info", "check"):
+        options = ["--genus=%d" % genus, "--orders=" + _csv(draw(_orders(genus)))]
+        if command == "check":
+            options.append("--criterion=" + draw(hs.sampled_from(["main", "hy2", "null", "gen2"])))
+        return options, None
+    if command == "poset":
+        options = ["--genus=%d" % genus, "--root=" + _csv(draw(_orders(genus)))]
+        options.append("--depth=%d" % draw(hs.integers(-1, 2)))
+        if draw(hs.booleans()):
+            options.append("--no-poles")
+        return options, None
+    if command == "cover":
+        base = draw(_orders(0))
+        ramify = draw(hs.permutations(range(-1, len(base) + 1)))[: 2 * genus + 2]
+        return [
+            "--base-orders=" + _csv(base),
+            "--ramify=" + _csv(sorted(ramify)),
+            "--target-genus=%d" % genus,
+        ], None
+    if command == "dmin":
+        weights = draw(_ints(-6, 12))
+        index = draw(hs.integers(-1, len(weights)))
+        return ["--weights=" + _csv(weights), "--index=%d" % index], None
+    if command == "graph":
+        return [
+            "--genus=%d" % genus,
+            "--faces=%d" % draw(hs.integers(-1, max(1, 4 * genus - 4))),
+            "--vertices=%d" % draw(hs.sampled_from([6, 7, 8, 5, 9, 0, 3])),
+            "--seed=%d" % draw(hs.integers(0, 3)),
+            "--budget=%d" % draw(hs.integers(0, 50)),
+        ], None
+    if command == "copeland":
+        valid, flag = _map_doc(), "--map"
+    else:
+        valid, flag = _word_doc(), "--word"
+    # valid-looking JSON, any small JSON value, broken text, or no file at all
+    text = draw(valid | JSON_VALUES.map(json.dumps) | hs.text(max_size=12) | hs.none())
+    return [flag + "=" + FILE], text
+
+
+@hs.composite
+def _invocation(draw):
+    """One argv for a random subcommand, and the text of its input file."""
+    command = draw(
+        hs.sampled_from(
+            ["info", "check", "cover", "dmin", "poset", "graph", "copeland", "aj", "factorize"]
+        )
+    )
+    options, text = draw(_options(command))
+    if draw(hs.booleans()):  # garble one value
+        k = draw(hs.integers(0, len(options) - 1))
+        options[k] = options[k].partition("=")[0] + "=" + draw(GARBAGE)
+    if draw(hs.booleans()):
+        options.append("--pretty")
+    return [command] + options, text
+
+
+@given(_invocation())
+@settings(max_examples=300, deadline=None)
+def test_every_invocation_keeps_the_envelope_contract(tmp_path_factory, invocation):
+    argv, text = invocation
+    path = tmp_path_factory.getbasetemp() / "cli-contract-input.json"
+    path.unlink(missing_ok=True)
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = [arg.replace(FILE, str(path)) for arg in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert out.getvalue() == "", argv
+            return
+    assert code in (0, 1), argv
+    printed = out.getvalue()
+    assert printed.endswith("\n"), argv
+    doc = json.loads(printed)  # one document: trailing data would not parse
+    assert set(doc) == {"status", "payload", "diagnostics"}, argv
+    assert doc["status"] == ("ok" if code == 0 else "error"), argv
+    if code == 1:
+        assert set(doc["payload"]) == {"code", "message"}, argv
