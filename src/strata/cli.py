@@ -2,8 +2,8 @@
 
 Every invocation prints a single JSON document shaped as
 ``{"status": ..., "payload": ..., "diagnostics": [...]}`` and exits with
-0 on success, 1 on a domain error, 2 on a usage error.  Output for a fixed
-seed is byte-identical across runs.
+0 on success, 1 on a domain error, 2 on a usage error.  Output is
+byte-identical across runs.
 
 Start-up dominates a one-shot run, so each handler imports the library
 modules it uses and a run loads only those.
@@ -132,9 +132,7 @@ def cmd_factorize(args) -> tuple[dict, list[str]]:
 def cmd_graph(args) -> tuple[dict, list[str]]:
     from . import graphs
 
-    m = graphs.construct_graph(
-        args.genus, args.faces, args.vertices, seed=args.seed, budget_ms=args.budget
-    )
+    m = graphs.construct_graph(args.genus, args.faces, args.vertices)
     return {"map": m.to_json_dict(), "report": m.report().to_json_dict()}, []
 
 
@@ -199,9 +197,6 @@ def cmd_dmin(args) -> tuple[dict, list[str]]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--budget", type=int, default=60000, help="search budget in ms")
 
     parser = argparse.ArgumentParser(
         prog="strata",
@@ -229,10 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="path to a braid-word JSON file")
     p.set_defaults(handler=cmd_factorize)
 
-    p = sub.add_parser("graph", parents=[common, search], help="build an embedded graph")
+    p = sub.add_parser("graph", parents=[common], help="build an embedded graph")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--faces", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
+    p.add_argument(
+        "--seed", type=int, default=0, help="accepted and ignored: the output is deterministic"
+    )
     p.set_defaults(handler=cmd_graph)
 
     p = sub.add_parser("copeland", parents=[common], help="edge generators of a map")

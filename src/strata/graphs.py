@@ -8,26 +8,24 @@ complete-graph embeddings of prescribed genus, walks them down to a target
 face count, subdivides up to a target vertex count, and reads off the
 exchange generators living on the edges.
 
-Complete-graph embeddings take one path: a frozen rotation for the two
-minimum-genus cases the builder does not reach for every seed (K_7 on the
-torus, K_8 at genus 2), and otherwise a seeded incremental builder that inserts the
-edges of K_n into a spanning star one at a time, choosing each insertion's
-corners by face labels so that the face count moves by the scheduled +1 or
--1 (the edge-insertion face rule, Gross & Tucker, Topological Graph Theory).
+Complete-graph embeddings take one deterministic path: a minimum-genus
+rotation of K_n from a table (Ringel, Map Color Theorem, 1974), then one
+raise move per unit of genus above it.  A raise move deletes an edge whose
+sides lie on two faces and re-inserts it between corners of its endpoints on
+two different faces, so the face count drops by two and the genus rises by
+one on the same graph (Duke's interpolation theorem made constructive, Canad.
+J. Math. 18, 1966; the face rule is Gross & Tucker, Topological Graph Theory).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-import time
 from dataclasses import dataclass
 
 from . import braids
 from .criteria import point_bound
 from .errors import (
     BoundViolation,
-    BudgetExceeded,
     IndexOutOfRange,
     InvalidSpec,
     NoRemovableEdge,
@@ -36,11 +34,6 @@ from .errors import (
     PreconditionUnmet,
     TooManyFaces,
 )
-
-# the incremental builder fails at the minimum genus of K_9 (g = 3) and K_10
-# (g = 4) for most seeds, and the frozen table stops at K_8
-MAX_COMPLETE_VERTICES = 8
-
 
 def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
     seen = [False] * len(perm)
@@ -240,11 +233,15 @@ def build_map(
 
 
 def complete_graph_genus_range(n: int) -> tuple[int, int]:
-    """Minimum and maximum genus formulas for the complete graph on n vertices."""
+    """Minimum and maximum genus of the complete graph on n vertices.
+
+    The minimum is the Ringel-Youngs ceil((n-3)(n-4)/12); the maximum is
+    floor((n-1)(n-2)/4), the largest genus that leaves at least one face.
+    """
     if n < 3:
         raise OutOfRange("need n >= 3, got %d" % n)
     gamma = -(-((n - 3) * (n - 4)) // 12)
-    gamma_max = -(-((n - 1) * (n - 2)) // 4)
+    gamma_max = (n - 1) * (n - 2) // 4
     return gamma, gamma_max
 
 
@@ -252,20 +249,27 @@ def _kn_edges(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-def _kn_sigma(n: int, neighbor_orders: list[list[int]]) -> list[int]:
-    edges = _kn_edges(n)
+def _kn_rotation(n: int, neighbor_orders) -> list[list[int]]:
+    # the dart cycle at each vertex, edges of K_n numbered as in _kn_edges
     dart_of: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(edges):
+    for e, (u, v) in enumerate(_kn_edges(n)):
         dart_of[(u, v)] = 2 * e
         dart_of[(v, u)] = 2 * e + 1
-    cycles = [[dart_of[(v, u)] for u in order] for v, order in enumerate(neighbor_orders)]
-    return _sigma_of(cycles, n * (n - 1))
+    return [[dart_of[(v, u)] for u in order] for v, order in enumerate(neighbor_orders)]
 
 
-# minimum-genus rotations the incremental builder below does not reach for
-# every seed, frozen for determinism and keyed by (n, g).  K_8 at genus 2
-# (18 faces) was found once by annealing on the face count; K_7 at genus 1 is
-# Heawood's cyclic torus triangulation (Ringel, Map Color Theorem, 1974)
+def _restrict(neighbor_orders, n: int) -> tuple[tuple[int, ...], ...]:
+    # the rotation K_n inherits from a larger complete graph's
+    return tuple(tuple(u for u in order if u < n) for order in neighbor_orders[:n])
+
+
+# minimum-genus neighbor orders of K_n keyed by n.  K_4 is planar and K_3 its
+# restriction; K_7 is Heawood's cyclic torus triangulation (Ringel, Map Color
+# Theorem, 1974), and its restrictions to K_5 and K_6 stay 2-cell on the
+# torus; K_8 at genus 2 (18 faces) was found once by annealing on the face
+# count.  Each entry's genus is checked by tracing faces in the tests
+_K4_PLANAR = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+_K7_HEAWOOD = tuple(tuple((v + d) % 7 for d in (1, 3, 2, 6, 4, 5)) for v in range(7))
 _K8_GENUS2_ROTATION = (
     (3, 7, 5, 1, 4, 6, 2),
     (4, 7, 6, 3, 2, 0, 5),
@@ -276,90 +280,83 @@ _K8_GENUS2_ROTATION = (
     (2, 0, 4, 1, 7, 3, 5),
     (4, 2, 5, 0, 3, 6, 1),
 )
-_FROZEN_ROTATIONS = {
-    (7, 1): tuple(tuple((v + d) % 7 for d in (1, 3, 2, 6, 4, 5)) for v in range(7)),
-    (8, 2): _K8_GENUS2_ROTATION,
+_MIN_GENUS_ROTATIONS = {
+    3: _restrict(_K4_PLANAR, 3),
+    4: _K4_PLANAR,
+    5: _restrict(_K7_HEAWOOD, 5),
+    6: _restrict(_K7_HEAWOOD, 6),
+    7: _K7_HEAWOOD,
+    8: _K8_GENUS2_ROTATION,
 }
+
+# the table above is the cap; minimum-genus starts for K_9 and up (or a
+# genus-lowering move in construct_graph) would raise it
+MAX_COMPLETE_VERTICES = max(_MIN_GENUS_ROTATIONS)
 
 
 def _face_labels(rot: list[list[int]], n_darts: int) -> list[int]:
-    # label[d] names the face holding dart d: the first dart met on its orbit
+    # label[d] names the face holding dart d: the first dart met on its orbit.
+    # Darts absent from rot (an edge lifted out) keep the label -1
     sigma = _sigma_of(rot, n_darts)
     label = [-1] * n_darts
-    for start in range(n_darts):
-        cur = start
-        while label[cur] < 0:
-            label[cur] = start
-            cur = sigma[cur ^ 1]
+    for cyc in rot:
+        for start in cyc:
+            cur = start
+            while label[cur] < 0:
+                label[cur] = start
+                cur = sigma[cur ^ 1]
     return label
 
 
-def _incremental_embed(
-    n: int, g: int, seed: int, deadline: float
-) -> CombinatorialMap | None:
-    """Grow K_n edge by edge from a spanning star, steering the face count.
+def _raise_genus(rot: list[list[int]], n_darts: int) -> None:
+    """One raise move on the rotation, in place: F - 2 faces, genus + 1.
 
-    Every insertion changes the face count by exactly one.  The corner after
-    dart d lies on the face of sigma(d); an edge joining two corners of one
-    face splits it (+1), an edge joining corners of two faces merges them
-    through a fresh handle (-1, genus + 1).  Exactly g merges are scheduled,
-    taken as early as the face structure allows; dead ends retry with a
-    reshuffled edge order.
+    Lifts out the lowest-index edge whose two darts lie on different faces,
+    which merges those faces (F - 1, same genus), and re-inserts it at the
+    first corner pair (ra, rb) of its endpoints whose faces differ, which
+    merges two faces through a handle (F - 1, genus + 1).  The corner after
+    dart d lies on the face of sigma(d).  Every dart keeps its edge and
+    endpoints, so the graph, and its simplicity, are unchanged.  An edge
+    with no such corner pair is put back and the next one tried.
     """
-    rest = [(u, v) for u, v in itertools.combinations(range(n), 2) if u != 0]
-    if len(rest) < g:
-        return None
-    rng = random.Random(seed)
-
-    for _ in range(300):
-        if time.monotonic() > deadline:
-            return None
-        order = rest[:]
-        rng.shuffle(order)
-        # spanning star: vertex 0 carries one dart per edge, each leaf one
-        rot = [[2 * k for k in range(n - 1)]] + [[2 * k + 1] for k in range(n - 1)]
-        next_dart = 2 * (n - 1)
-        splits, merges = len(rest) - g, g
-        for u, v in order:
-            label = _face_labels(rot, next_dart)
-            faces_u = [label[rot[u][(ra + 1) % len(rot[u])]] for ra in range(len(rot[u]))]
-            faces_v = [label[rot[v][(rb + 1) % len(rot[v])]] for rb in range(len(rot[v]))]
-            # merges first while any remain, then splits
-            wanted = [False] * (merges > 0) + [True] * (splits > 0)
-            found = next(
-                (
-                    (split, ra, rb)
-                    for split in wanted
-                    for ra, fu in enumerate(faces_u)
-                    for rb, fv in enumerate(faces_v)
-                    if (fu == fv) == split
-                ),
-                None,
-            )
-            if found is None:
-                break
-            split, ra, rb = found
-            if split:
-                splits -= 1
-            else:
-                merges -= 1
-            rot[u].insert(ra + 1, next_dart)
-            rot[v].insert(rb + 1, next_dart + 1)
-            next_dart += 2
-        else:
-            return CombinatorialMap(tuple(_sigma_of(rot, next_dart)))
-    return None
+    label = _face_labels(rot, n_darts)
+    vertex_of = {d: v for v, cyc in enumerate(rot) for d in cyc}
+    for e in range(n_darts // 2):
+        du, dv = 2 * e, 2 * e + 1
+        if label[du] == label[dv]:
+            continue
+        u, v = vertex_of[du], vertex_of[dv]
+        iu, iv = rot[u].index(du), rot[v].index(dv)
+        del rot[u][iu], rot[v][iv]
+        merged = _face_labels(rot, n_darts)
+        faces_u = [merged[rot[u][(ra + 1) % len(rot[u])]] for ra in range(len(rot[u]))]
+        faces_v = [merged[rot[v][(rb + 1) % len(rot[v])]] for rb in range(len(rot[v]))]
+        found = next(
+            (
+                (ra, rb)
+                for ra, fu in enumerate(faces_u)
+                for rb, fv in enumerate(faces_v)
+                if fu != fv
+            ),
+            None,
+        )
+        if found is not None:
+            ra, rb = found
+            rot[u].insert(ra + 1, du)
+            rot[v].insert(rb + 1, dv)
+            return
+        rot[u].insert(iu, du)
+        rot[v].insert(iv, dv)
+    raise OutOfRange("no edge admits a raise move on this map")
 
 
-def embed_complete(
-    n: int, g: int, *, seed: int = 0, budget_ms: int = 60000
-) -> CombinatorialMap:
+def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
     """A rotation system for the complete graph K_n with the requested genus.
 
-    One path covers 3 <= n <= MAX_COMPLETE_VERTICES: the frozen minimum-genus
-    rotations of K_7 (genus 1) and K_8 (genus 2) are returned as stored, and
-    every other genus comes from the seeded incremental builder; BudgetExceeded
-    is raised when its attempts or the budget run out.
+    Covers 3 <= n <= MAX_COMPLETE_VERTICES and every genus in
+    complete_graph_genus_range(n): the tabled minimum-genus rotation of K_n,
+    then one raise move per unit of genus above the minimum.  The result is
+    deterministic; ``seed`` is accepted for compatibility and ignored.
     """
     if n < 3 or n > MAX_COMPLETE_VERTICES:
         raise OutOfRange("complete-graph embedding supports 3 <= n <= %d" % MAX_COMPLETE_VERTICES)
@@ -369,22 +366,11 @@ def embed_complete(
             "genus %d outside the embeddable range [%d, %d] for K_%d"
             % (g, gamma, gamma_max, n)
         )
-    n_edges = n * (n - 1) // 2
-    if n_edges - n + 2 - 2 * g < 1:
-        # a 2-cell decomposition needs at least one face; the published upper
-        # formula rounds up, so trim the unreachable top here
-        raise OutOfRange("no 2-cell embedding of K_%d has genus %d" % (n, g))
-
-    frozen = _FROZEN_ROTATIONS.get((n, g))
-    if frozen is not None:
-        return CombinatorialMap(tuple(_kn_sigma(n, frozen)))
-    built = _incremental_embed(n, g, seed, time.monotonic() + budget_ms / 1000.0)
-    if built is None:
-        raise BudgetExceeded(
-            "incremental embedding of K_%d at genus %d ran out of attempts or budget"
-            % (n, g)
-        )
-    return built
+    n_darts = n * (n - 1)
+    rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
+    for _ in range(g - gamma):
+        _raise_genus(rot, n_darts)
+    return CombinatorialMap(tuple(_sigma_of(rot, n_darts)))
 
 
 def _rebuild_without_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
@@ -441,14 +427,13 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
     return CombinatorialMap(tuple(_sigma_of(cycles, m.n_darts + 2)))
 
 
-def construct_graph(
-    g: int, f: int, n: int, *, seed: int = 0, budget_ms: int = 60000
-) -> CombinatorialMap:
+def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMap:
     """A simple connected map with n vertices, f faces and the given genus.
 
     Starts from a complete-graph embedding on the fewest possible vertices,
     deletes edges down to the face target, and subdivides up to the vertex
-    target.
+    target.  The result is deterministic; ``seed`` is accepted for
+    compatibility and ignored.
     """
     if g < 2 or not 1 <= f <= 4 * g - 4:
         raise BoundViolation("face count %d outside 1..%d" % (f, max(4 * g - 4, 0)))
@@ -458,7 +443,7 @@ def construct_graph(
             "need at least %d vertices for genus %d with %d faces, got %d"
             % (n_base, g, f, n)
         )
-    m = embed_complete(n_base, g, seed=seed, budget_ms=budget_ms)
+    m = embed_complete(n_base, g)
     while _face_count(m.sigma) > f:
         m = delete_edge_preserving(m)
     while len(m.vertices()) < n:
@@ -466,71 +451,39 @@ def construct_graph(
     return m
 
 
-def _face_edge_adjacency(m: CombinatorialMap) -> tuple[int, list[set[int]]]:
-    faces = trace_faces(m)
-    adj: list[set[int]] = [set() for _ in faces]
-    for idx, cyc in enumerate(faces):
-        for d in cyc:
-            adj[idx].add(d // 2)
-    return len(faces), adj
-
-
-def _matching_fallback(n_faces: int, adj: list[set[int]]) -> dict[int, int]:
-    # augmenting-path matching of faces into adjacent edges
-    matched_edge_of: dict[int, int] = {}
-    edge_owner: dict[int, int] = {}
-
-    def augment(face: int, banned: set[int]) -> bool:
-        for e in sorted(adj[face]):
-            if e in banned:
-                continue
-            banned.add(e)
-            if e not in edge_owner or augment(edge_owner[e], banned):
-                edge_owner[e] = face
-                matched_edge_of[face] = e
-                return True
-        return False
-
-    for face in range(n_faces):
-        if not augment(face, set()):
-            raise TooManyFaces("no face-to-edge assignment exists")
-    return matched_edge_of
-
-
 def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
     """Assign each face a distinct adjacent edge, reported as a vertex pair.
 
     Walks face to face across the chosen edges, restarting when the walk
-    closes; falls back to augmenting paths should the walk ever stall.
+    closes.
     """
     report = m.report()
     if report.genus != 0:
         raise PreconditionUnmet("face-pair assignment needs a planar map")
     if not report.simple:
         raise NotSimple("face-pair assignment needs a simple map")
-    n_faces, adj = _face_edge_adjacency(m)
+    faces = trace_faces(m)
+    n_faces = len(faces)
     if n_faces > 1 and n_faces > 2 * report.V - 4:
         raise TooManyFaces(
             "%d faces exceed the planar bound %d" % (n_faces, 2 * report.V - 4)
         )
-    faces = trace_faces(m)
-    face_of: dict[int, int] = {}
-    for idx, cyc in enumerate(faces):
-        for d in cyc:
-            face_of[d] = idx
+    face_of = {d: idx for idx, cyc in enumerate(faces) for d in cyc}
+    adj = [{d // 2 for d in cyc} for cyc in faces]
 
+    # The walk never stalls.  An edge is used only by a face that then
+    # crosses it, and the walk enters the face on its other side at once if
+    # that face is unassigned; so a face is first current with at most one
+    # used edge on its boundary.  In a simple map every face boundary has at
+    # least two distinct edges unless the map is the single edge K_2, whose
+    # one face is current with none used.
     assigned: dict[int, int] = {}
     used: set[int] = set()
     unassigned = set(range(n_faces))
-    stalled = False
-    while unassigned and not stalled:
+    while unassigned:
         cur = min(unassigned)
         while True:
-            avail = sorted(e for e in adj[cur] if e not in used)
-            if not avail:
-                stalled = True
-                break
-            e = avail[0]
+            e = min(e for e in adj[cur] if e not in used)
             assigned[cur] = e
             used.add(e)
             unassigned.discard(cur)
@@ -539,8 +492,6 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
                 cur = other
             else:
                 break
-    if stalled:
-        assigned = _matching_fallback(n_faces, adj)
 
     owner = m.vertex_of()
     return {

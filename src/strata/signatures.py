@@ -129,8 +129,9 @@ def _two_component_reason(s: StratumSignature) -> str | None:
         cand = tuple(sorted((2 * (g - k) - 3, 2 * (g - k) - 3, 4 * k + 2), reverse=True))
         if key == cand:
             return REASON_FAMILY[1]
-    # family 3: pairs of orders 2(g-k)-3 and 2k+1
-    for k in range(0, g - 1):  # g - k >= 2
+    # family 3: pairs of orders 2(g-k)-3 and 2k+1; k = -1 gives the pole pair
+    # of Q(2g-1, 2g-1, -1, -1) (Lanneau, Comment. Math. Helv. 79, 2004)
+    for k in range(-1, g - 1):  # g - k >= 2
         a, b = 2 * (g - k) - 3, 2 * k + 1
         if key == tuple(sorted((a, a, b, b), reverse=True)):
             return REASON_FAMILY[2]

@@ -36,7 +36,7 @@ def lanneau_expected(g):
         out.add(desc(4 * (g - k) - 6, 4 * k + 2))
     for k in range(0, g):
         out.add(desc(2 * (g - k) - 3, 2 * (g - k) - 3, 4 * k + 2))
-    for k in range(0, g - 1):
+    for k in range(-1, g - 1):
         a, b = 2 * (g - k) - 3, 2 * k + 1
         out.add(desc(a, a, b, b))
     return out
@@ -44,7 +44,7 @@ def lanneau_expected(g):
 
 FROZEN_TWO_COMPONENT = {
     2: {(3, 3, -1, -1), (6, -1, -1)},
-    3: {(6, 2), (3, 3, 2), (6, 1, 1), (10, -1, -1), (3, 3, 1, 1)},
+    3: {(6, 2), (3, 3, 2), (6, 1, 1), (10, -1, -1), (3, 3, 1, 1), (5, 5, -1, -1)},
     4: {
         (10, 2),
         (6, 6),
@@ -54,6 +54,7 @@ FROZEN_TWO_COMPONENT = {
         (14, -1, -1),
         (5, 5, 1, 1),
         (3, 3, 3, 3),
+        (7, 7, -1, -1),
     },
     5: {
         (14, 2),
@@ -65,6 +66,7 @@ FROZEN_TWO_COMPONENT = {
         (18, -1, -1),
         (7, 7, 1, 1),
         (5, 5, 3, 3),
+        (9, 9, -1, -1),
     },
 }
 

@@ -180,6 +180,20 @@ class TestGraphPipeline:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_output_does_not_depend_on_seed(self, capsys):
+        outputs = set()
+        for seed in range(5):
+            argv = ["graph", "--genus", "3", "--faces", "4", "--vertices", "7", "--seed", str(seed)]
+            assert main(argv) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+
+    def test_no_budget_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--genus", "2", "--faces", "1", "--vertices", "5", "--budget", "9"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_graph_to_copeland_to_aj(self, capsys, tmp_path):
         code, doc = run(
             capsys, "graph", "--genus", "2", "--faces", "1", "--vertices", "5"
@@ -475,7 +489,6 @@ def _options(draw, command):
             "--faces=%d" % draw(hs.integers(-1, max(1, 4 * genus - 4))),
             "--vertices=%d" % draw(hs.sampled_from([6, 7, 8, 5, 9, 0, 3])),
             "--seed=%d" % draw(hs.integers(0, 3)),
-            "--budget=%d" % draw(hs.integers(0, 50)),
         ], None
     if command == "copeland":
         valid, flag = _map_doc(), "--map"

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import strata as st
+from strata import graphs
 from strata.errors import (
     BoundViolation,
     IndexOutOfRange,
@@ -61,10 +62,10 @@ class TestCombinatorialMap:
 
 class TestGenusRange:
     def test_seven_vertices(self):
-        assert st.complete_graph_genus_range(7) == (1, 8)
+        assert st.complete_graph_genus_range(7) == (1, 7)
 
     def test_four_vertices(self):
-        assert st.complete_graph_genus_range(4) == (0, 2)
+        assert st.complete_graph_genus_range(4) == (0, 1)
 
     def test_five_vertices(self):
         assert st.complete_graph_genus_range(5) == (1, 3)
@@ -100,7 +101,7 @@ class TestEmbedComplete:
         with pytest.raises(OutOfRange):
             st.embed_complete(3, 1)
 
-    def test_incremental_builder_path(self):
+    def test_raise_move_path(self):
         m = st.embed_complete(6, 3, seed=1)
         r = m.report()
         assert (r.V, r.genus, r.simple) == (6, 3, True)
@@ -111,14 +112,16 @@ class TestEmbedComplete:
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for g in range(gamma, gamma_max + 1):
                 F = E - n + 2 - 2 * g
-                if F < 1:
-                    continue
+                assert F >= 1
+                m = st.embed_complete(n, g)
+                r = m.report()
+                assert (r.V, r.E, r.F, r.genus, r.simple) == (n, E, F, g, True)
+                # the seed is accepted and ignored
                 for seed in range(10):
-                    r = st.embed_complete(n, g, seed=seed).report()
-                    assert (r.V, r.E, r.F, r.genus, r.simple) == (n, E, F, g, True)
+                    assert st.embed_complete(n, g, seed=seed) == m
 
     def test_k7_torus_frozen_for_builder_misses(self):
-        # the builder alone finds no genus-1 K_7 for these seeds
+        # K_7 at its minimum genus is Heawood's cyclic rotation, whatever the seed
         edges = list(itertools.combinations(range(7), 2))
         dart = {}
         for e, (u, v) in enumerate(edges):
@@ -144,6 +147,60 @@ class TestEmbedComplete:
             f = 28 - 8 + 2 - 2 * g
             r = st.embed_complete(8, g, seed=1).report()
             assert (r.genus, r.F, r.simple) == (g, f, True)
+
+
+def _kn_map(n, neighbor_orders):
+    edges = list(itertools.combinations(range(n), 2))
+    dart = {}
+    for e, (u, v) in enumerate(edges):
+        dart[(u, v)], dart[(v, u)] = 2 * e, 2 * e + 1
+    rotations = [[dart[(v, u)] for u in order] for v, order in enumerate(neighbor_orders)]
+    return st.build_map(n, edges, rotations=rotations)
+
+
+def _edge_multiset(rot):
+    vertex_of = {d: v for v, cyc in enumerate(rot) for d in cyc}
+    return sorted(
+        tuple(sorted((vertex_of[2 * e], vertex_of[2 * e + 1])))
+        for e in range(len(vertex_of) // 2)
+    )
+
+
+class TestRaiseMove:
+    def test_table_entries_have_minimum_genus(self):
+        table = graphs._MIN_GENUS_ROTATIONS
+        assert sorted(table) == list(range(3, graphs.MAX_COMPLETE_VERTICES + 1))
+        for n, orders in table.items():
+            m = _kn_map(n, orders)
+            E = n * (n - 1) // 2
+            F = len(st.trace_faces(m))
+            gamma, _ = st.complete_graph_genus_range(n)
+            assert n - E + F == 2 - 2 * gamma, n
+            assert m.is_simple()
+
+    def test_each_move_raises_genus_by_one(self):
+        for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
+            n_darts = n * (n - 1)
+            rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
+            edges = _edge_multiset(rot)
+            gamma, gamma_max = st.complete_graph_genus_range(n)
+            before = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
+            assert before.genus == gamma
+            for _ in range(gamma, gamma_max):
+                graphs._raise_genus(rot, n_darts)
+                after = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
+                assert _edge_multiset(rot) == edges
+                assert (after.F, after.genus) == (before.F - 2, before.genus + 1)
+                assert after.simple
+                before = after
+
+    def test_no_move_from_one_face(self):
+        n = 5
+        rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
+        for _ in range(2):
+            graphs._raise_genus(rot, n * (n - 1))
+        with pytest.raises(OutOfRange):
+            graphs._raise_genus(rot, n * (n - 1))
 
 
 class TestDeleteEdge:
@@ -262,6 +319,44 @@ class TestFacePairs:
         pairs = st.assign_face_pairs(m)
         assert len(pairs) == 6
         assert len(set(pairs.values())) == 6
+
+    def test_every_small_planar_map(self):
+        # every planar rotation system of every connected simple graph on
+        # 2-5 labelled vertices: 2 398 maps, each face gets a distinct edge
+        # of its own boundary (the walk has no fallback, so a stall would
+        # raise)
+        count = 0
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for k in range(n - 1, len(pairs) + 1):
+                for edges in itertools.combinations(pairs, k):
+                    at = [[] for _ in range(n)]
+                    for e, (u, v) in enumerate(edges):
+                        at[u].append(2 * e)
+                        at[v].append(2 * e + 1)
+                    if not all(at):
+                        continue
+                    choices = [
+                        [[head] + list(p) for p in itertools.permutations(rest)]
+                        for head, *rest in at
+                    ]
+                    for rotations in itertools.product(*choices):
+                        try:
+                            m = st.build_map(n, list(edges), rotations=[list(r) for r in rotations])
+                        except InvalidSpec:  # disconnected
+                            break
+                        if m.report().genus:
+                            continue
+                        count += 1
+                        faces = st.trace_faces(m)
+                        owner = m.vertex_of()
+                        assigned = st.assign_face_pairs(m)
+                        assert set(assigned) == set(range(len(faces)))
+                        assert len(set(assigned.values())) == len(faces)
+                        for idx, cyc in enumerate(faces):
+                            boundary = {tuple(sorted((owner[d], owner[d ^ 1]))) for d in cyc}
+                            assert assigned[idx] in boundary
+        assert count == 2398
 
     def test_needs_planar(self):
         with pytest.raises(PreconditionUnmet):

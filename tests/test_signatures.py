@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as hst
 
 import strata as st
 from strata.errors import EmptyStratum, InvalidSignature, InvalidSpec
-from support import enumerate_signatures
+from support import enumerate_signatures, positive_partitions
 
 
 def sig(g, orders):
@@ -119,6 +120,37 @@ class TestConnectivity:
 
     def test_family_matching_is_multiset_based(self):
         assert st.connectivity(sig(3, (2, 6))).component_count == 2
+
+    def test_pole_pair_family(self):
+        # Lanneau's third family at k = -1: Q(2g-1, 2g-1, -1, -1)
+        for g in (3, 4, 5):
+            report = st.connectivity(sig(g, (2 * g - 1, 2 * g - 1, -1, -1)))
+            assert report.component_count == 2
+            assert report.reason == "Lanneau-family-3"
+
+    def test_equal_dimension_double_covers_have_two_components(self):
+        # A double cover of a genus-0 stratum whose dimension equals the
+        # cover's fills a whole component, and that component is
+        # hyperelliptic; at g >= 3 a stratum with one has at least two.
+        # Equal dimension forces the base to have at most 2g + 4 points, two
+        # more than the ramified poles.  Covers that may be squares of
+        # abelian differentials are skipped.
+        for g in (3, 4, 5):
+            r = 2 * g + 2
+            lifts = set()
+            for poles in range(4, r + 3):
+                for zeros in positive_partitions(poles - 4):
+                    base = sig(0, zeros + (-1,) * poles)
+                    if base.n > r + 2:
+                        continue
+                    for idx in itertools.combinations(range(base.n), r):
+                        spec = st.DoubleCoverSpec(base, frozenset(idx), g)
+                        cover, maybe_abelian = st.double_cover(spec)
+                        if not maybe_abelian and st.dimension(cover) == st.dimension(base):
+                            lifts.add(cover)
+            assert sig(g, (2 * g - 1, 2 * g - 1, -1, -1)) in lifts
+            for cover in lifts:
+                assert st.classify_connectivity(cover).component_count >= 2, cover
 
 
 class TestDoubleCover:
