@@ -115,13 +115,6 @@ class Letter:
     def inverse(self) -> "Letter":
         return Letter(self.kind, self.i, self.second, -self.exp)
 
-    def same_core(self, other: "Letter") -> bool:
-        return (
-            self.kind == other.kind
-            and self.i == other.i
-            and self.second == other.second
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -164,33 +157,37 @@ def puncture_loop(i: int, l: int, exp: int = 1) -> Letter:
     return Letter(PUNCTURE, i, l, exp)
 
 
-def _validate_letter(lt: Letter, surf: MarkedSurface) -> None:
-    n, g, m = surf.n, surf.genus, surf.punctures
-    if lt.exp not in (1, -1):
-        raise InvalidLetter("letter exponent must be +-1, got %r" % (lt.exp,))
-    if not 1 <= lt.i <= n:
-        raise InvalidLetter("point index %d out of range 1..%d" % (lt.i, n))
-    if lt.kind == RHO:
-        if not 1 <= lt.second <= 2 * g:
-            raise InvalidLetter(
-                "homology direction %d out of range 1..%d" % (lt.second, 2 * g)
-            )
-    elif lt.kind == SIGMA:
-        if not lt.i < lt.second <= n:
-            raise InvalidLetter("sigma needs i < j <= n, got (%d, %d)" % (lt.i, lt.second))
-        if surf.weights[lt.i - 1] != surf.weights[lt.second - 1]:
-            raise InvalidLetter(
-                "sigma exchanges equal weights only: %d vs %d"
-                % (surf.weights[lt.i - 1], surf.weights[lt.second - 1])
-            )
-    elif lt.kind == KAPPA:
-        if not lt.i < lt.second <= n:
-            raise InvalidLetter("kappa needs i < j <= n, got (%d, %d)" % (lt.i, lt.second))
-    elif lt.kind == PUNCTURE:
-        if not 1 <= lt.second <= m:
-            raise InvalidLetter("puncture index %d out of range 1..%d" % (lt.second, m))
-    else:
-        raise InvalidLetter("unknown letter kind %r" % (lt.kind,))
+def _validate_letters(letters: Sequence[Letter], surf: MarkedSurface) -> None:
+    """Raise InvalidLetter for the first letter, in word order, not valid on surf."""
+    weights, m = surf.weights, surf.punctures
+    n, dirs = len(weights), 2 * surf.genus
+    for lt in letters:
+        kind, i, second, exp = lt.kind, lt.i, lt.second, lt.exp
+        if exp not in (1, -1):
+            raise InvalidLetter("letter exponent must be +-1, got %r" % (exp,))
+        if not 1 <= i <= n:
+            raise InvalidLetter("point index %d out of range 1..%d" % (i, n))
+        if kind == RHO:
+            if not 1 <= second <= dirs:
+                raise InvalidLetter(
+                    "homology direction %d out of range 1..%d" % (second, dirs)
+                )
+        elif kind == SIGMA:
+            if not i < second <= n:
+                raise InvalidLetter("sigma needs i < j <= n, got (%d, %d)" % (i, second))
+            if weights[i - 1] != weights[second - 1]:
+                raise InvalidLetter(
+                    "sigma exchanges equal weights only: %d vs %d"
+                    % (weights[i - 1], weights[second - 1])
+                )
+        elif kind == KAPPA:
+            if not i < second <= n:
+                raise InvalidLetter("kappa needs i < j <= n, got (%d, %d)" % (i, second))
+        elif kind == PUNCTURE:
+            if not 1 <= second <= m:
+                raise InvalidLetter("puncture index %d out of range 1..%d" % (second, m))
+        else:
+            raise InvalidLetter("unknown letter kind %r" % (kind,))
 
 
 @dataclass(frozen=True)
@@ -200,8 +197,7 @@ class BraidWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        for lt in self.letters:
-            _validate_letter(lt, self.surface)
+        _validate_letters(self.letters, self.surface)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -239,10 +235,13 @@ class BraidWord:
 def _reduce_letters(letters: Sequence[Letter]) -> list[Letter]:
     stack: list[Letter] = []
     for lt in letters:
-        if stack and stack[-1].same_core(lt) and stack[-1].exp == -lt.exp:
-            stack.pop()
-        else:
-            stack.append(lt)
+        if stack:
+            top = stack[-1]
+            if (top.exp == -lt.exp and top.i == lt.i
+                    and top.second == lt.second and top.kind == lt.kind):
+                stack.pop()
+                continue
+        stack.append(lt)
     return stack
 
 
@@ -256,12 +255,16 @@ def permutation_image(w: BraidWord) -> tuple[int, ...]:
 
     Letters act left to right; only sigma letters move points.
     """
-    perm = list(range(1, w.surface.n + 1))
+    n = w.surface.n
+    perm = list(range(1, n + 1))
+    # where[v] is the index k with perm[k] == v, so each sigma costs O(1)
+    where = list(range(-1, n))
     for lt in w.letters:
-        if lt.kind != SIGMA:
-            continue
-        a, b = lt.i, lt.second
-        perm = [b if v == a else a if v == b else v for v in perm]
+        if lt.kind == SIGMA:
+            a, b = lt.i, lt.second
+            ka, kb = where[a], where[b]
+            perm[ka], perm[kb] = b, a
+            where[a], where[b] = kb, ka
     return tuple(perm)
 
 
@@ -272,9 +275,9 @@ def abel_jacobi(w: BraidWord) -> tuple[int, ...]:
     coordinate of its direction; all other letters bound disks and vanish.
     """
     coords = [0] * (2 * w.surface.genus)
-    weights = w.surface.weights
+    weights, rho_kind = w.surface.weights, RHO
     for lt in w.letters:
-        if lt.kind == RHO:
+        if lt.kind == rho_kind:
             coords[lt.second - 1] += lt.exp * weights[lt.i - 1]
     return tuple(coords)
 
@@ -293,11 +296,12 @@ def certify_null_rho(w: BraidWord) -> tuple[bool, int | None]:
         return True, None
     directions = set()
     total = 0
+    weights = w.surface.weights
     for lt in w.letters:
         if lt.kind != RHO:
             return False, None
         directions.add(lt.second)
-        total += lt.exp * w.surface.weights[lt.i - 1]
+        total += lt.exp * weights[lt.i - 1]
     if len(directions) != 1 or total != 0:
         return False, None
     return True, directions.pop()
@@ -396,7 +400,7 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
             letters.append(sigma(min(anchor, other), max(anchor, other)))
     y = BraidWord(z.surface, tuple(letters))
     assert permutation_image(y) == perm
-    x = free_reduce(y.inverse() * z)
+    x = BraidWord(z.surface, tuple(_reduce_letters(y.inverse().letters + z.letters)))
     return y, x
 
 
@@ -462,8 +466,10 @@ def _peel_stage(
         certs.append(FactorCertificate(I_COMMUTATOR, BraidWord(surf, tuple(h_inv)), c))
     d, coeffs = minimal_d(surf.weights[:c], c - 1)
     balance_debt: list[Letter] = []
-    for r in range(1, 2 * surf.genus + 1):
-        e = sum(lt.exp for lt in rhos if lt.second == r)
+    windings = [0] * (2 * surf.genus)
+    for lt in rhos:
+        windings[lt.second - 1] += lt.exp
+    for r, e in enumerate(windings, 1):
         if e == 0:
             continue
         # kernel membership of the whole word forces d | e
@@ -492,6 +498,7 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     order, which pins the permutation image; all other factor shapes are
     permutation-trivial.  Requires a stratum-mode surface without ambient
     punctures whose leading weight class meets the size bound a_min(g, b).
+    Cost: a few linear passes over the word, plus one per peeled point.
     """
     surf = z.surface
     if surf.punctures:
@@ -527,8 +534,10 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
             current.append(lt)
 
     for c in range(surf.n, a, -1):
-        moving = [lt for lt in current if lt.i == c and lt.kind in (RHO, KAPPA)]
-        staying = [lt for lt in current if not (lt.i == c and lt.kind in (RHO, KAPPA))]
+        moving: list[Letter] = []
+        staying: list[Letter] = []
+        for lt in current:
+            (moving if lt.i == c and lt.kind in (RHO, KAPPA) else staying).append(lt)
         if moving:
             stage_certs, balance_debt = _peel_stage(surf, c, moving)
             certs.extend(stage_certs)
@@ -536,13 +545,18 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
         else:
             current = staying
 
-    for r in range(1, 2 * surf.genus + 1):
-        group = [lt for lt in current if lt.kind == RHO and lt.second == r]
+    groups: list[list[Letter]] = [[] for _ in range(2 * surf.genus)]
+    kappas: list[Letter] = []
+    for lt in current:
+        if lt.kind == RHO:
+            groups[lt.second - 1].append(lt)
+        elif lt.kind == KAPPA:
+            kappas.append(lt)
+    for r, group in enumerate(groups, 1):
         if group:
             certs.append(FactorCertificate(NULL_RHO, BraidWord(surf, tuple(group)), r))
-    for lt in current:
-        if lt.kind == KAPPA:
-            certs.append(FactorCertificate(SQUARE_TRANSPOSITION, BraidWord(surf, (lt,))))
+    for lt in kappas:
+        certs.append(FactorCertificate(SQUARE_TRANSPOSITION, BraidWord(surf, (lt,))))
 
     for cert in certs:
         assert cert.verify(), "internal error: emitted an uncertifiable factor"
@@ -554,6 +568,7 @@ def concatenate_factors(
 ) -> BraidWord:
     """The product of the factors' words, left to right, built in one pass."""
     for cert in certs:
-        if cert.word.surface != surf:
+        other = cert.word.surface
+        if other is not surf and other != surf:
             raise InvalidSurface("cannot concatenate words over different surfaces")
     return BraidWord(surf, tuple(lt for cert in certs for lt in cert.word.letters))

@@ -35,7 +35,11 @@ def desc(*orders: int) -> tuple[int, ...]:
     return tuple(sorted(orders, reverse=True))
 
 
-def random_letter(surf: st.MarkedSurface, rng) -> st.Letter:
+def random_letter(
+    surf: st.MarkedSurface, rng, sigma_share: float | None = None
+) -> st.Letter:
+    """A random valid letter.  ``sigma_share``, when given, is the chance of an
+    exchange letter on surfaces that have one; otherwise it is one in four."""
     kinds = ["rho", "rho", "kappa"]
     by_weight: dict[int, list[int]] = {}
     for i, w in enumerate(surf.weights, 1):
@@ -43,7 +47,10 @@ def random_letter(surf: st.MarkedSurface, rng) -> st.Letter:
     classes = [pts for pts in by_weight.values() if len(pts) >= 2]
     if classes:
         kinds.append("sigma")
-    kind = rng.choice(kinds)
+    if sigma_share is not None and classes and rng.random() < sigma_share:
+        kind = "sigma"
+    else:
+        kind = rng.choice(kinds)
     exp = rng.choice((1, -1))
     if kind == "rho":
         return st.rho(rng.randint(1, surf.n), rng.randint(1, 2 * surf.genus), exp)
@@ -54,8 +61,12 @@ def random_letter(surf: st.MarkedSurface, rng) -> st.Letter:
     return st.kappa(i, j, exp)
 
 
-def random_word(surf: st.MarkedSurface, rng, length: int) -> st.BraidWord:
-    return st.BraidWord(surf, tuple(random_letter(surf, rng) for _ in range(length)))
+def random_word(
+    surf: st.MarkedSurface, rng, length: int, sigma_share: float | None = None
+) -> st.BraidWord:
+    return st.BraidWord(
+        surf, tuple(random_letter(surf, rng, sigma_share) for _ in range(length))
+    )
 
 
 def random_kernel_word(surf: st.MarkedSurface, rng, length: int = 8) -> st.BraidWord:
@@ -67,6 +78,41 @@ def random_kernel_word(surf: st.MarkedSurface, rng, length: int = 8) -> st.Braid
         sign = -1 if val > 0 else 1
         balance.extend([st.rho(ones[0], r, sign)] * abs(val))
     return st.BraidWord(surf, word.letters + tuple(balance))
+
+
+def permutation_image_oracle(w: st.BraidWord) -> tuple[int, ...]:
+    """Oracle for ``permutation_image``: rebuild the whole image list for each
+    exchange letter, swapping the two values it names."""
+    perm = list(range(1, w.surface.n + 1))
+    for lt in w.letters:
+        if lt.kind != "sigma":
+            continue
+        a, b = lt.i, lt.second
+        perm = [b if v == a else a if v == b else v for v in perm]
+    return tuple(perm)
+
+
+def factor_by_permutation_oracle(z: st.BraidWord) -> tuple[st.BraidWord, st.BraidWord]:
+    """Oracle for ``factor_by_permutation``: one exchange per non-anchor point
+    of each cycle, and the remainder as the free reduction of the product
+    ``y^-1 * z``."""
+    perm = permutation_image_oracle(z)
+    letters = []
+    seen: set[int] = set()
+    for start in range(1, z.surface.n + 1):
+        if start in seen or perm[start - 1] == start:
+            seen.add(start)
+            continue
+        cycle = [start]
+        cur = perm[start - 1]
+        while cur != start:
+            cycle.append(cur)
+            cur = perm[cur - 1]
+        seen.update(cycle)
+        for other in cycle[1:]:
+            letters.append(st.sigma(min(cycle[0], other), max(cycle[0], other)))
+    y = st.BraidWord(z.surface, tuple(letters))
+    return y, st.free_reduce(y.inverse() * z)
 
 
 def bfs_refinements(lower: st.StratumSignature, max_poles: int) -> set[tuple[int, ...]]:

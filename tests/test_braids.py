@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import operator
 import random
 from collections import Counter
@@ -18,7 +20,12 @@ from strata.errors import (
     PreconditionUnmet,
     ZeroWeight,
 )
-from support import random_kernel_word, random_word
+from support import (
+    factor_by_permutation_oracle,
+    permutation_image_oracle,
+    random_kernel_word,
+    random_word,
+)
 
 SURF112 = st.MarkedSurface(2, (1, 1, 2))
 FLAGSHIP = st.MarkedSurface(5, (1,) * 12 + (2, 2), stratum_mode=True)
@@ -62,6 +69,21 @@ class TestSurfaceAndLetters:
     def test_exponent_restricted(self):
         with pytest.raises(InvalidLetter):
             word(SURF112, st.rho(1, 1, 2))
+
+    def test_first_invalid_letter_is_reported(self):
+        bad_direction, bad_weights = st.rho(1, 5), st.sigma(1, 3)
+        with pytest.raises(InvalidLetter, match=r"^homology direction 5 out of range 1\.\.4$"):
+            word(SURF112, st.rho(1, 1), bad_direction, bad_weights)
+        with pytest.raises(InvalidLetter, match=r"^sigma exchanges equal weights only: 1 vs 2$"):
+            word(SURF112, bad_weights, bad_direction)
+
+    def test_exponent_checked_before_index(self):
+        with pytest.raises(InvalidLetter, match=r"^letter exponent must be \+-1, got 2$"):
+            word(SURF112, st.rho(9, 1, 2))
+
+    def test_unknown_kind_built_directly(self):
+        with pytest.raises(InvalidLetter, match=r"^unknown letter kind 'tau'$"):
+            word(SURF112, st.rho(1, 1), st.Letter("tau", 1, 1))
 
 
 class TestFreeReduce:
@@ -319,6 +341,58 @@ class TestFactorize:
         z = word(FLAGSHIP, st.kappa(13, 14), st.kappa(1, 2, -1))
         certs = st.factorize_kernel_word(z)
         assert Counter(c.tag for c in certs) == {SQUARE_TRANSPOSITION: 2}
+
+
+# n = 2..14 points, one weight class and two
+ORACLE_SURFACES = [
+    surf
+    for n in range(2, 15)
+    for surf in (
+        st.MarkedSurface(2, (1,) * n),
+        st.MarkedSurface(3, (1,) * (n - n // 2) + (2,) * (n // 2)),
+    )
+]
+
+# sha256 of the JSON that test_factorization_output_frozen builds, taken from
+# the list-rebuild permutation image and the product-then-reduce remainder
+FACTORIZATION_DIGEST = "6ac3217abd5bd384e16db0924b3c3ce8c4294f2f8d221a3839460bb6cbb04483"
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("sigma_share", [None, 0.8])
+    def test_permutation_image(self, sigma_share):
+        rng = random.Random(37)
+        for surf in ORACLE_SURFACES:
+            for length in (0, 1, 30, 300):
+                w = random_word(surf, rng, length, sigma_share)
+                assert st.permutation_image(w) == permutation_image_oracle(w)
+
+    @pytest.mark.parametrize("sigma_share", [None, 0.8])
+    def test_factor_by_permutation(self, sigma_share):
+        rng = random.Random(43)
+        for surf in ORACLE_SURFACES:
+            for length in (0, 1, 30, 300):
+                z = random_word(surf, rng, length, sigma_share)
+                assert st.factor_by_permutation(z) == factor_by_permutation_oracle(z)
+
+    def test_factorization_output_frozen(self):
+        docs = []
+        for surf in (FLAGSHIP, EQUAL8):
+            rng = random.Random(41)
+            for length in (0, 8, 40, 200, 1000) * 4:
+                z = random_kernel_word(surf, rng, length)
+                certs = st.factorize_kernel_word(z)
+                combined = st.concatenate_factors(surf, certs)
+                docs.append(
+                    {
+                        "certs": [c.to_json_dict() for c in certs],
+                        "combined": combined.to_json_dict(),
+                        "permutation": st.permutation_image(combined),
+                        "aj": st.abel_jacobi(combined),
+                    }
+                )
+        blob = json.dumps(docs, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == FACTORIZATION_DIGEST
 
 
 class TestHomomorphismProperties:
