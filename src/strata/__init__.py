@@ -39,7 +39,6 @@ _EXPORTS = {
         "free_reduce",
         "in_kernel",
         "kappa",
-        "minimal_d",
         "permutation_image",
         "puncture_loop",
         "rho",
@@ -48,6 +47,7 @@ _EXPORTS = {
     "criteria": (
         "a_min",
         "gen2_cascade_ok",
+        "minimal_d",
         "point_bound",
         "satisfies_hy2",
         "satisfies_main_theorem",

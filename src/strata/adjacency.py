@@ -25,9 +25,9 @@ are positive), so k - a - b is a zero that reaches the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import (
     BadSum,
     GenusMismatch,
@@ -39,23 +39,24 @@ from .errors import (
 from .signatures import StratumSignature
 
 
-@dataclass(frozen=True)
-class SplitMove:
+class SplitMove(Frozen):
+    __slots__ = ("source_index", "parts")
     source_index: int
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, source_index: int, parts: Sequence[int]):
+        set_field(self, "source_index", source_index)
+        set_field(self, "parts", tuple(parts))
 
 
-@dataclass(frozen=True)
-class GroupingSpec:
+class GroupingSpec(Frozen):
+    __slots__ = ("left", "right")
     left: tuple[int, ...]
     right: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
+    def __init__(self, left: Sequence[int], right: Sequence[int]):
+        set_field(self, "left", tuple(left))
+        set_field(self, "right", tuple(right))
 
 
 def _check_move(order: int, parts: tuple[int, ...]) -> None:

@@ -16,18 +16,16 @@ rewriting step an identity of the underlying group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .criteria import a_min
+from ._frozen import Frozen, set_field
+from .criteria import a_min, minimal_d
 from .errors import (
     IndexOutOfRange,
     InvalidLetter,
     InvalidSurface,
-    NoOtherWeights,
     NotInKernel,
     PreconditionUnmet,
-    ZeroWeight,
 )
 
 RHO = "rho"
@@ -45,31 +43,41 @@ UNCERTIFIED = "uncertified"
 _SECOND_KEY = {RHO: "r", SIGMA: "j", KAPPA: "j", PUNCTURE: "l"}
 
 
-@dataclass(frozen=True)
-class MarkedSurface:
+class MarkedSurface(Frozen):
     """Genus-g surface carrying weighted marked points and extra punctures.
 
     ``stratum_mode`` additionally pins the weights to a partition of 4g - 4,
     which the factorization algorithm requires.
     """
 
+    __slots__ = ("genus", "weights", "punctures", "stratum_mode")
     genus: int
     weights: tuple[int, ...]
-    punctures: int = 0
-    stratum_mode: bool = False
+    punctures: int
+    stratum_mode: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if self.genus < 0:
+    def __init__(
+        self,
+        genus: int,
+        weights: Sequence[int],
+        punctures: int = 0,
+        stratum_mode: bool = False,
+    ):
+        weights = tuple(weights)
+        set_field(self, "genus", genus)
+        set_field(self, "weights", weights)
+        set_field(self, "punctures", punctures)
+        set_field(self, "stratum_mode", stratum_mode)
+        if genus < 0:
             raise InvalidSurface("genus must be non-negative")
-        if self.punctures < 0:
+        if punctures < 0:
             raise InvalidSurface("puncture count must be non-negative")
-        if any(w == 0 or w < -1 for w in self.weights):
+        if any(w == 0 or w < -1 for w in weights):
             raise InvalidSurface("weights must be -1 or positive")
-        if self.stratum_mode and sum(self.weights) != 4 * self.genus - 4:
+        if stratum_mode and sum(weights) != 4 * genus - 4:
             raise InvalidSurface(
                 "stratum mode requires weights summing to %d, got %d"
-                % (4 * self.genus - 4, sum(self.weights))
+                % (4 * genus - 4, sum(weights))
             )
 
     @property
@@ -101,16 +109,22 @@ class MarkedSurface:
         return MarkedSurface(genus, tuple(weights), punctures, stratum_mode)
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Frozen):
     """One generator letter.  ``second`` is the homology direction for rho
     letters, the partner point for sigma/kappa, and the puncture index for
     puncture loops."""
 
+    __slots__ = ("kind", "i", "second", "exp")
     kind: str
     i: int
     second: int
-    exp: int = 1
+    exp: int
+
+    def __init__(self, kind: str, i: int, second: int, exp: int = 1):
+        set_field(self, "kind", kind)
+        set_field(self, "i", i)
+        set_field(self, "second", second)
+        set_field(self, "exp", exp)
 
     def inverse(self) -> "Letter":
         return Letter(self.kind, self.i, self.second, -self.exp)
@@ -190,14 +204,16 @@ def _validate_letters(letters: Sequence[Letter], surf: MarkedSurface) -> None:
             raise InvalidLetter("unknown letter kind %r" % (kind,))
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Frozen):
+    __slots__ = ("surface", "letters")
     surface: MarkedSurface
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[Letter, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        _validate_letters(self.letters, self.surface)
+    def __init__(self, surface: MarkedSurface, letters: Sequence[Letter] = ()):
+        letters = tuple(letters)
+        set_field(self, "surface", surface)
+        set_field(self, "letters", letters)
+        _validate_letters(letters, surface)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -333,52 +349,6 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     return len(set(kappa_sums.values())) <= 1
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with g = ax + by >= 0
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
-    """Smallest d > 0 such that d copies of weight l balance the others.
-
-    Returns (d, coeffs) where coeffs[l] = d and sum(coeffs[i] * weights[i])
-    is 0: the witness of the integer relation.  d equals G / gcd(G, w_l)
-    with G the gcd of the remaining weights.  Every weight must be non-zero.
-    """
-    weights = tuple(weights)
-    if not 0 <= l < len(weights):
-        raise IndexOutOfRange("weight index %d out of range" % l)
-    if len(weights) < 2:
-        raise NoOtherWeights("need at least one other weight to balance against")
-    if 0 in weights:
-        raise ZeroWeight("weights must be non-zero, got %r" % (weights,))
-    others = [(idx, w) for idx, w in enumerate(weights) if idx != l]
-    g = 0
-    witness = [0] * len(weights)
-    for idx, w in others:
-        g, x, y = _egcd(g, w)
-        for k in range(len(witness)):
-            witness[k] *= x
-        witness[idx] = y
-    target = weights[l]
-    d = g // _egcd(g, target)[0]
-    scale = -(d * target) // g
-    coeffs = [scale * c for c in witness]
-    coeffs[l] = d
-    assert sum(c * w for c, w in zip(coeffs, weights)) == 0
-    return d, tuple(coeffs)
-
-
 def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
     """Split z = y * x with y a product of exchanges realizing z's permutation
     and x the permutation-trivial remainder y^-1 z, freely reduced."""
@@ -404,17 +374,22 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
     return y, x
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(Frozen):
     """A factor together with the shape it was certified as.
 
     ``param`` is the direction r for null_rho factors and the moving point i
     for i_commutator factors.
     """
 
+    __slots__ = ("tag", "word", "param")
     tag: str
     word: BraidWord
-    param: int | None = None
+    param: int | None
+
+    def __init__(self, tag: str, word: BraidWord, param: int | None = None):
+        set_field(self, "tag", tag)
+        set_field(self, "word", word)
+        set_field(self, "param", param)
 
     def verify(self) -> bool:
         if self.tag == TRANSPOSITION:

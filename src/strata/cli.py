@@ -188,9 +188,9 @@ def cmd_cover(args) -> tuple[dict, list[str]]:
 
 
 def cmd_dmin(args) -> tuple[dict, list[str]]:
-    from . import braids
+    from . import criteria
 
-    d, coeffs = braids.minimal_d(_parse_int_list(args.weights), args.index)
+    d, coeffs = criteria.minimal_d(_parse_int_list(args.weights), args.index)
     return {"d": d, "coeffs": list(coeffs)}, []
 
 

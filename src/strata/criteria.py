@@ -2,15 +2,17 @@
 
 All bounds are evaluated in exact integer arithmetic; the ceilinged square
 root never goes through floating point, since an off-by-one here silently
-changes which strata the generation results cover.
+changes which strata the generation results cover.  The module also holds
+``minimal_d``, the balancing multiple of one weight against the others that
+each peel stage of the kernel factorization uses.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import OutOfRange
+from .errors import IndexOutOfRange, NoOtherWeights, OutOfRange, ZeroWeight
 
 if TYPE_CHECKING:
     from .signatures import StratumSignature
@@ -54,6 +56,52 @@ def gen2_cascade_ok(g: int, b_list: list[int]) -> bool:
         if b_i < point_bound(g, tail):
             return False
     return True
+
+
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    # returns (g, x, y) with g = ax + by >= 0
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
+    """Smallest d > 0 such that d copies of weight l balance the others.
+
+    Returns (d, coeffs) where coeffs[l] = d and sum(coeffs[i] * weights[i])
+    is 0: the witness of the integer relation.  d equals G / gcd(G, w_l)
+    with G the gcd of the remaining weights.  Every weight must be non-zero.
+    """
+    weights = tuple(weights)
+    if not 0 <= l < len(weights):
+        raise IndexOutOfRange("weight index %d out of range" % l)
+    if len(weights) < 2:
+        raise NoOtherWeights("need at least one other weight to balance against")
+    if 0 in weights:
+        raise ZeroWeight("weights must be non-zero, got %r" % (weights,))
+    others = [(idx, w) for idx, w in enumerate(weights) if idx != l]
+    g = 0
+    witness = [0] * len(weights)
+    for idx, w in others:
+        g, x, y = _egcd(g, w)
+        for k in range(len(witness)):
+            witness[k] *= x
+        witness[idx] = y
+    target = weights[l]
+    d = g // _egcd(g, target)[0]
+    scale = -(d * target) // g
+    coeffs = [scale * c for c in witness]
+    coeffs[l] = d
+    assert sum(c * w for c, w in zip(coeffs, weights)) == 0
+    return d, tuple(coeffs)
 
 
 def _split_orders(s: StratumSignature) -> tuple[int, list[int]]:

@@ -20,9 +20,10 @@ J. Math. 18, 1966; the face rule is Gross & Tucker, Topological Graph Theory).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import Sequence
 
 from . import braids
+from ._frozen import Frozen, set_field
 from .criteria import point_bound
 from .errors import (
     BoundViolation,
@@ -76,18 +77,19 @@ def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
     return sigma
 
 
-@dataclass(frozen=True)
-class CombinatorialMap:
+class CombinatorialMap(Frozen):
     """Connected graph 2-cell embedded on an oriented surface."""
 
+    __slots__ = ("sigma",)
     sigma: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        n = len(self.sigma)
+    def __init__(self, sigma: Sequence[int]):
+        sigma = tuple(sigma)
+        set_field(self, "sigma", sigma)
+        n = len(sigma)
         if n == 0 or n % 2:
             raise InvalidSpec("a map needs a positive even number of darts")
-        if sorted(self.sigma) != list(range(n)):
+        if sorted(sigma) != list(range(n)):
             raise InvalidSpec("vertex rotation is not a permutation of the darts")
         # connectivity: the group generated by sigma and alpha acts transitively
         seen = [False] * n
@@ -95,7 +97,7 @@ class CombinatorialMap:
         seen[0] = True
         while stack:
             d = stack.pop()
-            for nxt in (self.sigma[d], d ^ 1):
+            for nxt in (sigma[d], d ^ 1):
                 if not seen[nxt]:
                     seen[nxt] = True
                     stack.append(nxt)
@@ -178,13 +180,20 @@ def _rotate_min(cycle: list[int]) -> list[int]:
     return cycle[k:] + cycle[:k]
 
 
-@dataclass(frozen=True)
-class EmbeddedGraphReport:
+class EmbeddedGraphReport(Frozen):
+    __slots__ = ("V", "E", "F", "genus", "simple")
     V: int
     E: int
     F: int
     genus: int
     simple: bool
+
+    def __init__(self, V: int, E: int, F: int, genus: int, simple: bool):
+        set_field(self, "V", V)
+        set_field(self, "E", E)
+        set_field(self, "F", F)
+        set_field(self, "genus", genus)
+        set_field(self, "simple", simple)
 
     @staticmethod
     def from_counts(V: int, E: int, F: int, simple: bool) -> "EmbeddedGraphReport":

@@ -12,8 +12,8 @@ ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._frozen import Frozen, set_field
 from .errors import EmptyStratum, InvalidSignature, InvalidSpec
 
 # The four exceptional signatures whose strata contain no half-translation
@@ -37,26 +37,28 @@ REASON_DEFAULT = "one-component-default"
 _G2_TWO_COMPONENT = frozenset({(3, 3, -1, -1), (6, -1, -1)})
 
 
-@dataclass(frozen=True)
-class StratumSignature:
+class StratumSignature(Frozen):
     """Genus plus the multiset of orders, stored descending."""
 
+    __slots__ = ("genus", "orders")
     genus: int
     orders: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(sorted(self.orders, reverse=True)))
+    def __init__(self, genus: int, orders: tuple[int, ...]):
+        orders = tuple(sorted(orders, reverse=True))
+        set_field(self, "genus", genus)
+        set_field(self, "orders", orders)
         failed = []
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if not isinstance(genus, int) or genus < 0:
             failed.append("genus")
-        if any(not isinstance(k, int) or k == 0 or k < -1 for k in self.orders):
+        if any(not isinstance(k, int) or k == 0 or k < -1 for k in orders):
             failed.append("entries")
-        if "genus" not in failed and sum(self.orders) != 4 * self.genus - 4:
+        if "genus" not in failed and sum(orders) != 4 * genus - 4:
             failed.append("sum")
         if failed:
             raise InvalidSignature(
                 "invalid signature (genus=%r, orders=%r): failed %s"
-                % (self.genus, tuple(self.orders), ", ".join(failed)),
+                % (genus, orders, ", ".join(failed)),
                 failed=tuple(failed),
             )
 
@@ -83,23 +85,30 @@ class StratumSignature:
         return StratumSignature.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(Frozen):
+    __slots__ = ("component_count", "is_empty", "reason")
     component_count: int
     is_empty: bool
     reason: str
 
+    def __init__(self, component_count: int, is_empty: bool, reason: str):
+        set_field(self, "component_count", component_count)
+        set_field(self, "is_empty", is_empty)
+        set_field(self, "reason", reason)
 
-@dataclass(frozen=True)
-class DoubleCoverSpec:
+
+class DoubleCoverSpec(Frozen):
     """Branched double cover data: a genus-0 base and the ramified indices."""
 
+    __slots__ = ("base", "ramified_indices", "target_genus")
     base: StratumSignature
     ramified_indices: frozenset[int]
     target_genus: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "ramified_indices", frozenset(self.ramified_indices))
+    def __init__(self, base: StratumSignature, ramified_indices, target_genus: int):
+        set_field(self, "base", base)
+        set_field(self, "ramified_indices", frozenset(ramified_indices))
+        set_field(self, "target_genus", target_genus)
 
 
 def is_empty(s: StratumSignature) -> bool:

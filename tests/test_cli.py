@@ -328,15 +328,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LIBRARY = {"adjacency", "braids", "criteria", "graphs", "signatures"}
 
 
-def _loaded(*argv):
-    """The ``strata`` submodules a fresh interpreter holds after ``main(argv)``;
-    with no ``argv`` it only imports ``strata.cli``."""
+def _footprint(*argv):
+    """What a fresh interpreter holds after ``import strata.cli`` and, given an
+    ``argv``, ``main(argv)``, which must return 0: the set of ``strata``
+    submodules loaded, and the set of other modules that ``main`` added."""
     script = "\n".join(
         [
             "import sys",
             "from strata.cli import main",
-            "main(%r)" % list(argv) if argv else "",
+            "before = set(sys.modules)",
+            "assert main(%r) == 0" % list(argv) if argv else "",
             "print(' '.join(m[7:] for m in sys.modules if m.startswith('strata.')))",
+            "print(' '.join(m for m in set(sys.modules) - before if not m.startswith('strata')))",
         ]
     )
     proc = subprocess.run(
@@ -346,23 +349,57 @@ def _loaded(*argv):
         text=True,
         check=True,
     )
-    return set(proc.stdout.splitlines()[-1].split())
+    submodules, added = proc.stdout.splitlines()[-2:]
+    return set(submodules.split()), set(added.split())
+
+
+KERNEL_WORD = {
+    "surface": {"genus": 5, "weights": [1] * 12 + [2, 2], "stratum_mode": True},
+    "letters": [{"kind": "sigma", "i": 1, "j": 2}, {"kind": "sigma", "i": 1, "j": 2}],
+}
+# one successful run of each subcommand; "{file}" stands for the path of its input
+SUBCOMMANDS = {
+    "info": ("--genus", "2", "--orders", "4"),
+    "poset": ("--genus", "3", "--root", "8"),
+    "check": ("--genus", "2", "--orders", "1,1,1,1", "--criterion", "gen2"),
+    "cover": ("--base-orders=2,-1,-1,-1,-1,-1,-1", "--ramify", "0,1,2,3,4,5", "--target-genus", "2"),
+    "dmin": ("--weights", "4,6", "--index", "0"),
+    "graph": ("--genus", "2", "--faces", "1", "--vertices", "5"),
+    "copeland": ("--map", "{file}"),
+    "aj": ("--word", "{file}"),
+    "factorize": ("--word", "{file}"),
+}
 
 
 class TestImportFootprint:
     def test_import_loads_no_library_module(self):
-        assert not _loaded() & LIBRARY
+        assert not _footprint()[0] & LIBRARY
 
     def test_info_loads_only_signatures(self):
-        assert _loaded("info", "--genus", "2", "--orders", "4") == {"cli", "errors", "signatures"}
+        assert _footprint("info", "--genus", "2", "--orders", "4")[0] == {
+            "cli", "errors", "_frozen", "signatures"
+        }
 
     def test_dmin_skips_signatures(self):
-        loaded = _loaded("dmin", "--weights", "4,6", "--index", "0")
-        assert not loaded & {"signatures", "adjacency", "graphs"}
+        # exact: minimal_d lives in criteria, so dmin loads neither braids nor _frozen
+        loaded, _ = _footprint("dmin", "--weights", "4,6", "--index", "0")
+        assert loaded == {"cli", "errors", "criteria"}
 
     def test_poset_skips_braids_and_graphs(self):
-        loaded = _loaded("poset", "--genus", "3", "--root", "8")
+        loaded, _ = _footprint("poset", "--genus", "3", "--root", "8")
         assert not loaded & {"braids", "graphs"}
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_no_subcommand_loads_dataclasses(self, command, tmp_path):
+        path = tmp_path / "input.json"
+        if command == "copeland":
+            data = st.construct_graph(2, 1, 5).to_json_dict()
+        else:
+            data = KERNEL_WORD
+        path.write_text(json.dumps(data))
+        argv = [arg.replace("{file}", str(path)) for arg in SUBCOMMANDS[command]]
+        _, added = _footprint(command, *argv)
+        assert not added & {"dataclasses", "inspect"}
 
 
 # --- the envelope contract over generated argv --------------------------------

@@ -1,5 +1,6 @@
 """The public API of the lazy ``strata`` package."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -77,6 +78,17 @@ def test_import_loads_no_submodule():
 @pytest.mark.parametrize("module", SUBMODULES + ("cli",))
 def test_fresh_package_resolves_submodule(module):
     assert _fresh("print(strata.%s.__name__)" % module) == ["strata." + module]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "strata").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # importing dataclasses also loads inspect, ast and tokenize on every CLI
+    # run; the value classes derive from strata._frozen.Frozen instead
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "dataclasses" for a in node.names), path
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "dataclasses", path
 
 
 def test_dir_lists_every_public_name():
