@@ -270,33 +270,15 @@ def _emit(doc: dict, pretty: bool) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    status, exit_code = "ok", 0
     try:
         payload, diagnostics = args.handler(args)
-    except StrataError as err:
-        _emit(
-            {
-                "status": "error",
-                "payload": {"code": err.code, "message": str(err)},
-                "diagnostics": [],
-            },
-            getattr(args, "pretty", False),
-        )
-        return 1
-    except OSError as err:
-        _emit(
-            {
-                "status": "error",
-                "payload": {"code": "io", "message": str(err)},
-                "diagnostics": [],
-            },
-            getattr(args, "pretty", False),
-        )
-        return 1
-    _emit(
-        {"status": "ok", "payload": payload, "diagnostics": diagnostics},
-        args.pretty,
-    )
-    return 0
+    except (StrataError, OSError) as err:
+        status, exit_code, diagnostics = "error", 1, []
+        code = err.code if isinstance(err, StrataError) else "io"
+        payload = {"code": code, "message": str(err)}
+    _emit({"status": status, "payload": payload, "diagnostics": diagnostics}, args.pretty)
+    return exit_code
 
 
 def entry() -> None:

@@ -126,32 +126,29 @@ def hy2_verdict(s: StratumSignature) -> tuple[bool, str]:
         return False, "count of simple zeros is odd"
     if ones < s.genus + 5:
         return False, "need at least g+5 simple zeros, have %d" % ones
-    ok, why = _has_even_pair(rest)
-    return ok, why
+    return _has_even_pair(rest)
 
 
-def main_theorem_verdict(s: StratumSignature) -> tuple[bool, str]:
+def _threshold_verdict(s: StratumSignature, k: int) -> tuple[bool, str]:
+    # an even pair, and more than max(g + k, every higher order) simple zeros
     ones, rest = _split_orders(s)
     ok, why = _has_even_pair(rest)
     if not ok:
         return False, why
-    threshold = max([s.genus + 5] + rest)
+    threshold = max([s.genus + k] + rest)
     if ones <= threshold:
         return False, "need more than %d simple zeros, have %d" % (threshold, ones)
     return True, "all clauses hold"
+
+
+def main_theorem_verdict(s: StratumSignature) -> tuple[bool, str]:
+    return _threshold_verdict(s, 5)
 
 
 def null_prop_verdict(s: StratumSignature) -> tuple[bool, str]:
     if s.genus <= 2:
         return False, "needs genus greater than 2"
-    ones, rest = _split_orders(s)
-    ok, why = _has_even_pair(rest)
-    if not ok:
-        return False, why
-    threshold = max([s.genus + 4] + rest)
-    if ones <= threshold:
-        return False, "need more than %d simple zeros, have %d" % (threshold, ones)
-    return True, "all clauses hold"
+    return _threshold_verdict(s, 4)
 
 
 def satisfies_hy2(s: StratumSignature) -> bool:

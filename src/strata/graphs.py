@@ -382,19 +382,21 @@ def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
     return CombinatorialMap(tuple(_sigma_of(rot, n_darts)))
 
 
-def _rebuild_without_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
-    drop = {2 * e, 2 * e + 1}
+def _delete_edge(rot: list[list[int]], n_darts: int) -> None:
+    """Delete one edge from the rotation, in place: F - 1 faces, same genus.
 
-    def renumber(d: int) -> int:
-        return d - 2 if d > 2 * e + 1 else d
-
-    cycles = []
-    for cyc in m.vertices():
-        kept = [renumber(d) for d in cyc if d not in drop]
-        if not kept:
+    Drops the lowest-index edge whose two darts lie on different faces and
+    renumbers the darts above it down by two.  Such an edge is never a
+    bridge, so its two faces merge into one disk.
+    """
+    label = _face_labels(rot, n_darts)
+    e = next((e for e in range(n_darts // 2) if label[2 * e] != label[2 * e + 1]), None)
+    if e is None:
+        raise NoRemovableEdge("map has a single face; nothing can be removed")
+    for cyc in rot:
+        cyc[:] = [d - 2 if d > 2 * e + 1 else d for d in cyc if d // 2 != e]
+        if not cyc:
             raise NoRemovableEdge("removing edge %d would isolate a vertex" % e)
-        cycles.append(kept)
-    return CombinatorialMap(tuple(_sigma_of(cycles, m.n_darts - 2)))
 
 
 def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
@@ -403,21 +405,9 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     Such an edge is never a bridge, so the two faces merge into one disk:
     the result is again 2-cell with one face fewer and the same genus.
     """
-    faces = trace_faces(m)
-    if len(faces) < 2:
-        raise NoRemovableEdge("map has a single face; nothing can be removed")
-    face_of: dict[int, int] = {}
-    for idx, cyc in enumerate(faces):
-        for d in cyc:
-            face_of[d] = idx
-    for e in range(m.n_edges):
-        if face_of[2 * e] == face_of[2 * e + 1]:
-            continue
-        try:
-            return _rebuild_without_edge(m, e)
-        except (NoRemovableEdge, InvalidSpec):
-            continue
-    raise NoRemovableEdge("no edge borders two distinct faces")
+    rot = m.vertices()
+    _delete_edge(rot, m.n_darts)
+    return CombinatorialMap(tuple(_sigma_of(rot, m.n_darts - 2)))
 
 
 def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
@@ -440,9 +430,10 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
     """A simple connected map with n vertices, f faces and the given genus.
 
     Starts from a complete-graph embedding on the fewest possible vertices,
-    deletes edges down to the face target, and subdivides up to the vertex
-    target.  The result is deterministic; ``seed`` is accepted for
-    compatibility and ignored.
+    deletes edges down to the face target by editing that one rotation in
+    place, builds the map once, and subdivides up to the vertex target.  The
+    result is deterministic; ``seed`` is accepted for compatibility and
+    ignored.
     """
     if g < 2 or not 1 <= f <= 4 * g - 4:
         raise BoundViolation("face count %d outside 1..%d" % (f, max(4 * g - 4, 0)))
@@ -453,9 +444,12 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
             % (n_base, g, f, n)
         )
     m = embed_complete(n_base, g)
-    while _face_count(m.sigma) > f:
-        m = delete_edge_preserving(m)
-    while len(m.vertices()) < n:
+    rot, n_darts = m.vertices(), m.n_darts
+    for _ in range(_face_count(m.sigma) - f):
+        _delete_edge(rot, n_darts)
+        n_darts -= 2
+    m = CombinatorialMap(tuple(_sigma_of(rot, n_darts)))
+    for _ in range(n - n_base):
         m = subdivide_edge(m, 0)
     return m
 
@@ -516,9 +510,9 @@ def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
     (one puncture per face); every returned single-letter word lies in the
     kernel of the weighted homology map.
     """
-    if not m.is_simple():
-        raise NotSimple("generator extraction needs a loopless simple map")
     report = m.report()
+    if not report.simple:
+        raise NotSimple("generator extraction needs a loopless simple map")
     surface = braids.MarkedSurface(
         genus=report.genus, weights=(1,) * report.V, punctures=report.F
     )

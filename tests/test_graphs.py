@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -220,6 +222,18 @@ class TestDeleteEdge:
         r = m.report()
         assert (r.V, r.E, r.F, r.genus) == (5, 8, 1, 2)
 
+    def test_one_loop_isolates_its_vertex(self):
+        # one vertex, one loop, two faces: the loop borders both faces, but
+        # removing it would leave the vertex with no darts
+        with pytest.raises(NoRemovableEdge, match="^removing edge 0 would isolate a vertex$"):
+            st.delete_edge_preserving(st.CombinatorialMap((1, 0)))
+
+    def test_one_face_message(self):
+        with pytest.raises(
+            NoRemovableEdge, match="^map has a single face; nothing can be removed$"
+        ):
+            st.delete_edge_preserving(st.CombinatorialMap((0, 1)))
+
     def test_walk_down_to_one_face(self):
         m = st.embed_complete(6, 1)
         while m.report().F > 1:
@@ -389,3 +403,29 @@ class TestCopeland:
     def test_rejects_double_edges(self):
         with pytest.raises(NotSimple):
             st.copeland_generators(st.build_map(2, [(0, 1), (0, 1)]))
+
+
+# sha256 of the JSON that test_graph_outputs_frozen builds, taken from the
+# builder that validated a fresh map after every deleted edge
+GRAPH_OUTPUTS_DIGEST = "1d67e6fc0abf55b72238fc0902509141617ae03e975dad4254ea300242f701b3"
+
+
+def test_graph_outputs_frozen():
+    docs = []
+    for g in range(2, 11):
+        for f in range(1, 4 * g - 3):
+            bound = st.point_bound(g, f)
+            if bound <= 8:
+                for n in range(bound, bound + 3):
+                    docs.append(st.construct_graph(g, f, n).to_json_dict())
+    for n in range(3, 9):
+        gamma, gamma_max = st.complete_graph_genus_range(n)
+        for g in range(gamma, gamma_max + 1):
+            m = st.embed_complete(n, g)
+            docs.append(st.subdivide_edge(m, 0).to_json_dict())
+            docs.append(m.to_json_dict())
+            while m.report().F > 1:
+                m = st.delete_edge_preserving(m)
+                docs.append(m.to_json_dict())
+    blob = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GRAPH_OUTPUTS_DIGEST
