@@ -25,6 +25,7 @@ from .errors import (
     InvalidLetter,
     InvalidSurface,
     NotInKernel,
+    OutOfRange,
     PreconditionUnmet,
 )
 
@@ -37,7 +38,6 @@ TRANSPOSITION = "transposition"
 SQUARE_TRANSPOSITION = "square_transposition"
 NULL_RHO = "null_rho"
 I_COMMUTATOR = "i_commutator"
-UNCERTIFIED = "uncertified"
 
 # JSON key used for the second index of each letter kind
 _SECOND_KEY = {RHO: "r", SIGMA: "j", KAPPA: "j", PUNCTURE: "l"}
@@ -290,7 +290,11 @@ def abel_jacobi(w: BraidWord) -> tuple[int, ...]:
     Each rho letter adds its point's weight (signed by the exponent) to the
     coordinate of its direction; all other letters bound disks and vanish.
     """
-    coords = [0] * (2 * w.surface.genus)
+    genus = w.surface.genus
+    try:
+        coords = [0] * (2 * genus)
+    except (OverflowError, MemoryError):  # past the index range or the address space
+        raise OutOfRange("genus %d is too large for a vector of 2g coordinates" % genus)
     weights, rho_kind = w.surface.weights, RHO
     for lt in w.letters:
         if lt.kind == rho_kind:

@@ -6,7 +6,9 @@ the vertex rotation alone; faces are the orbits of sigma∘alpha, and the genus
 falls out of the Euler count.  On top of the raw encoding the module builds
 complete-graph embeddings of prescribed genus, walks them down to a target
 face count, subdivides up to a target vertex count, and reads off the
-exchange generators living on the edges.
+exchange generators living on the edges.  Every such edit is an in-place
+move on one rotation list (one dart cycle per vertex), and each public call
+builds and validates one map, from its final rotation.
 
 Complete-graph embeddings take one deterministic path: a minimum-genus
 rotation of K_n from a table (Ringel, Map Color Theorem, 1974), then one
@@ -20,9 +22,8 @@ J. Math. 18, 1966; the face rule is Gross & Tucker, Topological Graph Theory).
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import braids
 from ._frozen import Frozen, set_field
 from .criteria import point_bound
 from .errors import (
@@ -36,7 +37,13 @@ from .errors import (
     TooManyFaces,
 )
 
-def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
+if TYPE_CHECKING:
+    from . import braids
+
+
+def _cycles(perm: Sequence[int]) -> list[list[int]]:
+    # canonical form: each cycle starts at its least element (the first
+    # unseen one), and cycles come in the order of those least elements
     seen = [False] * len(perm)
     out: list[list[int]] = []
     for start in range(len(perm)):
@@ -51,21 +58,6 @@ def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
             cur = perm[cur]
         out.append(cyc)
     return out
-
-
-def _face_count(sigma: list[int] | tuple[int, ...]) -> int:
-    n = len(sigma)
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = sigma[cur ^ 1]
-    return count
 
 
 def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
@@ -112,13 +104,8 @@ class CombinatorialMap(Frozen):
     def n_edges(self) -> int:
         return len(self.sigma) // 2
 
-    def alpha(self, dart: int) -> int:
-        return dart ^ 1
-
     def vertices(self) -> list[list[int]]:
-        return sorted(
-            (_rotate_min(c) for c in _cycles(self.sigma)), key=lambda c: c[0]
-        )
+        return _cycles(self.sigma)
 
     def vertex_of(self) -> dict[int, int]:
         owner: dict[int, int] = {}
@@ -138,7 +125,7 @@ class CombinatorialMap(Frozen):
     def report(self) -> "EmbeddedGraphReport":
         V = len(self.vertices())
         E = self.n_edges
-        F = _face_count(self.sigma)
+        F = len(trace_faces(self))
         return EmbeddedGraphReport.from_counts(V, E, F, self.is_simple())
 
     def to_json_dict(self) -> dict:
@@ -175,11 +162,6 @@ class CombinatorialMap(Frozen):
         return CombinatorialMap(tuple(sigma))
 
 
-def _rotate_min(cycle: list[int]) -> list[int]:
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
-
-
 class EmbeddedGraphReport(Frozen):
     __slots__ = ("V", "E", "F", "genus", "simple")
     V: int
@@ -213,9 +195,9 @@ class EmbeddedGraphReport(Frozen):
 
 
 def trace_faces(m: CombinatorialMap) -> list[list[int]]:
-    """Face cycles of the map: orbits of sigma∘alpha, canonically rotated."""
-    face_perm = tuple(m.sigma[d ^ 1] for d in range(m.n_darts))
-    return sorted((_rotate_min(c) for c in _cycles(face_perm)), key=lambda c: c[0])
+    """Face cycles of the map: orbits of sigma∘alpha, each from its least dart."""
+    sigma = m.sigma
+    return _cycles([sigma[d ^ 1] for d in range(len(sigma))])
 
 
 def build_map(
@@ -359,14 +341,8 @@ def _raise_genus(rot: list[list[int]], n_darts: int) -> None:
     raise OutOfRange("no edge admits a raise move on this map")
 
 
-def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
-    """A rotation system for the complete graph K_n with the requested genus.
-
-    Covers 3 <= n <= MAX_COMPLETE_VERTICES and every genus in
-    complete_graph_genus_range(n): the tabled minimum-genus rotation of K_n,
-    then one raise move per unit of genus above the minimum.  The result is
-    deterministic; ``seed`` is accepted for compatibility and ignored.
-    """
+def _complete_rotation(n: int, g: int) -> list[list[int]]:
+    # the tabled minimum-genus rotation of K_n, raised to genus g by raise moves
     if n < 3 or n > MAX_COMPLETE_VERTICES:
         raise OutOfRange("complete-graph embedding supports 3 <= n <= %d" % MAX_COMPLETE_VERTICES)
     gamma, gamma_max = complete_graph_genus_range(n)
@@ -375,11 +351,21 @@ def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
             "genus %d outside the embeddable range [%d, %d] for K_%d"
             % (g, gamma, gamma_max, n)
         )
-    n_darts = n * (n - 1)
     rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
     for _ in range(g - gamma):
-        _raise_genus(rot, n_darts)
-    return CombinatorialMap(tuple(_sigma_of(rot, n_darts)))
+        _raise_genus(rot, n * (n - 1))
+    return rot
+
+
+def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
+    """A rotation system for the complete graph K_n with the requested genus.
+
+    Covers 3 <= n <= MAX_COMPLETE_VERTICES and every genus in
+    complete_graph_genus_range(n): the tabled minimum-genus rotation of K_n,
+    then one raise move per unit of genus above the minimum.  The result is
+    deterministic; ``seed`` is accepted for compatibility and ignored.
+    """
+    return CombinatorialMap(_sigma_of(_complete_rotation(n, g), n * (n - 1)))
 
 
 def _delete_edge(rot: list[list[int]], n_darts: int) -> None:
@@ -407,7 +393,21 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     """
     rot = m.vertices()
     _delete_edge(rot, m.n_darts)
-    return CombinatorialMap(tuple(_sigma_of(rot, m.n_darts - 2)))
+    return CombinatorialMap(_sigma_of(rot, m.n_darts - 2))
+
+
+def _subdivide_edge(rot: list[list[int]], n_darts: int, e: int) -> None:
+    """Subdivide edge e of the rotation, in place: V + 1, E + 1, same faces.
+
+    Dart 2e+1 moves to a new degree-2 vertex beside the new dart n_darts,
+    and its old slot takes the new edge's other dart n_darts + 1.  Vertices
+    are searched newest first: after a subdivision of e, dart 2e+1 sits at
+    the vertex that subdivision added.
+    """
+    d = 2 * e + 1
+    cyc = next(cyc for cyc in reversed(rot) if d in cyc)
+    cyc[cyc.index(d)] = n_darts + 1
+    rot.append([d, n_darts])
 
 
 def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
@@ -417,23 +417,19 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
     """
     if not 0 <= e < m.n_edges:
         raise IndexOutOfRange("edge index %d out of range" % e)
-    E = m.n_edges
-    # dart 2e+1 moves to the new vertex; the freed slot takes dart 2E+1
-    cycles = []
-    for cyc in m.vertices():
-        cycles.append([2 * E + 1 if d == 2 * e + 1 else d for d in cyc])
-    cycles.append([2 * e + 1, 2 * E])
-    return CombinatorialMap(tuple(_sigma_of(cycles, m.n_darts + 2)))
+    rot = m.vertices()
+    _subdivide_edge(rot, m.n_darts, e)
+    return CombinatorialMap(_sigma_of(rot, m.n_darts + 2))
 
 
 def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMap:
     """A simple connected map with n vertices, f faces and the given genus.
 
-    Starts from a complete-graph embedding on the fewest possible vertices,
-    deletes edges down to the face target by editing that one rotation in
-    place, builds the map once, and subdivides up to the vertex target.  The
-    result is deterministic; ``seed`` is accepted for compatibility and
-    ignored.
+    Every step edits one rotation in place: the minimum-genus rotation of
+    K_n on the fewest possible vertices, raise moves up to genus g, edge
+    deletions down to f faces, and subdivisions of edge 0 up to n vertices.
+    The map is built once, from the final rotation.  The result is
+    deterministic; ``seed`` is accepted for compatibility and ignored.
     """
     if g < 2 or not 1 <= f <= 4 * g - 4:
         raise BoundViolation("face count %d outside 1..%d" % (f, max(4 * g - 4, 0)))
@@ -443,15 +439,16 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
             "need at least %d vertices for genus %d with %d faces, got %d"
             % (n_base, g, f, n)
         )
-    m = embed_complete(n_base, g)
-    rot, n_darts = m.vertices(), m.n_darts
-    for _ in range(_face_count(m.sigma) - f):
+    rot = _complete_rotation(n_base, g)
+    n_darts = n_base * (n_base - 1)
+    # K_n at genus g has E - n + 2 - 2g faces (Euler); a deletion merges two faces
+    for _ in range(n_darts // 2 - n_base + 2 - 2 * g - f):
         _delete_edge(rot, n_darts)
         n_darts -= 2
-    m = CombinatorialMap(tuple(_sigma_of(rot, n_darts)))
     for _ in range(n - n_base):
-        m = subdivide_edge(m, 0)
-    return m
+        _subdivide_edge(rot, n_darts, 0)
+        n_darts += 2
+    return CombinatorialMap(_sigma_of(rot, n_darts))
 
 
 def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
@@ -510,6 +507,8 @@ def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
     (one puncture per face); every returned single-letter word lies in the
     kernel of the weighted homology map.
     """
+    from . import braids
+
     report = m.report()
     if not report.simple:
         raise NotSimple("generator extraction needs a loopless simple map")

@@ -115,6 +115,32 @@ def factor_by_permutation_oracle(z: st.BraidWord) -> tuple[st.BraidWord, st.Brai
     return y, st.free_reduce(y.inverse() * z)
 
 
+def subdivide_edge_oracle(m: st.CombinatorialMap, e: int) -> st.CombinatorialMap:
+    """Oracle for ``subdivide_edge``: rebuild every vertex cycle of the map,
+    with dart 2e+1 moved to a new vertex beside the new dart 2E and its old
+    slot taken by the new dart 2E+1, and validate a fresh map from them."""
+    E = m.n_edges
+    cycles = [[2 * E + 1 if d == 2 * e + 1 else d for d in cyc] for cyc in m.vertices()]
+    cycles.append([2 * e + 1, 2 * E])
+    return st.CombinatorialMap.from_json_dict(
+        {"darts": m.n_darts + 2, "sigma": cycles, "alpha_convention": "pairs"}
+    )
+
+
+def construct_graph_oracle(g: int, f: int, extra: int) -> list[st.CombinatorialMap]:
+    """Oracle for ``construct_graph(g, f, n)`` at n = bound .. bound + extra,
+    with bound = ``point_bound(g, f)``: the complete-graph map on bound
+    vertices, one map per deleted edge down to f faces, then one map per
+    subdivision of edge 0."""
+    m = st.embed_complete(st.point_bound(g, f), g)
+    while m.report().F > f:
+        m = st.delete_edge_preserving(m)
+    maps = [m]
+    for _ in range(extra):
+        maps.append(subdivide_edge_oracle(maps[-1], 0))
+    return maps
+
+
 def bfs_refinements(lower: st.StratumSignature, max_poles: int) -> set[tuple[int, ...]]:
     """Oracle: the orders of every signature reachable from ``lower`` by
     splits with at most ``max_poles`` poles, ``lower`` included, found by a

@@ -275,6 +275,13 @@ class TestInputTypes:
         word = {"surface": dict(GENUS_TWO, **field), "letters": []}
         assert _file_code(capsys, tmp_path, "aj", "--word", word) == "invalid-surface"
 
+    # 10**19 does not fit an index and 3 * 10**18 coordinates do not fit the
+    # address space, so both fail at once without allocating
+    @pytest.mark.parametrize("genus", [10**19, 3 * 10**18])
+    def test_genus_too_large_for_a_vector(self, capsys, tmp_path, genus):
+        word = {"surface": {"genus": genus, "weights": [1]}, "letters": []}
+        assert _file_code(capsys, tmp_path, "aj", "--word", word) == "out-of-range"
+
     def test_map_missing_darts(self, capsys, tmp_path):
         data = {"alpha_convention": "pairs"}
         assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
@@ -388,6 +395,11 @@ class TestImportFootprint:
     def test_poset_skips_braids_and_graphs(self):
         loaded, _ = _footprint("poset", "--genus", "3", "--root", "8")
         assert not loaded & {"braids", "graphs"}
+
+    def test_graph_skips_braids(self):
+        # exact: only copeland_generators needs braids, and it imports it itself
+        loaded, _ = _footprint(*(("graph",) + SUBCOMMANDS["graph"]))
+        assert loaded == {"cli", "errors", "_frozen", "criteria", "graphs"}
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
     def test_no_subcommand_loads_dataclasses(self, command, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import strata as st
 from strata import graphs
+from support import construct_graph_oracle, subdivide_edge_oracle
 from strata.errors import (
     BoundViolation,
     IndexOutOfRange,
@@ -272,6 +273,12 @@ class TestSubdivide:
         with pytest.raises(IndexOutOfRange):
             st.subdivide_edge(st.build_map(2, [(0, 1)]), 1)
 
+    def test_matches_oracle_on_every_edge(self):
+        for n, g in ((4, 0), (5, 2), (7, 1), (8, 4)):
+            m = st.embed_complete(n, g)
+            for e in range(m.n_edges):
+                assert st.subdivide_edge(m, e) == subdivide_edge_oracle(m, e)
+
 
 class TestConstructGraph:
     def test_genus_two_single_face(self):
@@ -298,6 +305,42 @@ class TestConstructGraph:
         m = st.construct_graph(2, 3, 6)
         r = m.report()
         assert (r.V, r.F, r.genus, r.simple) == (6, 3, 2, True)
+
+    def test_matches_map_level_oracle(self):
+        # every (g, f) the embedding table reaches, and 40 vertices past its
+        # point bound: well beyond the n <= bound + 2 of the frozen digest
+        for g in range(2, 11):
+            for f in range(1, 4 * g - 3):
+                bound = st.point_bound(g, f)
+                if bound > graphs.MAX_COMPLETE_VERTICES:
+                    continue
+                for k, want in enumerate(construct_graph_oracle(g, f, 40)):
+                    assert st.construct_graph(g, f, bound + k) == want, (g, f, bound + k)
+
+    def test_builds_one_map(self, monkeypatch):
+        built = []
+        init = graphs.CombinatorialMap.__init__
+
+        def counting_init(self, sigma):
+            built.append(len(sigma))
+            init(self, sigma)
+
+        monkeypatch.setattr(graphs.CombinatorialMap, "__init__", counting_init)
+        for g, f, n in ((2, 1, 5), (2, 1, 60), (3, 4, 9), (4, 12, 8), (10, 2, 20)):
+            built.clear()
+            m = st.construct_graph(g, f, n)
+            assert built == [m.n_darts]
+
+    def test_canonical_cycles(self):
+        # every vertex and face cycle starts at its least dart, and the
+        # cycles come in the order of those darts
+        for args in ((2, 1, 5), (3, 6, 9), (5, 12, 10)):
+            m = st.construct_graph(*args)
+            for cycles in (m.vertices(), st.trace_faces(m)):
+                assert all(cyc[0] == min(cyc) for cyc in cycles)
+                firsts = [cyc[0] for cyc in cycles]
+                assert firsts == sorted(firsts)
+                assert sorted(d for cyc in cycles for d in cyc) == list(range(m.n_darts))
 
 
 def _bipyramid_planar():
