@@ -47,11 +47,11 @@ _EXPORTS = {
     "criteria": (
         "a_min",
         "gen2_cascade_ok",
+        "hy2_verdict",
+        "main_theorem_verdict",
         "minimal_d",
+        "null_prop_verdict",
         "point_bound",
-        "satisfies_hy2",
-        "satisfies_main_theorem",
-        "satisfies_null_prop",
     ),
     "graphs": (
         "CombinatorialMap",

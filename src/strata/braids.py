@@ -16,7 +16,8 @@ rewriting step an identity of the underlying group.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen, set_field
 from .criteria import a_min, minimal_d
@@ -248,7 +249,7 @@ class BraidWord(Frozen):
         return BraidWord(surf, tuple(Letter.from_json_dict(d) for d in letters))
 
 
-def _reduce_letters(letters: Sequence[Letter]) -> list[Letter]:
+def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
     stack: list[Letter] = []
     for lt in letters:
         if stack:
@@ -284,17 +285,21 @@ def permutation_image(w: BraidWord) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _direction_vector(genus: int) -> list[int]:
+    """One zero per homology direction: a list of 2g entries."""
+    try:
+        return [0] * (2 * genus)
+    except (OverflowError, MemoryError):  # past the index range or the address space
+        raise OutOfRange("genus %d is too large for a vector of 2g coordinates" % genus)
+
+
 def abel_jacobi(w: BraidWord) -> tuple[int, ...]:
     """Weighted homology image in Z^{2g}.
 
     Each rho letter adds its point's weight (signed by the exponent) to the
     coordinate of its direction; all other letters bound disks and vanish.
     """
-    genus = w.surface.genus
-    try:
-        coords = [0] * (2 * genus)
-    except (OverflowError, MemoryError):  # past the index range or the address space
-        raise OutOfRange("genus %d is too large for a vector of 2g coordinates" % genus)
+    coords = _direction_vector(w.surface.genus)
     weights, rho_kind = w.surface.weights, RHO
     for lt in w.letters:
         if lt.kind == rho_kind:
@@ -339,7 +344,7 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     n = w.surface.n
     if not 1 <= i <= n:
         raise IndexOutOfRange("point index %d out of range 1..%d" % (i, n))
-    rho_sums = [0] * (2 * w.surface.genus)
+    rho_sums = _direction_vector(w.surface.genus)
     kappa_sums = {l: 0 for l in range(i + 1, n + 1)}
     for lt in w.letters:
         if lt.kind == RHO and lt.i == i:
@@ -353,11 +358,11 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     return len(set(kappa_sums.values())) <= 1
 
 
-def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """Split z = y * x with y a product of exchanges realizing z's permutation
-    and x the permutation-trivial remainder y^-1 z, freely reduced."""
+def _split_by_permutation(z: BraidWord) -> tuple[list[Letter], list[Letter]]:
+    """The letters of y and of x in ``factor_by_permutation``, no word built
+    for x."""
     perm = permutation_image(z)
-    letters: list[Letter] = []
+    y: list[Letter] = []
     seen: set[int] = set()
     for start in range(1, z.surface.n + 1):
         if start in seen or perm[start - 1] == start:
@@ -371,18 +376,26 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
         seen.update(cycle)
         anchor = cycle[0]
         for other in cycle[1:]:
-            letters.append(sigma(min(anchor, other), max(anchor, other)))
-    y = BraidWord(z.surface, tuple(letters))
-    assert permutation_image(y) == perm
-    x = BraidWord(z.surface, tuple(_reduce_letters(y.inverse().letters + z.letters)))
+            y.append(sigma(min(anchor, other), max(anchor, other)))
+    assert permutation_image(BraidWord(z.surface, y)) == perm
+    x = _reduce_letters(chain([lt.inverse() for lt in reversed(y)], z.letters))
     return y, x
+
+
+def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """Split z = y * x with y a product of exchanges realizing z's permutation
+    and x the permutation-trivial remainder y^-1 z, freely reduced."""
+    y, x = _split_by_permutation(z)
+    return BraidWord(z.surface, y), BraidWord(z.surface, x)
 
 
 class FactorCertificate(Frozen):
     """A factor together with the shape it was certified as.
 
     ``param`` is the direction r for null_rho factors and the moving point i
-    for i_commutator factors.
+    for i_commutator factors.  Instances are immutable, so
+    ``factorize_kernel_word`` returns one shared certificate for every
+    occurrence of the same one-letter factor on a surface.
     """
 
     __slots__ = ("tag", "word", "param")
@@ -425,10 +438,45 @@ def _weight_runs(weights: tuple[int, ...]) -> list[tuple[int, int]]:
     return runs
 
 
+# Certified one-letter factors per surface (by equality): the first surface
+# object seen, on which every entry's word is built, and the entries keyed by
+# letter fields (kind, i, second, exp).  Entries are verified when made and
+# shared across calls; the cache holds at most 16 surfaces, each with at most
+# 2n(n - 1) entries, and is emptied when a 17th surface arrives.  Threads
+# racing on it can only build an entry twice, and the two are equal.
+_OneLetterTable = tuple[MarkedSurface, dict[tuple, FactorCertificate]]
+_ONE_LETTER_FACTORS: dict[MarkedSurface, _OneLetterTable] = {}
+_MAX_CACHED_SURFACES = 16
+
+
+def _one_letter_table(surf: MarkedSurface) -> _OneLetterTable:
+    table = _ONE_LETTER_FACTORS.get(surf)
+    if table is None:
+        if len(_ONE_LETTER_FACTORS) >= _MAX_CACHED_SURFACES:
+            _ONE_LETTER_FACTORS.clear()
+        table = _ONE_LETTER_FACTORS[surf] = (surf, {})
+    return table
+
+
+def _one_letter_factor(table: _OneLetterTable, lt: Letter) -> FactorCertificate:
+    """The transposition (sigma) or square transposition (kappa) factor of lt."""
+    surf, entries = table
+    key = (lt.kind, lt.i, lt.second, lt.exp)
+    cert = entries.get(key)
+    if cert is None:
+        tag = TRANSPOSITION if lt.kind == SIGMA else SQUARE_TRANSPOSITION
+        cert = FactorCertificate(tag, BraidWord(surf, (lt,)))
+        assert cert.verify(), "internal error: emitted an uncertifiable factor"
+        entries[key] = cert
+    return cert
+
+
 def _peel_stage(
     surf: MarkedSurface, c: int, moving: list[Letter]
-) -> tuple[list[FactorCertificate], list[Letter]]:
-    """Certify the letters moving point c and return the balancing debt.
+) -> tuple[list[FactorCertificate], list[Letter], list[Letter]]:
+    """Certify the letters moving point c; return the certificates, the kappa
+    letters (each a square transposition factor, emitted after the
+    certificates) and the balancing debt.
 
     The moving subword equals, in the free group on its letters, a commutator
     (the sorting discrepancy) followed by one run per direction and the
@@ -440,12 +488,12 @@ def _peel_stage(
     kappas = [lt for lt in moving if lt.kind == KAPPA]
     sorted_word = sorted(rhos, key=lambda lt: lt.second) + kappas
     certs: list[FactorCertificate] = []
-    h_inv = _reduce_letters(list(moving) + [lt.inverse() for lt in reversed(sorted_word)])
+    h_inv = _reduce_letters(chain(moving, [lt.inverse() for lt in reversed(sorted_word)]))
     if h_inv:
-        certs.append(FactorCertificate(I_COMMUTATOR, BraidWord(surf, tuple(h_inv)), c))
+        certs.append(FactorCertificate(I_COMMUTATOR, BraidWord(surf, h_inv), c))
     d, coeffs = minimal_d(surf.weights[:c], c - 1)
     balance_debt: list[Letter] = []
-    windings = [0] * (2 * surf.genus)
+    windings = _direction_vector(surf.genus)
     for lt in rhos:
         windings[lt.second - 1] += lt.exp
     for r, e in enumerate(windings, 1):
@@ -462,10 +510,8 @@ def _peel_stage(
             sign = 1 if cnt > 0 else -1
             block.extend([rho(idx + 1, r, sign)] * abs(cnt))
             balance_debt.extend([rho(idx + 1, r, -sign)] * abs(cnt))
-        certs.append(FactorCertificate(NULL_RHO, BraidWord(surf, tuple(block)), r))
-    for lt in kappas:
-        certs.append(FactorCertificate(SQUARE_TRANSPOSITION, BraidWord(surf, (lt,))))
-    return certs, balance_debt
+        certs.append(FactorCertificate(NULL_RHO, BraidWord(surf, block), r))
+    return certs, kappas, balance_debt
 
 
 def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
@@ -477,7 +523,15 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     order, which pins the permutation image; all other factor shapes are
     permutation-trivial.  Requires a stratum-mode surface without ambient
     punctures whose leading weight class meets the size bound a_min(g, b).
-    Cost: a few linear passes over the word, plus one per peeled point.
+
+    One-letter factors (transpositions and square transpositions) are
+    shared: each distinct letter's certificate is built and verified once per
+    surface and the same immutable object is returned on every later
+    occurrence, in this call and in later calls on an equal surface.  Its
+    word's surface is equal to, not necessarily the same object as, z's.
+    Cost: a few linear passes over the word, plus one per peeled point, and
+    one validated word and verification per distinct one-letter factor and
+    per multi-letter factor.
     """
     surf = z.surface
     if surf.punctures:
@@ -499,16 +553,15 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     if not in_kernel(z):
         raise NotInKernel("word has nonzero homology image %r" % (abel_jacobi(z),))
 
-    y, x = factor_by_permutation(z)
-    certs = [
-        FactorCertificate(TRANSPOSITION, BraidWord(surf, (lt,))) for lt in y.letters
-    ]
+    table = _one_letter_table(surf)
+    y, x = _split_by_permutation(z)
+    certs = [_one_letter_factor(table, lt) for lt in y]
     current: list[Letter] = []
-    for lt in x.letters:
+    for lt in x:
         if lt.kind == SIGMA:
             # permutation-exact: these keep their relative order and multiply
             # to the identity, everything else emitted is permutation-trivial
-            certs.append(FactorCertificate(TRANSPOSITION, BraidWord(surf, (lt,))))
+            certs.append(_one_letter_factor(table, lt))
         else:
             current.append(lt)
 
@@ -518,8 +571,9 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
         for lt in current:
             (moving if lt.i == c and lt.kind in (RHO, KAPPA) else staying).append(lt)
         if moving:
-            stage_certs, balance_debt = _peel_stage(surf, c, moving)
+            stage_certs, stage_kappas, balance_debt = _peel_stage(surf, c, moving)
             certs.extend(stage_certs)
+            certs.extend(_one_letter_factor(table, lt) for lt in stage_kappas)
             current = balance_debt + staying
         else:
             current = staying
@@ -533,12 +587,13 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
             kappas.append(lt)
     for r, group in enumerate(groups, 1):
         if group:
-            certs.append(FactorCertificate(NULL_RHO, BraidWord(surf, tuple(group)), r))
-    for lt in kappas:
-        certs.append(FactorCertificate(SQUARE_TRANSPOSITION, BraidWord(surf, (lt,))))
+            certs.append(FactorCertificate(NULL_RHO, BraidWord(surf, group), r))
+    certs.extend(_one_letter_factor(table, lt) for lt in kappas)
 
     for cert in certs:
-        assert cert.verify(), "internal error: emitted an uncertifiable factor"
+        # the one-letter factors were verified when their table entry was made
+        if cert.tag == NULL_RHO or cert.tag == I_COMMUTATOR:
+            assert cert.verify(), "internal error: emitted an uncertifiable factor"
     return certs
 
 
@@ -546,8 +601,11 @@ def concatenate_factors(
     surf: MarkedSurface, certs: Sequence[FactorCertificate]
 ) -> BraidWord:
     """The product of the factors' words, left to right, built in one pass."""
+    known = surf  # the last factor surface found equal to surf
     for cert in certs:
         other = cert.word.surface
-        if other is not surf and other != surf:
-            raise InvalidSurface("cannot concatenate words over different surfaces")
+        if other is not surf and other is not known:
+            if other != surf:
+                raise InvalidSurface("cannot concatenate words over different surfaces")
+            known = other
     return BraidWord(surf, tuple(lt for cert in certs for lt in cert.word.letters))

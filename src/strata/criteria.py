@@ -87,14 +87,19 @@ def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
         raise NoOtherWeights("need at least one other weight to balance against")
     if 0 in weights:
         raise ZeroWeight("weights must be non-zero, got %r" % (weights,))
-    others = [(idx, w) for idx, w in enumerate(weights) if idx != l]
+    # step k sets g_k = x_k g_{k-1} + y_k w_k, so w_k's witness coefficient
+    # is y_k times the x of every later step: filled in one backward pass
     g = 0
+    steps = []
+    for idx, w in enumerate(weights):
+        if idx != l:
+            g, x, y = _egcd(g, w)
+            steps.append((idx, x, y))
     witness = [0] * len(weights)
-    for idx, w in others:
-        g, x, y = _egcd(g, w)
-        for k in range(len(witness)):
-            witness[k] *= x
-        witness[idx] = y
+    later = 1
+    for idx, x, y in reversed(steps):
+        witness[idx] = y * later
+        later *= x
     target = weights[l]
     d = g // _egcd(g, target)[0]
     scale = -(d * target) // g
@@ -149,15 +154,3 @@ def null_prop_verdict(s: StratumSignature) -> tuple[bool, str]:
     if s.genus <= 2:
         return False, "needs genus greater than 2"
     return _threshold_verdict(s, 4)
-
-
-def satisfies_hy2(s: StratumSignature) -> bool:
-    return hy2_verdict(s)[0]
-
-
-def satisfies_main_theorem(s: StratumSignature) -> bool:
-    return main_theorem_verdict(s)[0]
-
-
-def satisfies_null_prop(s: StratumSignature) -> bool:
-    return null_prop_verdict(s)[0]

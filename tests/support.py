@@ -115,6 +115,41 @@ def factor_by_permutation_oracle(z: st.BraidWord) -> tuple[st.BraidWord, st.Brai
     return y, st.free_reduce(y.inverse() * z)
 
 
+def minimal_d_oracle(weights: tuple[int, ...], l: int) -> tuple[int, tuple[int, ...]]:
+    """Oracle for ``minimal_d`` on valid input: the extended-gcd chain over
+    the other weights, rescaling the whole witness at every step."""
+    g = 0
+    witness = [0] * len(weights)
+    for idx, w in enumerate(weights):
+        if idx == l:
+            continue
+        g, x, y = _egcd(g, w)
+        for k in range(len(witness)):
+            witness[k] *= x
+        witness[idx] = y
+    target = weights[l]
+    d = g // _egcd(g, target)[0]
+    scale = -(d * target) // g
+    coeffs = [scale * c for c in witness]
+    coeffs[l] = d
+    return d, tuple(coeffs)
+
+
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    # (g, x, y) with g = ax + by >= 0
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def subdivide_edge_oracle(m: st.CombinatorialMap, e: int) -> st.CombinatorialMap:
     """Oracle for ``subdivide_edge``: rebuild every vertex cycle of the map,
     with dart 2e+1 moved to a new vertex beside the new dart 2E and its old

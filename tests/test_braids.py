@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import strata as st
+from strata import braids
 from strata.braids import I_COMMUTATOR, NULL_RHO, SQUARE_TRANSPOSITION, TRANSPOSITION
 from strata.errors import (
     IndexOutOfRange,
@@ -17,6 +18,7 @@ from strata.errors import (
     InvalidSurface,
     NoOtherWeights,
     NotInKernel,
+    OutOfRange,
     PreconditionUnmet,
     ZeroWeight,
 )
@@ -186,6 +188,16 @@ class TestCertifyICommutator:
         with pytest.raises(IndexOutOfRange):
             st.certify_i_commutator(word(SURF112), 4)
 
+    # 10**19 does not fit an index and 3 * 10**18 coordinates do not fit the
+    # address space, so both fail at once without allocating
+    @pytest.mark.parametrize("genus", [10**19, 3 * 10**18])
+    def test_genus_too_large_for_a_vector(self, genus):
+        w = word(st.MarkedSurface(genus, (1,)))
+        with pytest.raises(OutOfRange):
+            st.certify_i_commutator(w, 1)
+        with pytest.raises(OutOfRange):
+            st.abel_jacobi(w)
+
     def test_implies_kernel(self):
         w = word(SURF112, st.kappa(1, 2), st.kappa(1, 3), st.kappa(1, 2, -1), st.kappa(1, 3, -1))
         if st.certify_i_commutator(w, 1):
@@ -341,6 +353,68 @@ class TestFactorize:
         z = word(FLAGSHIP, st.kappa(13, 14), st.kappa(1, 2, -1))
         certs = st.factorize_kernel_word(z)
         assert Counter(c.tag for c in certs) == {SQUARE_TRANSPOSITION: 2}
+
+
+def _same_surface_copy(surf):
+    return st.MarkedSurface(surf.genus, surf.weights, surf.punctures, surf.stratum_mode)
+
+
+class TestSharedFactors:
+    """One-letter factors are cached per surface and shared across calls."""
+
+    @pytest.mark.parametrize("surf", [FLAGSHIP, EQUAL8], ids=["flagship", "equal8"])
+    def test_every_certificate_matches_a_fresh_one(self, surf):
+        rng = random.Random(53)
+        for length in (0, 8, 40, 200) * 5:
+            for c in st.factorize_kernel_word(random_kernel_word(surf, rng, length)):
+                assert c.verify()
+                assert c == st.FactorCertificate(c.tag, st.BraidWord(surf, c.word.letters), c.param)
+                assert c.word.surface == surf
+
+    def test_output_independent_of_cache_state(self):
+        rng = random.Random(59)
+        z = random_kernel_word(FLAGSHIP, rng, 200)
+        braids._ONE_LETTER_FACTORS.clear()
+        first = st.factorize_kernel_word(z)
+        assert any(len(c.word) == 1 for c in first)
+
+        for _ in range(5):
+            st.factorize_kernel_word(random_kernel_word(EQUAL8, rng, 40))
+        after_other = st.factorize_kernel_word(z)
+        assert after_other == first
+        # the one-letter certificates are the very same objects
+        assert all(a is b for a, b in zip(first, after_other) if len(a.word) == 1)
+
+        copy = _same_surface_copy(FLAGSHIP)
+        assert copy is not FLAGSHIP
+        on_copy = st.factorize_kernel_word(st.BraidWord(copy, z.letters))
+        assert on_copy == first
+
+        # 17 more surfaces (genus 3..19, all weights 1) empty the cache
+        for g in range(3, 20):
+            surf = st.MarkedSurface(g, (1,) * (4 * g - 4), stratum_mode=True)
+            st.factorize_kernel_word(st.BraidWord(surf))
+        assert FLAGSHIP not in braids._ONE_LETTER_FACTORS
+        assert len(braids._ONE_LETTER_FACTORS) <= 16
+        after_reset = st.factorize_kernel_word(z)
+        assert after_reset == first
+        assert [c.to_json_dict() for c in after_reset] == [c.to_json_dict() for c in first]
+
+    def test_concatenation_rejects_other_surface_after_equal_ones(self):
+        rng = random.Random(61)
+        copy = _same_surface_copy(FLAGSHIP)
+        braids._ONE_LETTER_FACTORS.clear()
+        st.factorize_kernel_word(st.BraidWord(copy))
+        certs = st.factorize_kernel_word(random_kernel_word(FLAGSHIP, rng, 40))
+        # the shared factors sit on the copy, the others on FLAGSHIP itself
+        assert {id(c.word.surface) for c in certs} == {id(copy), id(FLAGSHIP)}
+        assert st.concatenate_factors(FLAGSHIP, certs) == st.concatenate_factors(copy, certs)
+        # equal weights, but not a stratum-mode surface
+        other = st.MarkedSurface(FLAGSHIP.genus, FLAGSHIP.weights)
+        stray = st.FactorCertificate(TRANSPOSITION, word(other, st.sigma(1, 2)))
+        for surf in (FLAGSHIP, copy):
+            with pytest.raises(InvalidSurface):
+                st.concatenate_factors(surf, certs + [stray])
 
 
 # n = 2..14 points, one weight class and two

@@ -23,8 +23,8 @@ EXPORTS = {
         "minimal_d", "permutation_image", "puncture_loop", "rho", "sigma",
     ),
     "criteria": (
-        "a_min", "gen2_cascade_ok", "point_bound", "satisfies_hy2", "satisfies_main_theorem",
-        "satisfies_null_prop",
+        "a_min", "gen2_cascade_ok", "hy2_verdict", "main_theorem_verdict", "null_prop_verdict",
+        "point_bound",
     ),
     "graphs": (
         "CombinatorialMap", "EmbeddedGraphReport", "assign_face_pairs", "build_map",
