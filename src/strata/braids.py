@@ -377,7 +377,8 @@ def _split_by_permutation(z: BraidWord) -> tuple[list[Letter], list[Letter]]:
         anchor = cycle[0]
         for other in cycle[1:]:
             y.append(sigma(min(anchor, other), max(anchor, other)))
-    assert permutation_image(BraidWord(z.surface, y)) == perm
+    if permutation_image(BraidWord(z.surface, y)) != perm:
+        raise AssertionError
     x = _reduce_letters(chain([lt.inverse() for lt in reversed(y)], z.letters))
     return y, x
 
@@ -466,7 +467,8 @@ def _one_letter_factor(table: _OneLetterTable, lt: Letter) -> FactorCertificate:
     if cert is None:
         tag = TRANSPOSITION if lt.kind == SIGMA else SQUARE_TRANSPOSITION
         cert = FactorCertificate(tag, BraidWord(surf, (lt,)))
-        assert cert.verify(), "internal error: emitted an uncertifiable factor"
+        if not cert.verify():
+            raise AssertionError("internal error: emitted an uncertifiable factor")
         entries[key] = cert
     return cert
 
@@ -500,7 +502,8 @@ def _peel_stage(
         if e == 0:
             continue
         # kernel membership of the whole word forces d | e
-        assert e % d == 0, "net winding must be a multiple of the balance step"
+        if e % d:
+            raise AssertionError("net winding must be a multiple of the balance step")
         q = e // d
         block = [rho(c, r, 1 if e > 0 else -1)] * abs(e)
         for idx in range(c - 1):
@@ -592,8 +595,8 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
 
     for cert in certs:
         # the one-letter factors were verified when their table entry was made
-        if cert.tag == NULL_RHO or cert.tag == I_COMMUTATOR:
-            assert cert.verify(), "internal error: emitted an uncertifiable factor"
+        if (cert.tag == NULL_RHO or cert.tag == I_COMMUTATOR) and not cert.verify():
+            raise AssertionError("internal error: emitted an uncertifiable factor")
     return certs
 
 

@@ -41,6 +41,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
         except ValueError as err:  # malformed JSON or text that is not UTF-8
             raise InvalidJson("%s: %s" % (path, err))
+        except RecursionError:  # nesting deeper than the decoder's recursion limit
+            raise InvalidJson("%s: JSON nested too deeply" % path)
 
 
 def cmd_info(args) -> tuple[dict, list[str]]:

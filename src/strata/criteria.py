@@ -105,7 +105,8 @@ def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
     scale = -(d * target) // g
     coeffs = [scale * c for c in witness]
     coeffs[l] = d
-    assert sum(c * w for c, w in zip(coeffs, weights)) == 0
+    if sum(c * w for c, w in zip(coeffs, weights)) != 0:
+        raise AssertionError
     return d, tuple(coeffs)
 
 

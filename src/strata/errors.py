@@ -93,9 +93,5 @@ class NoRemovableEdge(StrataError):
     code = "no-removable-edge"
 
 
-class TooManyFaces(StrataError):
-    code = "too-many-faces"
-
-
 class NotSimple(StrataError):
     code = "not-simple"

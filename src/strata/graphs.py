@@ -8,7 +8,10 @@ complete-graph embeddings of prescribed genus, walks them down to a target
 face count, subdivides up to a target vertex count, and reads off the
 exchange generators living on the edges.  Every such edit is an in-place
 move on one rotation list (one dart cycle per vertex), and each public call
-builds and validates one map, from its final rotation.
+builds and validates one map, from its final rotation.  Faces are traced
+once per build, into one label per dart; a move then merges the labels it
+changes, since deleting or inserting an edge across two different faces
+merges those two and leaves every other face as it was.
 
 Complete-graph embeddings take one deterministic path: a minimum-genus
 rotation of K_n from a table (Ringel, Map Color Theorem, 1974), then one
@@ -34,7 +37,6 @@ from .errors import (
     NotSimple,
     OutOfRange,
     PreconditionUnmet,
-    TooManyFaces,
 )
 
 if TYPE_CHECKING:
@@ -286,63 +288,56 @@ MAX_COMPLETE_VERTICES = max(_MIN_GENUS_ROTATIONS)
 
 
 def _face_labels(rot: list[list[int]], n_darts: int) -> list[int]:
-    # label[d] names the face holding dart d: the first dart met on its orbit.
-    # Darts absent from rot (an edge lifted out) keep the label -1
+    # label[d] names the face holding dart d: its index among the face cycles
     sigma = _sigma_of(rot, n_darts)
-    label = [-1] * n_darts
-    for cyc in rot:
-        for start in cyc:
-            cur = start
-            while label[cur] < 0:
-                label[cur] = start
-                cur = sigma[cur ^ 1]
+    label = [0] * n_darts
+    for f, cyc in enumerate(_cycles([sigma[d ^ 1] for d in range(n_darts)])):
+        for d in cyc:
+            label[d] = f
     return label
 
 
-def _raise_genus(rot: list[list[int]], n_darts: int) -> None:
-    """One raise move on the rotation, in place: F - 2 faces, genus + 1.
+def _merged(label: list[int], a: int, b: int) -> list[int]:
+    # the labels after faces a and b become one face, named a
+    return [a if f == b else f for f in label]
+
+
+def _raise_genus(rot: list[list[int]], label: list[int]) -> None:
+    """One raise move on the rotation and its face labels: F - 2, genus + 1.
 
     Lifts out the lowest-index edge whose two darts lie on different faces,
     which merges those faces (F - 1, same genus), and re-inserts it at the
     first corner pair (ra, rb) of its endpoints whose faces differ, which
-    merges two faces through a handle (F - 1, genus + 1).  The corner after
-    dart d lies on the face of sigma(d).  Every dart keeps its edge and
-    endpoints, so the graph, and its simplicity, are unchanged.  An edge
-    with no such corner pair is put back and the next one tried.
+    merges two faces through a handle (F - 1, genus + 1).  No other face
+    changes, so both steps merge labels.  The corner after dart d lies on
+    the face of sigma(d).  Every dart keeps its edge and endpoints, so the
+    graph, and its simplicity, are unchanged.  An edge with no such corner
+    pair is skipped, and rot is edited only once the pair is found.
     """
-    label = _face_labels(rot, n_darts)
-    vertex_of = {d: v for v, cyc in enumerate(rot) for d in cyc}
-    for e in range(n_darts // 2):
+    for e in range(len(label) // 2):
         du, dv = 2 * e, 2 * e + 1
         if label[du] == label[dv]:
             continue
-        u, v = vertex_of[du], vertex_of[dv]
-        iu, iv = rot[u].index(du), rot[v].index(dv)
-        del rot[u][iu], rot[v][iv]
-        merged = _face_labels(rot, n_darts)
-        faces_u = [merged[rot[u][(ra + 1) % len(rot[u])]] for ra in range(len(rot[u]))]
-        faces_v = [merged[rot[v][(rb + 1) % len(rot[v])]] for rb in range(len(rot[v]))]
-        found = next(
-            (
-                (ra, rb)
-                for ra, fu in enumerate(faces_u)
-                for rb, fv in enumerate(faces_v)
-                if fu != fv
-            ),
-            None,
-        )
-        if found is not None:
-            ra, rb = found
-            rot[u].insert(ra + 1, du)
-            rot[v].insert(rb + 1, dv)
-            return
-        rot[u].insert(iu, du)
-        rot[v].insert(iv, dv)
+        lifted = _merged(label, label[du], label[dv])
+        cu = next(cyc for cyc in rot if du in cyc)
+        cv = next(cyc for cyc in rot if dv in cyc)
+        ru = [d for d in cu if d != du]
+        rv = [d for d in cv if d != dv]
+        faces_u = [lifted[d] for d in ru[1:] + ru[:1]]
+        faces_v = [lifted[d] for d in rv[1:] + rv[:1]]
+        for ra, fu in enumerate(faces_u):
+            for rb, fv in enumerate(faces_v):
+                if fu != fv:
+                    cu[:] = ru[: ra + 1] + [du] + ru[ra + 1 :]
+                    cv[:] = rv[: rb + 1] + [dv] + rv[rb + 1 :]
+                    label[:] = _merged(lifted, fu, fv)
+                    label[du] = label[dv] = fu
+                    return
     raise OutOfRange("no edge admits a raise move on this map")
 
 
-def _complete_rotation(n: int, g: int) -> list[list[int]]:
-    # the tabled minimum-genus rotation of K_n, raised to genus g by raise moves
+def _complete_rotation(n: int, g: int) -> tuple[list[list[int]], list[int]]:
+    # the tabled minimum-genus rotation of K_n raised to genus g, and its face labels
     if n < 3 or n > MAX_COMPLETE_VERTICES:
         raise OutOfRange("complete-graph embedding supports 3 <= n <= %d" % MAX_COMPLETE_VERTICES)
     gamma, gamma_max = complete_graph_genus_range(n)
@@ -352,9 +347,10 @@ def _complete_rotation(n: int, g: int) -> list[list[int]]:
             % (g, gamma, gamma_max, n)
         )
     rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
+    label = _face_labels(rot, n * (n - 1))
     for _ in range(g - gamma):
-        _raise_genus(rot, n * (n - 1))
-    return rot
+        _raise_genus(rot, label)
+    return rot, label
 
 
 def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
@@ -365,20 +361,23 @@ def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
     then one raise move per unit of genus above the minimum.  The result is
     deterministic; ``seed`` is accepted for compatibility and ignored.
     """
-    return CombinatorialMap(_sigma_of(_complete_rotation(n, g), n * (n - 1)))
+    rot, label = _complete_rotation(n, g)
+    return CombinatorialMap(_sigma_of(rot, len(label)))
 
 
-def _delete_edge(rot: list[list[int]], n_darts: int) -> None:
-    """Delete one edge from the rotation, in place: F - 1 faces, same genus.
+def _delete_edge(rot: list[list[int]], label: list[int]) -> None:
+    """Delete one edge from the rotation and its face labels: F - 1, same genus.
 
     Drops the lowest-index edge whose two darts lie on different faces and
     renumbers the darts above it down by two.  Such an edge is never a
-    bridge, so its two faces merge into one disk.
+    bridge, so its two faces merge into one disk and no other face changes;
+    deleting the edge's two labels renumbers the rest.
     """
-    label = _face_labels(rot, n_darts)
-    e = next((e for e in range(n_darts // 2) if label[2 * e] != label[2 * e + 1]), None)
+    e = next((e for e in range(len(label) // 2) if label[2 * e] != label[2 * e + 1]), None)
     if e is None:
         raise NoRemovableEdge("map has a single face; nothing can be removed")
+    label[:] = _merged(label, label[2 * e], label[2 * e + 1])
+    del label[2 * e : 2 * e + 2]
     for cyc in rot:
         cyc[:] = [d - 2 if d > 2 * e + 1 else d for d in cyc if d // 2 != e]
         if not cyc:
@@ -392,8 +391,9 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     the result is again 2-cell with one face fewer and the same genus.
     """
     rot = m.vertices()
-    _delete_edge(rot, m.n_darts)
-    return CombinatorialMap(_sigma_of(rot, m.n_darts - 2))
+    label = _face_labels(rot, m.n_darts)
+    _delete_edge(rot, label)
+    return CombinatorialMap(_sigma_of(rot, len(label)))
 
 
 def _subdivide_edge(rot: list[list[int]], n_darts: int, e: int) -> None:
@@ -439,12 +439,11 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
             "need at least %d vertices for genus %d with %d faces, got %d"
             % (n_base, g, f, n)
         )
-    rot = _complete_rotation(n_base, g)
-    n_darts = n_base * (n_base - 1)
+    rot, label = _complete_rotation(n_base, g)
     # K_n at genus g has E - n + 2 - 2g faces (Euler); a deletion merges two faces
-    for _ in range(n_darts // 2 - n_base + 2 - 2 * g - f):
-        _delete_edge(rot, n_darts)
-        n_darts -= 2
+    for _ in range(len(label) // 2 - n_base + 2 - 2 * g - f):
+        _delete_edge(rot, label)
+    n_darts = len(label)
     for _ in range(n - n_base):
         _subdivide_edge(rot, n_darts, 0)
         n_darts += 2
@@ -462,12 +461,9 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
         raise PreconditionUnmet("face-pair assignment needs a planar map")
     if not report.simple:
         raise NotSimple("face-pair assignment needs a simple map")
+    # no face-count check: a simple planar map has F <= 2V - 4 for V >= 3 (Euler)
     faces = trace_faces(m)
     n_faces = len(faces)
-    if n_faces > 1 and n_faces > 2 * report.V - 4:
-        raise TooManyFaces(
-            "%d faces exceed the planar bound %d" % (n_faces, 2 * report.V - 4)
-        )
     face_of = {d: idx for idx, cyc in enumerate(faces) for d in cyc}
     adj = [{d // 2 for d in cyc} for cyc in faces]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from ._frozen import Frozen, set_field
-from .errors import EmptyStratum, InvalidSignature, InvalidSpec
+from .errors import EmptyStratum, InvalidJson, InvalidSignature, InvalidSpec
 
 # The four exceptional signatures whose strata contain no half-translation
 # structure at all.  Orders stored descending, matching the canonical form.
@@ -75,14 +75,27 @@ class StratumSignature(Frozen):
             raise InvalidSignature(
                 "signature JSON needs 'genus' and 'orders'", failed=("fields",)
             )
-        return StratumSignature(data["genus"], tuple(data["orders"]))
+        genus, orders = data["genus"], data["orders"]
+        # type() rather than isinstance: JSON true/false decode to bool, an int
+        if type(genus) is not int or not isinstance(orders, list) or any(
+            type(k) is not int for k in orders
+        ):
+            raise InvalidSignature(
+                "signature 'genus' must be an integer and 'orders' a list of integers",
+                failed=("fields",),
+            )
+        return StratumSignature(genus, tuple(orders))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "StratumSignature":
-        return StratumSignature.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as err:  # malformed or too deeply nested
+            raise InvalidJson("signature JSON: %s" % err)
+        return StratumSignature.from_json_dict(data)
 
 
 class ConnectivityReport(Frozen):

@@ -2,8 +2,12 @@ import functools
 import hashlib
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -558,3 +562,67 @@ class TestJson:
     def test_missing_keys_rejected(self, data, error):
         with pytest.raises(error):
             st.BraidWord.from_json_dict(data)
+
+
+# Each certificate check, with the thing it checks made to fail.  Run under
+# ``python -O``, which strips every ``assert`` statement: each line of output
+# says whether the check still raised.
+OPTIMIZED_CHECKS = """
+import strata as st
+from strata import braids, criteria
+
+FLAGSHIP = st.MarkedSurface(5, (1,) * 12 + (2, 2), stratum_mode=True)
+EQUAL8 = st.MarkedSurface(3, (1,) * 8, stratum_mode=True)
+real_image = braids.permutation_image
+first_call = iter((True,))
+
+
+def image_then_identity(w):
+    # the true image once, for the split to aim at; the identity after that
+    return real_image(w) if next(first_call, False) else tuple(range(1, w.surface.n + 1))
+
+
+def raises_assertion(obj, name, value, call):
+    saved = getattr(obj, name)
+    setattr(obj, name, value)
+    try:
+        call()
+    except AssertionError:
+        return True
+    finally:
+        setattr(obj, name, saved)
+    return False
+
+
+def factorize(surf, *letters):
+    return lambda: braids.factorize_kernel_word(st.BraidWord(surf, letters))
+
+
+never = lambda self: False
+print(__debug__)
+print(raises_assertion(braids.FactorCertificate, "verify", never, factorize(EQUAL8, st.sigma(1, 2))))
+print(raises_assertion(
+    braids.FactorCertificate, "verify", never, factorize(FLAGSHIP, st.rho(1, 1), st.rho(2, 1, -1))
+))
+print(raises_assertion(braids, "permutation_image", image_then_identity, factorize(EQUAL8, st.sigma(1, 2))))
+print(raises_assertion(
+    braids,
+    "minimal_d",
+    lambda weights, l: (3, (0,) * len(weights)),
+    factorize(FLAGSHIP, st.rho(14, 1), st.rho(1, 1, -1), st.rho(2, 1, -1)),
+))
+print(raises_assertion(criteria, "_egcd", lambda a, b: (1, 0, 0), lambda: criteria.minimal_d((1, 2), 0)))
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    # one-letter factor, final verify loop, permutation split, winding step,
+    # minimal_d witness: none may vanish with the asserts under -O
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["False"] + ["True"] * 5

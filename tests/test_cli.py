@@ -224,6 +224,16 @@ class TestGraphPipeline:
         code, doc = run(capsys, "aj", "--word", str(word_file))
         assert code == 1 and doc["payload"]["code"] == "invalid-json"
 
+    @pytest.mark.parametrize(
+        "command, flag", [("aj", "--word"), ("factorize", "--word"), ("copeland", "--map")]
+    )
+    def test_too_deeply_nested_json(self, capsys, tmp_path, command, flag):
+        # deeper than the decoder's recursion limit: an envelope, not a traceback
+        path = tmp_path / "input.json"
+        path.write_text("[" * 3000)
+        code, doc = run(capsys, command, flag, str(path))
+        assert code == 1 and doc["payload"]["code"] == "invalid-json"
+
     def test_letter_missing_key(self, capsys, tmp_path):
         word_file = tmp_path / "word.json"
         word_file.write_text(

@@ -161,6 +161,11 @@ def _kn_map(n, neighbor_orders):
     return st.build_map(n, edges, rotations=rotations)
 
 
+def _same_partition(a, b):
+    # two face labellings name the same faces when pairing them is a bijection
+    return len(a) == len(b) and len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
 def _edge_multiset(rot):
     vertex_of = {d: v for v, cyc in enumerate(rot) for d in cyc}
     return sorted(
@@ -187,10 +192,11 @@ class TestRaiseMove:
             rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
             edges = _edge_multiset(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
+            label = graphs._face_labels(rot, n_darts)
             before = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
             assert before.genus == gamma
             for _ in range(gamma, gamma_max):
-                graphs._raise_genus(rot, n_darts)
+                graphs._raise_genus(rot, label)
                 after = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
                 assert _edge_multiset(rot) == edges
                 assert (after.F, after.genus) == (before.F - 2, before.genus + 1)
@@ -200,13 +206,38 @@ class TestRaiseMove:
     def test_no_move_from_one_face(self):
         n = 5
         rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
+        label = graphs._face_labels(rot, n * (n - 1))
         for _ in range(2):
-            graphs._raise_genus(rot, n * (n - 1))
+            graphs._raise_genus(rot, label)
         with pytest.raises(OutOfRange):
-            graphs._raise_genus(rot, n * (n - 1))
+            graphs._raise_genus(rot, label)
+
+    def test_merged_labels_match_a_fresh_trace(self):
+        # each move merges labels instead of re-tracing faces; after every
+        # raise move over the whole genus range the partition is the traced one
+        for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
+            n_darts = n * (n - 1)
+            rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
+            label = graphs._face_labels(rot, n_darts)
+            gamma, gamma_max = st.complete_graph_genus_range(n)
+            for _ in range(gamma, gamma_max):
+                graphs._raise_genus(rot, label)
+                assert _same_partition(label, graphs._face_labels(rot, n_darts)), n
 
 
 class TestDeleteEdge:
+    def test_merged_labels_match_a_fresh_trace(self):
+        # every deletion chain construct_graph can start: K_n at each genus,
+        # walked down to one face, with labels checked after every step
+        for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
+            gamma, gamma_max = st.complete_graph_genus_range(n)
+            for g in range(gamma, gamma_max + 1):
+                rot, label = graphs._complete_rotation(n, g)
+                assert _same_partition(label, graphs._face_labels(rot, len(label)))
+                while len(set(label)) > 1:
+                    graphs._delete_edge(rot, label)
+                    assert _same_partition(label, graphs._face_labels(rot, len(label))), (n, g)
+
     def test_k5_torus_loses_one_face(self):
         m = st.delete_edge_preserving(st.embed_complete(5, 1))
         r = m.report()

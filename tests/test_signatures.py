@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import strata as st
-from strata.errors import EmptyStratum, InvalidSignature, InvalidSpec
+from strata.errors import EmptyStratum, InvalidJson, InvalidSignature, InvalidSpec
 from support import enumerate_signatures, positive_partitions
 
 
@@ -222,3 +222,30 @@ class TestJson:
     def test_deserialize_missing_fields(self):
         with pytest.raises(InvalidSignature):
             st.StratumSignature.from_json('{"genus": 2}')
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"genus": True, "orders": []},
+            {"genus": 1, "orders": [True, -1]},
+            {"genus": 2.0, "orders": [4]},
+            {"genus": 2, "orders": 4},
+            {"genus": 2, "orders": "4"},
+            {"genus": 2, "orders": ["a", 1]},
+            {"genus": 2, "orders": [4.0]},
+            {"genus": 2, "orders": None},
+        ],
+    )
+    def test_deserialize_wrong_types(self, data):
+        # JSON true decodes to a bool, which is an int to isinstance
+        with pytest.raises(InvalidSignature) as exc:
+            st.StratumSignature.from_json_dict(data)
+        assert exc.value.failed == ("fields",)
+        with pytest.raises(InvalidSignature) as exc:
+            st.StratumSignature.from_json(json.dumps(data))
+        assert exc.value.failed == ("fields",)
+
+    @pytest.mark.parametrize("text", ["", "{", '{"genus": 2,}', "[" * 3000])
+    def test_undecodable_text_is_invalid_json(self, text):
+        with pytest.raises(InvalidJson):
+            st.StratumSignature.from_json(text)
