@@ -16,7 +16,7 @@ import json
 import sys
 from collections import Counter
 
-from .errors import InvalidIntList, InvalidJson, OutOfRange, StrataError
+from .errors import InvalidIntList, InvalidJson, InvalidSpec, OutOfRange, StrataError
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -182,9 +182,11 @@ def cmd_cover(args) -> tuple[dict, list[str]]:
     from . import signatures
 
     base = signatures.StratumSignature(0, _parse_int_list(args.base_orders))
-    spec = signatures.DoubleCoverSpec(
-        base, frozenset(_parse_int_list(args.ramify)), args.target_genus
-    )
+    ramify = _parse_int_list(args.ramify)
+    if len(set(ramify)) != len(ramify):
+        # the spec keeps a set, which would hide the repeat
+        raise InvalidSpec("--ramify names an index more than once: %r" % (ramify,))
+    spec = signatures.DoubleCoverSpec(base, ramify, args.target_genus)
     cover, maybe_abelian = signatures.double_cover(spec)
     return {"stratum": cover.to_json_dict(), "maybe_abelian": maybe_abelian}, []
 

@@ -209,8 +209,9 @@ def build_map(
 ) -> CombinatorialMap:
     """Assemble a map from an edge list and per-vertex neighbor orders.
 
-    ``rotations[v]`` lists the darts at v by their edge index in cyclic
-    order; when omitted, darts sit in edge-index order.
+    Edge e = (u, v) has dart 2e at u and dart 2e + 1 at v.  ``rotations[v]``
+    lists the darts at v in cyclic order, and must hold exactly the darts the
+    edge list puts there; when omitted, darts sit in edge-index order.
     """
     darts_at: list[list[int]] = [[] for _ in range(n_vertices)]
     for e, (u, v) in enumerate(edges):
@@ -219,6 +220,8 @@ def build_map(
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
     if rotations is not None:
+        if [sorted(r) for r in rotations] != darts_at:
+            raise InvalidSpec("rotations must list exactly the darts at each vertex")
         darts_at = rotations
     if not all(darts_at):
         raise InvalidSpec("isolated vertex in map construction")

@@ -6,7 +6,9 @@ integer, and the orders sum to 4g - 4.  On top of the raw data this module
 computes the complex dimension, recognises the four exceptional empty
 signatures, counts connected components, and performs the branched
 double-cover construction that carries genus-0 signatures to hyperelliptic
-ones.
+ones.  Two components are reported for Lanneau's hyperelliptic families,
+each a constant-time rule on the orders, and for two genus-2 strata; the
+exceptional strata of genus 3 and 4 and counts of three are not yet known.
 """
 
 from __future__ import annotations
@@ -136,27 +138,24 @@ def dimension(s: StratumSignature) -> int:
 
 
 def _two_component_reason(s: StratumSignature) -> str | None:
-    g = s.genus
+    g, o = s.genus, s.orders
     if g == 2:
-        return REASON_G2 if s.orders in _G2_TWO_COMPONENT else None
+        return REASON_G2 if o in _G2_TWO_COMPONENT else None
     if g < 3:
         return None
-    key = s.orders
-    # family 1: one zero of order 4(g-k)-6 and one of order 4k+2
-    for k in range(0, g - 1):  # g - k >= 2
-        if key == tuple(sorted((4 * (g - k) - 6, 4 * k + 2), reverse=True)):
-            return REASON_FAMILY[0]
-    # family 2: a pair of zeros of order 2(g-k)-3 and one of order 4k+2
-    for k in range(0, g):  # g - k >= 1
-        cand = tuple(sorted((2 * (g - k) - 3, 2 * (g - k) - 3, 4 * k + 2), reverse=True))
-        if key == cand:
-            return REASON_FAMILY[1]
-    # family 3: pairs of orders 2(g-k)-3 and 2k+1; k = -1 gives the pole pair
-    # of Q(2g-1, 2g-1, -1, -1) (Lanneau, Comment. Math. Helv. 79, 2004)
-    for k in range(-1, g - 1):  # g - k >= 2
-        a, b = 2 * (g - k) - 3, 2 * k + 1
-        if key == tuple(sorted((a, a, b, b), reverse=True)):
-            return REASON_FAMILY[2]
+    # Lanneau's hyperelliptic families (Comment. Math. Helv. 79, 2004) as rules
+    # on the descending orders, which sum to 4g - 4 and so fix k:
+    # 1. Q(4(g-k)-6, 4k+2), k >= 0: two orders, both 2 mod 4;
+    # 2. Q(2(g-k)-3, 2(g-k)-3, 4k+2), k >= 0: an equal pair and a third order
+    #    2 mod 4 (the pair is then odd, and -1 at k = g - 1);
+    # 3. Q(2(g-k)-3, 2(g-k)-3, 2k+1, 2k+1), k >= -1: two equal pairs of odd
+    #    orders (k = -1 is the pole pair of Q(2g-1, 2g-1, -1, -1)).
+    if len(o) == 2 and o[0] % 4 == o[1] % 4 == 2:
+        return REASON_FAMILY[0]
+    if len(o) == 3 and ((o[0] == o[1] and o[2] % 4 == 2) or (o[1] == o[2] and o[0] % 4 == 2)):
+        return REASON_FAMILY[1]
+    if len(o) == 4 and o[0] == o[1] and o[2] == o[3] and o[0] % 2 == 1:
+        return REASON_FAMILY[2]
     return None
 
 

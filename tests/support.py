@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 import strata as st
+from strata.signatures import _G2_TWO_COMPONENT, REASON_FAMILY, REASON_G2
 
 
 def positive_partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -33,6 +34,34 @@ def enumerate_signatures(g: int, max_poles: int = 4) -> list[st.StratumSignature
 
 def desc(*orders: int) -> tuple[int, ...]:
     return tuple(sorted(orders, reverse=True))
+
+
+def two_component_reason_oracle(s: st.StratumSignature) -> str | None:
+    """Oracle for ``signatures._two_component_reason``: each of Lanneau's
+    hyperelliptic families built member by member for every k the genus
+    allows, and compared with the orders.  Time linear in the genus."""
+    g = s.genus
+    if g == 2:
+        return REASON_G2 if s.orders in _G2_TWO_COMPONENT else None
+    if g < 3:
+        return None
+    key = s.orders
+    # family 1: one zero of order 4(g-k)-6 and one of order 4k+2
+    for k in range(0, g - 1):  # g - k >= 2
+        if key == tuple(sorted((4 * (g - k) - 6, 4 * k + 2), reverse=True)):
+            return REASON_FAMILY[0]
+    # family 2: a pair of zeros of order 2(g-k)-3 and one of order 4k+2
+    for k in range(0, g):  # g - k >= 1
+        cand = tuple(sorted((2 * (g - k) - 3, 2 * (g - k) - 3, 4 * k + 2), reverse=True))
+        if key == cand:
+            return REASON_FAMILY[1]
+    # family 3: pairs of orders 2(g-k)-3 and 2k+1; k = -1 gives the pole pair
+    # of Q(2g-1, 2g-1, -1, -1) (Lanneau, Comment. Math. Helv. 79, 2004)
+    for k in range(-1, g - 1):  # g - k >= 2
+        a, b = 2 * (g - k) - 3, 2 * k + 1
+        if key == tuple(sorted((a, a, b, b), reverse=True)):
+            return REASON_FAMILY[2]
+    return None
 
 
 def random_letter(

@@ -60,6 +60,20 @@ class TestInfo:
             main(["info", "--genus", "2"])
         assert exc.value.code == 2
 
+    def test_huge_genus(self, capsys):
+        # classification is a rule on the orders, so the genus size is free
+        g = 10**12
+        cases = {
+            (4 * g - 4,): (1, "one-component-default"),
+            (4 * g - 10, 6): (2, "Lanneau-family-1"),
+            (4 * g - 2, -1, -1): (2, "Lanneau-family-2"),
+            (2 * g - 1, 2 * g - 1, -1, -1): (2, "Lanneau-family-3"),
+        }
+        for orders, expected in cases.items():
+            code, doc = run(capsys, "info", "--genus", str(g), "--orders=" + _csv(orders))
+            assert code == 0
+            assert (doc["payload"]["components"], doc["payload"]["reason"]) == expected
+
 
 class TestPoset:
     def test_depth_one_edges(self, capsys):
@@ -82,6 +96,13 @@ class TestPoset:
 
     def test_two_component_diagnostic(self, capsys):
         code, doc = run(capsys, "poset", "--genus", "3", "--root", "6,2", "--depth", "0")
+        assert code == 0
+        assert any("two connected components" in note for note in doc["diagnostics"])
+
+    def test_two_component_diagnostic_at_huge_genus(self, capsys):
+        g = 10**12
+        root = _csv((2 * g - 1, 2 * g - 1, -1, -1))
+        code, doc = run(capsys, "poset", "--genus", str(g), "--root=" + root, "--depth", "0")
         assert code == 0
         assert any("two connected components" in note for note in doc["diagnostics"])
 
@@ -146,6 +167,21 @@ class TestCover:
             "1",
         )
         assert code == 1 and doc["payload"]["code"] == "invalid-spec"
+
+    def test_repeated_ramify_index(self, capsys):
+        # seven indices, six of them distinct: the count the target genus
+        # needs is met only if the repeat goes unseen
+        code, doc = run(
+            capsys,
+            "cover",
+            "--base-orders=2,-1,-1,-1,-1,-1,-1",
+            "--ramify",
+            "0,0,1,2,3,4,5",
+            "--target-genus",
+            "2",
+        )
+        assert code == 1 and doc["status"] == "error"
+        assert doc["payload"]["code"] == "invalid-spec"
 
     def test_all_poles_ramified(self, capsys):
         code, doc = run(

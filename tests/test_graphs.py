@@ -44,6 +44,20 @@ class TestCombinatorialMap:
         m = st.build_map(2, [(0, 1), (0, 1)])
         assert not m.is_simple()
 
+    @pytest.mark.parametrize(
+        "rotations",
+        [
+            [[0, 2], [1], [3]],  # dart 2 belongs at vertex 1, dart 3 at vertex 2
+            [[0], [1, 7], [3, 2]],  # no edge has dart 7
+            [[0], [1, 2], [3], [0]],  # a rotation for a vertex the map lacks
+            [[0], [1, 2]],  # vertex 2's darts are missing
+            [[0, 0], [1, 2], [3]],  # a dart listed twice
+        ],
+    )
+    def test_rotations_must_match_edges(self, rotations):
+        with pytest.raises(InvalidSpec):
+            st.build_map(3, [(0, 1), (1, 2)], rotations=rotations)
+
     def test_disconnected_rejected(self):
         with pytest.raises(InvalidSpec):
             st.CombinatorialMap((1, 0, 3, 2))

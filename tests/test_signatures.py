@@ -7,7 +7,8 @@ from hypothesis import strategies as hst
 
 import strata as st
 from strata.errors import EmptyStratum, InvalidJson, InvalidSignature, InvalidSpec
-from support import enumerate_signatures, positive_partitions
+from strata import signatures
+from support import enumerate_signatures, positive_partitions, two_component_reason_oracle
 
 
 def sig(g, orders):
@@ -151,6 +152,47 @@ class TestConnectivity:
             assert sig(g, (2 * g - 1, 2 * g - 1, -1, -1)) in lifts
             for cover in lifts:
                 assert st.classify_connectivity(cover).component_count >= 2, cover
+
+
+def family_members(g):
+    """Every member of Lanneau's three hyperelliptic families in genus g,
+    built from its parameter k, with the reason it should be reported under."""
+    for k in range(0, g - 1):
+        yield (4 * (g - k) - 6, 4 * k + 2), "Lanneau-family-1"
+    for k in range(0, g):
+        yield (2 * (g - k) - 3,) * 2 + (4 * k + 2,), "Lanneau-family-2"
+    for k in range(-1, g - 1):
+        yield (2 * (g - k) - 3,) * 2 + (2 * k + 1,) * 2, "Lanneau-family-3"
+
+
+class TestFamilyRules:
+    def test_rules_match_the_scan_over_k(self, monkeypatch):
+        # the classification with the family rules against the same
+        # classification with each family scanned member by member
+        sigs = [s for g in range(2, 9) for s in enumerate_signatures(g, max_poles=4)]
+        got = [st.classify_connectivity(s) for s in sigs]
+        monkeypatch.setattr(signatures, "_two_component_reason", two_component_reason_oracle)
+        for s, report in zip(sigs, got):
+            assert report == st.classify_connectivity(s), s
+
+    def test_every_family_member(self):
+        for g in range(3, 61):
+            for orders, reason in family_members(g):
+                report = st.classify_connectivity(sig(g, orders))
+                assert (report.component_count, report.reason) == (2, reason), (g, orders)
+
+    def test_huge_genus(self):
+        # a scan over k never finishes here; the rules take constant time
+        g = 10**12
+        cases = {
+            (4 * g - 4,): (1, "one-component-default"),
+            (4 * g - 10, 6): (2, "Lanneau-family-1"),
+            (4 * g - 2, -1, -1): (2, "Lanneau-family-2"),
+            (2 * g - 1, 2 * g - 1, -1, -1): (2, "Lanneau-family-3"),
+        }
+        for orders, expected in cases.items():
+            report = st.classify_connectivity(sig(g, orders))
+            assert (report.component_count, report.reason) == expected, orders
 
 
 class TestDoubleCover:
