@@ -69,6 +69,13 @@ class MarkedSurface(Frozen):
         set_field(self, "weights", weights)
         set_field(self, "punctures", punctures)
         set_field(self, "stratum_mode", stratum_mode)
+        # type() rather than isinstance: JSON true/false decode to bool, an int
+        if type(genus) is not int or type(punctures) is not int:
+            raise InvalidSurface("surface 'genus' and 'punctures' must be integers")
+        if any(type(w) is not int for w in weights):
+            raise InvalidSurface("surface 'weights' must be a list of integers")
+        if type(stratum_mode) is not bool:
+            raise InvalidSurface("surface 'stratum_mode' must be true or false")
         if genus < 0:
             raise InvalidSurface("genus must be non-negative")
         if punctures < 0:
@@ -97,17 +104,13 @@ class MarkedSurface(Frozen):
     def from_json_dict(data: dict) -> "MarkedSurface":
         if not isinstance(data, dict) or "genus" not in data or "weights" not in data:
             raise InvalidSurface("surface JSON needs 'genus' and 'weights'")
-        genus, weights = data["genus"], data["weights"]
-        punctures = data.get("punctures", 0)
-        stratum_mode = data.get("stratum_mode", False)
-        # type() rather than isinstance: JSON true/false decode to bool, an int
-        if type(genus) is not int or type(punctures) is not int:
-            raise InvalidSurface("surface 'genus' and 'punctures' must be integers")
-        if not isinstance(weights, list) or any(type(w) is not int for w in weights):
-            raise InvalidSurface("surface 'weights' must be a list of integers")
-        if type(stratum_mode) is not bool:
-            raise InvalidSurface("surface 'stratum_mode' must be true or false")
-        return MarkedSurface(genus, tuple(weights), punctures, stratum_mode)
+        weights = data["weights"]
+        if not isinstance(weights, list):
+            # rejected as a non-integer weight, so after genus and punctures
+            weights = (None,)
+        return MarkedSurface(
+            data["genus"], weights, data.get("punctures", 0), data.get("stratum_mode", False)
+        )
 
 
 class Letter(Frozen):
@@ -206,6 +209,12 @@ def _validate_letters(letters: Sequence[Letter], surf: MarkedSurface) -> None:
 
 
 class BraidWord(Frozen):
+    """A word of letters over one marked surface.
+
+    Every word's letters are valid on its surface: the public constructor
+    checks this, and words derived inside ``braids`` keep it by construction.
+    """
+
     __slots__ = ("surface", "letters")
     surface: MarkedSurface
     letters: tuple[Letter, ...]
@@ -216,6 +225,16 @@ class BraidWord(Frozen):
         set_field(self, "letters", letters)
         _validate_letters(letters, surface)
 
+    @classmethod
+    def _derived(cls, surface: MarkedSurface, letters: tuple[Letter, ...]) -> "BraidWord":
+        """A word whose letters are not checked again.  Each must come from a
+        valid word on an equal surface, be such a letter's inverse, or be
+        valid by how it was made."""
+        word = object.__new__(cls)
+        set_field(word, "surface", surface)
+        set_field(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -225,10 +244,10 @@ class BraidWord(Frozen):
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.surface != other.surface:
             raise InvalidSurface("cannot concatenate words over different surfaces")
-        return BraidWord(self.surface, self.letters + other.letters)
+        return BraidWord._derived(self.surface, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(
+        return BraidWord._derived(
             self.surface, tuple(lt.inverse() for lt in reversed(self.letters))
         )
 
@@ -264,7 +283,7 @@ def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
 
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
-    return BraidWord(w.surface, tuple(_reduce_letters(w.letters)))
+    return BraidWord._derived(w.surface, tuple(_reduce_letters(w.letters)))
 
 
 def permutation_image(w: BraidWord) -> tuple[int, ...]:
@@ -387,7 +406,7 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
     """Split z = y * x with y a product of exchanges realizing z's permutation
     and x the permutation-trivial remainder y^-1 z, freely reduced."""
     y, x = _split_by_permutation(z)
-    return BraidWord(z.surface, y), BraidWord(z.surface, x)
+    return BraidWord._derived(z.surface, tuple(y)), BraidWord._derived(z.surface, tuple(x))
 
 
 class FactorCertificate(Frozen):
@@ -396,7 +415,7 @@ class FactorCertificate(Frozen):
     ``param`` is the direction r for null_rho factors and the moving point i
     for i_commutator factors.  Instances are immutable, so
     ``factorize_kernel_word`` returns one shared certificate for every
-    occurrence of the same one-letter factor on a surface.
+    occurrence of the same one-letter factor within one call.
     """
 
     __slots__ = ("tag", "word", "param")
@@ -439,34 +458,17 @@ def _weight_runs(weights: tuple[int, ...]) -> list[tuple[int, int]]:
     return runs
 
 
-# Certified one-letter factors per surface (by equality): the first surface
-# object seen, on which every entry's word is built, and the entries keyed by
-# letter fields (kind, i, second, exp).  Entries are verified when made and
-# shared across calls; the cache holds at most 16 surfaces, each with at most
-# 2n(n - 1) entries, and is emptied when a 17th surface arrives.  Threads
-# racing on it can only build an entry twice, and the two are equal.
-_OneLetterTable = tuple[MarkedSurface, dict[tuple, FactorCertificate]]
-_ONE_LETTER_FACTORS: dict[MarkedSurface, _OneLetterTable] = {}
-_MAX_CACHED_SURFACES = 16
-
-
-def _one_letter_table(surf: MarkedSurface) -> _OneLetterTable:
-    table = _ONE_LETTER_FACTORS.get(surf)
-    if table is None:
-        if len(_ONE_LETTER_FACTORS) >= _MAX_CACHED_SURFACES:
-            _ONE_LETTER_FACTORS.clear()
-        table = _ONE_LETTER_FACTORS[surf] = (surf, {})
-    return table
-
-
-def _one_letter_factor(table: _OneLetterTable, lt: Letter) -> FactorCertificate:
-    """The transposition (sigma) or square transposition (kappa) factor of lt."""
-    surf, entries = table
+def _one_letter_factor(
+    surf: MarkedSurface, entries: dict[tuple, FactorCertificate], lt: Letter
+) -> FactorCertificate:
+    """The transposition (sigma) or square transposition (kappa) factor of lt,
+    made and verified at its first occurrence and kept in entries under its
+    fields' tuple, which hashes in C where a Letter would call Python code."""
     key = (lt.kind, lt.i, lt.second, lt.exp)
     cert = entries.get(key)
     if cert is None:
         tag = TRANSPOSITION if lt.kind == SIGMA else SQUARE_TRANSPOSITION
-        cert = FactorCertificate(tag, BraidWord(surf, (lt,)))
+        cert = FactorCertificate(tag, BraidWord._derived(surf, (lt,)))
         if not cert.verify():
             raise AssertionError("internal error: emitted an uncertifiable factor")
         entries[key] = cert
@@ -492,7 +494,7 @@ def _peel_stage(
     certs: list[FactorCertificate] = []
     h_inv = _reduce_letters(chain(moving, [lt.inverse() for lt in reversed(sorted_word)]))
     if h_inv:
-        certs.append(FactorCertificate(I_COMMUTATOR, BraidWord(surf, h_inv), c))
+        certs.append(FactorCertificate(I_COMMUTATOR, BraidWord._derived(surf, tuple(h_inv)), c))
     d, coeffs = minimal_d(surf.weights[:c], c - 1)
     balance_debt: list[Letter] = []
     windings = _direction_vector(surf.genus)
@@ -513,7 +515,7 @@ def _peel_stage(
             sign = 1 if cnt > 0 else -1
             block.extend([rho(idx + 1, r, sign)] * abs(cnt))
             balance_debt.extend([rho(idx + 1, r, -sign)] * abs(cnt))
-        certs.append(FactorCertificate(NULL_RHO, BraidWord(surf, block), r))
+        certs.append(FactorCertificate(NULL_RHO, BraidWord._derived(surf, tuple(block)), r))
     return certs, kappas, balance_debt
 
 
@@ -528,13 +530,13 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     punctures whose leading weight class meets the size bound a_min(g, b).
 
     One-letter factors (transpositions and square transpositions) are
-    shared: each distinct letter's certificate is built and verified once per
-    surface and the same immutable object is returned on every later
-    occurrence, in this call and in later calls on an equal surface.  Its
-    word's surface is equal to, not necessarily the same object as, z's.
+    shared within one call: each distinct letter's certificate is built and
+    verified once, and the same immutable object is returned at every later
+    occurrence in that call.  Every factor's word is on z's surface object.
     Cost: a few linear passes over the word, plus one per peeled point, and
-    one validated word and verification per distinct one-letter factor and
-    per multi-letter factor.
+    one verification per distinct one-letter factor and per multi-letter
+    factor.  No factor's letters are validated again: they come from z, or
+    are made valid.
     """
     surf = z.surface
     if surf.punctures:
@@ -556,15 +558,15 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     if not in_kernel(z):
         raise NotInKernel("word has nonzero homology image %r" % (abel_jacobi(z),))
 
-    table = _one_letter_table(surf)
+    one_letter: dict[tuple, FactorCertificate] = {}
     y, x = _split_by_permutation(z)
-    certs = [_one_letter_factor(table, lt) for lt in y]
+    certs = [_one_letter_factor(surf, one_letter, lt) for lt in y]
     current: list[Letter] = []
     for lt in x:
         if lt.kind == SIGMA:
             # permutation-exact: these keep their relative order and multiply
             # to the identity, everything else emitted is permutation-trivial
-            certs.append(_one_letter_factor(table, lt))
+            certs.append(_one_letter_factor(surf, one_letter, lt))
         else:
             current.append(lt)
 
@@ -576,7 +578,7 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
         if moving:
             stage_certs, stage_kappas, balance_debt = _peel_stage(surf, c, moving)
             certs.extend(stage_certs)
-            certs.extend(_one_letter_factor(table, lt) for lt in stage_kappas)
+            certs.extend(_one_letter_factor(surf, one_letter, lt) for lt in stage_kappas)
             current = balance_debt + staying
         else:
             current = staying
@@ -590,11 +592,11 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
             kappas.append(lt)
     for r, group in enumerate(groups, 1):
         if group:
-            certs.append(FactorCertificate(NULL_RHO, BraidWord(surf, group), r))
-    certs.extend(_one_letter_factor(table, lt) for lt in kappas)
+            certs.append(FactorCertificate(NULL_RHO, BraidWord._derived(surf, tuple(group)), r))
+    certs.extend(_one_letter_factor(surf, one_letter, lt) for lt in kappas)
 
     for cert in certs:
-        # the one-letter factors were verified when their table entry was made
+        # the one-letter factors were verified when they were made
         if (cert.tag == NULL_RHO or cert.tag == I_COMMUTATOR) and not cert.verify():
             raise AssertionError("internal error: emitted an uncertifiable factor")
     return certs
@@ -604,11 +606,8 @@ def concatenate_factors(
     surf: MarkedSurface, certs: Sequence[FactorCertificate]
 ) -> BraidWord:
     """The product of the factors' words, left to right, built in one pass."""
-    known = surf  # the last factor surface found equal to surf
     for cert in certs:
         other = cert.word.surface
-        if other is not surf and other is not known:
-            if other != surf:
-                raise InvalidSurface("cannot concatenate words over different surfaces")
-            known = other
-    return BraidWord(surf, tuple(lt for cert in certs for lt in cert.word.letters))
+        if other is not surf and other != surf:
+            raise InvalidSurface("cannot concatenate words over different surfaces")
+    return BraidWord._derived(surf, tuple(lt for cert in certs for lt in cert.word.letters))

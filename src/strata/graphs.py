@@ -220,7 +220,12 @@ def build_map(
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
     if rotations is not None:
-        if [sorted(r) for r in rotations] != darts_at:
+        try:
+            listed = [sorted(r) for r in rotations]
+        except TypeError:  # a rotation that is not a list, or that mixes types
+            listed = None
+        # type() rather than isinstance: a bool is an int, and a float can equal one
+        if listed != darts_at or any(type(d) is not int for r in rotations for d in r):
             raise InvalidSpec("rotations must list exactly the darts at each vertex")
         darts_at = rotations
     if not all(darts_at):

@@ -51,9 +51,10 @@ class StratumSignature(Frozen):
         set_field(self, "genus", genus)
         set_field(self, "orders", orders)
         failed = []
-        if not isinstance(genus, int) or genus < 0:
+        # type() rather than isinstance: a bool is an int
+        if type(genus) is not int or genus < 0:
             failed.append("genus")
-        if any(not isinstance(k, int) or k == 0 or k < -1 for k in orders):
+        if any(type(k) is not int or k == 0 or k < -1 for k in orders):
             failed.append("entries")
         if "genus" not in failed and sum(orders) != 4 * genus - 4:
             failed.append("sum")
@@ -113,7 +114,8 @@ class ConnectivityReport(Frozen):
 
 
 class DoubleCoverSpec(Frozen):
-    """Branched double cover data: a genus-0 base and the ramified indices."""
+    """Branched double cover data: a genus-0 base and the ramified indices,
+    each named once."""
 
     __slots__ = ("base", "ramified_indices", "target_genus")
     base: StratumSignature
@@ -121,9 +123,12 @@ class DoubleCoverSpec(Frozen):
     target_genus: int
 
     def __init__(self, base: StratumSignature, ramified_indices, target_genus: int):
+        listed = list(ramified_indices)
         set_field(self, "base", base)
-        set_field(self, "ramified_indices", frozenset(ramified_indices))
+        set_field(self, "ramified_indices", frozenset(listed))
         set_field(self, "target_genus", target_genus)
+        if len(self.ramified_indices) != len(listed):
+            raise InvalidSpec("ramified indices name an index more than once: %r" % (listed,))
 
 
 def is_empty(s: StratumSignature) -> bool:

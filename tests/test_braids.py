@@ -51,6 +51,22 @@ class TestSurfaceAndLetters:
         with pytest.raises(InvalidSurface):
             st.MarkedSurface(2, (1, 0, 3))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, (1.5,)), "'weights' must be a list of integers"),
+            ((2, (True, 1)), "'weights' must be a list of integers"),
+            ((True, ()), "'genus' and 'punctures' must be integers"),
+            ((2.0, (4,)), "'genus' and 'punctures' must be integers"),
+            ((2, (4,), 1.0), "'genus' and 'punctures' must be integers"),
+            ((2, (4,), 0, 1), "'stratum_mode' must be true or false"),
+        ],
+        ids=["float-weight", "bool-weight", "bool-genus", "float-genus", "float-punctures", "int-mode"],
+    )
+    def test_field_types_checked_by_constructor(self, args, message):
+        with pytest.raises(InvalidSurface, match=message):
+            st.MarkedSurface(*args)
+
     def test_rho_direction_range(self):
         with pytest.raises(InvalidLetter):
             word(SURF112, st.rho(1, 5))
@@ -364,7 +380,7 @@ def _same_surface_copy(surf):
 
 
 class TestSharedFactors:
-    """One-letter factors are cached per surface and shared across calls."""
+    """One-letter factors are shared within one call, on the input's surface."""
 
     @pytest.mark.parametrize("surf", [FLAGSHIP, EQUAL8], ids=["flagship", "equal8"])
     def test_every_certificate_matches_a_fresh_one(self, surf):
@@ -375,50 +391,50 @@ class TestSharedFactors:
                 assert c == st.FactorCertificate(c.tag, st.BraidWord(surf, c.word.letters), c.param)
                 assert c.word.surface == surf
 
-    def test_output_independent_of_cache_state(self):
+    def test_output_independent_of_earlier_calls_and_surface_object(self):
         rng = random.Random(59)
         z = random_kernel_word(FLAGSHIP, rng, 200)
-        braids._ONE_LETTER_FACTORS.clear()
         first = st.factorize_kernel_word(z)
         assert any(len(c.word) == 1 for c in first)
 
         for _ in range(5):
             st.factorize_kernel_word(random_kernel_word(EQUAL8, rng, 40))
-        after_other = st.factorize_kernel_word(z)
-        assert after_other == first
-        # the one-letter certificates are the very same objects
-        assert all(a is b for a, b in zip(first, after_other) if len(a.word) == 1)
+        for g in range(3, 6):
+            surf = st.MarkedSurface(g, (1,) * (4 * g - 4), stratum_mode=True)
+            st.factorize_kernel_word(st.BraidWord(surf))
+        again = st.factorize_kernel_word(z)
+        assert again == first
+        assert [c.to_json_dict() for c in again] == [c.to_json_dict() for c in first]
 
         copy = _same_surface_copy(FLAGSHIP)
         assert copy is not FLAGSHIP
         on_copy = st.factorize_kernel_word(st.BraidWord(copy, z.letters))
         assert on_copy == first
+        assert all(c.word.surface is copy for c in on_copy)
 
-        # 17 more surfaces (genus 3..19, all weights 1) empty the cache
-        for g in range(3, 20):
-            surf = st.MarkedSurface(g, (1,) * (4 * g - 4), stratum_mode=True)
-            st.factorize_kernel_word(st.BraidWord(surf))
-        assert FLAGSHIP not in braids._ONE_LETTER_FACTORS
-        assert len(braids._ONE_LETTER_FACTORS) <= 16
-        after_reset = st.factorize_kernel_word(z)
-        assert after_reset == first
-        assert [c.to_json_dict() for c in after_reset] == [c.to_json_dict() for c in first]
+    def test_equal_one_letter_factors_share_one_object(self):
+        rng = random.Random(67)
+        certs = st.factorize_kernel_word(random_kernel_word(FLAGSHIP, rng, 400))
+        one_letter = [c for c in certs if len(c.word) == 1]
+        by_letter = {}
+        for c in one_letter:
+            assert by_letter.setdefault(c.word.letters[0], c) is c
+        assert len(by_letter) < len(one_letter)  # some letter recurs
 
-    def test_concatenation_rejects_other_surface_after_equal_ones(self):
+    def test_concatenation_accepts_equal_copy_rejects_other_surface(self):
         rng = random.Random(61)
         copy = _same_surface_copy(FLAGSHIP)
-        braids._ONE_LETTER_FACTORS.clear()
-        st.factorize_kernel_word(st.BraidWord(copy))
-        certs = st.factorize_kernel_word(random_kernel_word(FLAGSHIP, rng, 40))
-        # the shared factors sit on the copy, the others on FLAGSHIP itself
-        assert {id(c.word.surface) for c in certs} == {id(copy), id(FLAGSHIP)}
-        assert st.concatenate_factors(FLAGSHIP, certs) == st.concatenate_factors(copy, certs)
+        z = random_kernel_word(FLAGSHIP, rng, 40)
+        mixed = st.factorize_kernel_word(z) + st.factorize_kernel_word(st.BraidWord(copy, z.letters))
+        assert {id(c.word.surface) for c in mixed} == {id(copy), id(FLAGSHIP)}
+        assert st.concatenate_factors(FLAGSHIP, mixed) == st.concatenate_factors(copy, mixed)
         # equal weights, but not a stratum-mode surface
         other = st.MarkedSurface(FLAGSHIP.genus, FLAGSHIP.weights)
         stray = st.FactorCertificate(TRANSPOSITION, word(other, st.sigma(1, 2)))
         for surf in (FLAGSHIP, copy):
-            with pytest.raises(InvalidSurface):
-                st.concatenate_factors(surf, certs + [stray])
+            for certs in (mixed + [stray], [stray] + mixed):
+                with pytest.raises(InvalidSurface):
+                    st.concatenate_factors(surf, certs)
 
 
 # n = 2..14 points, one weight class and two
@@ -471,6 +487,22 @@ class TestAgainstOracles:
                 )
         blob = json.dumps(docs, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == FACTORIZATION_DIGEST
+
+    def test_derived_words_have_valid_letters(self):
+        # braids builds these words without checking their letters again
+        rng = random.Random(47)
+        for surf in [FLAGSHIP, EQUAL8] + ORACLE_SURFACES:
+            for length in (0, 1, 30, 300):
+                u = random_word(surf, rng, length, 0.5)
+                v = random_word(surf, rng, length)
+                derived = [*st.factor_by_permutation(u), st.free_reduce(u * v), u.inverse(), u * v]
+                if surf.stratum_mode:
+                    z = random_kernel_word(surf, rng, length)
+                    certs = st.factorize_kernel_word(z)
+                    derived += [c.word for c in certs]
+                    derived.append(st.concatenate_factors(surf, certs))
+                for w in derived:
+                    braids._validate_letters(w.letters, w.surface)
 
 
 class TestHomomorphismProperties:
@@ -529,6 +561,19 @@ class TestJson:
         z = word(FLAGSHIP, st.sigma(1, 2), st.rho(14, 3, -1), st.kappa(2, 13))
         back = st.BraidWord.from_json_dict(z.to_json_dict())
         assert back == z
+
+    @pytest.mark.parametrize(
+        "letter, message",
+        [
+            (st.sigma(1, 3), "^sigma exchanges equal weights only: 1 vs 2$"),
+            (st.rho(4, 1), r"^point index 4 out of range 1\.\.3$"),
+        ],
+        ids=["unequal-weights", "index-out-of-range"],
+    )
+    def test_letters_checked_against_surface(self, letter, message):
+        data = {"surface": SURF112.to_json_dict(), "letters": [letter.to_json_dict()]}
+        with pytest.raises(InvalidLetter, match=message):
+            st.BraidWord.from_json_dict(data)
 
     def test_letter_keys_by_kind(self):
         assert st.rho(1, 3).to_json_dict() == {"kind": "rho", "i": 1, "r": 3, "exp": 1}

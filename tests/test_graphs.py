@@ -52,6 +52,10 @@ class TestCombinatorialMap:
             [[0], [1, 2], [3], [0]],  # a rotation for a vertex the map lacks
             [[0], [1, 2]],  # vertex 2's darts are missing
             [[0, 0], [1, 2], [3]],  # a dart listed twice
+            [[0, "a"], [1, 2], [3]],  # a dart that does not sort with integers
+            [[0.0], [1, 2], [3]],  # a float equal to a dart
+            [[False], [True, 2], [3]],  # bools equal to darts
+            [0, [1, 2], [3]],  # a rotation that is not a list
         ],
     )
     def test_rotations_must_match_edges(self, rotations):

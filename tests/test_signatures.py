@@ -36,6 +36,14 @@ class TestValidation:
             sig(-1, (4,))
         assert "genus" in exc.value.failed
 
+    def test_bools_are_not_integers(self):
+        with pytest.raises(InvalidSignature) as exc:
+            sig(True, ())
+        assert exc.value.failed == ("genus",)
+        with pytest.raises(InvalidSignature) as exc:
+            sig(2, (3, True))
+        assert exc.value.failed == ("entries",)
+
     def test_both_failures_reported(self):
         with pytest.raises(InvalidSignature) as exc:
             sig(2, (3, 0))
@@ -228,6 +236,13 @@ class TestDoubleCover:
         base = sig(0, (-1, -1, -1, -1))
         with pytest.raises(InvalidSpec):
             st.double_cover(st.DoubleCoverSpec(base, frozenset({0, 1, 2, 9}), 1))
+
+    def test_repeated_index_rejected(self):
+        # seven indices, six of them distinct: as a set they would pass for
+        # the six that genus 2 needs
+        base = sig(0, (2, -1, -1, -1, -1, -1, -1))
+        with pytest.raises(InvalidSpec, match=r"more than once: \[0, 0, 1, 2, 3, 4, 5\]$"):
+            st.DoubleCoverSpec(base, [0, 0, 1, 2, 3, 4, 5], 2)
 
     @given(data=hst.data())
     @settings(max_examples=200, deadline=None)
