@@ -497,27 +497,59 @@ class TestCopeland:
             st.copeland_generators(st.build_map(2, [(0, 1), (0, 1)]))
 
 
+def _frozen_maps():
+    # the ladder both frozen digests cover: construct_graph near each point
+    # bound, and every genus of K_3-K_8 with one subdivision and every
+    # face-preserving deletion down to one face
+    for g in range(2, 11):
+        for f in range(1, 4 * g - 3):
+            bound = st.point_bound(g, f)
+            if bound <= 8:
+                for n in range(bound, bound + 3):
+                    yield st.construct_graph(g, f, n)
+    for n in range(3, 9):
+        gamma, gamma_max = st.complete_graph_genus_range(n)
+        for g in range(gamma, gamma_max + 1):
+            m = st.embed_complete(n, g)
+            yield st.subdivide_edge(m, 0)
+            yield m
+            while m.report().F > 1:
+                m = st.delete_edge_preserving(m)
+                yield m
+
+
 # sha256 of the JSON that test_graph_outputs_frozen builds, taken from the
 # builder that validated a fresh map after every deleted edge
 GRAPH_OUTPUTS_DIGEST = "1d67e6fc0abf55b72238fc0902509141617ae03e975dad4254ea300242f701b3"
 
 
 def test_graph_outputs_frozen():
-    docs = []
-    for g in range(2, 11):
-        for f in range(1, 4 * g - 3):
-            bound = st.point_bound(g, f)
-            if bound <= 8:
-                for n in range(bound, bound + 3):
-                    docs.append(st.construct_graph(g, f, n).to_json_dict())
-    for n in range(3, 9):
-        gamma, gamma_max = st.complete_graph_genus_range(n)
-        for g in range(gamma, gamma_max + 1):
-            m = st.embed_complete(n, g)
-            docs.append(st.subdivide_edge(m, 0).to_json_dict())
-            docs.append(m.to_json_dict())
-            while m.report().F > 1:
-                m = st.delete_edge_preserving(m)
-                docs.append(m.to_json_dict())
+    docs = [m.to_json_dict() for m in _frozen_maps()]
     blob = json.dumps(docs, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GRAPH_OUTPUTS_DIGEST
+
+
+# sha256 of every view read off the same maps, taken before the views shared
+# one orbit walk: report, edges, vertex owners, faces, exchange generators,
+# and on the planar maps the face-pair assignment
+GRAPH_VIEWS_DIGEST = "3f698828dde11509d16e80766addc5478f6db019ec74c53ef24d4f128a223004"
+
+
+def test_graph_views_frozen():
+    docs = []
+    for m in _frozen_maps():
+        report = m.report()
+        doc = {
+            "report": report.to_json_dict(),
+            "edges": m.edges(),
+            "vertex_of": sorted(m.vertex_of().items()),
+            "faces": st.trace_faces(m),
+            "copeland": [
+                [lt.to_json_dict() for lt in w.letters] for w in st.copeland_generators(m)
+            ],
+        }
+        if report.genus == 0:
+            doc["face_pairs"] = sorted(st.assign_face_pairs(m).items())
+        docs.append(doc)
+    blob = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GRAPH_VIEWS_DIGEST
