@@ -3,7 +3,12 @@
 Darts are numbered 0..2E-1 with darts 2i and 2i+1 the two halves of edge i,
 so the edge involution is "xor 1" and never stored.  A map is determined by
 the vertex rotation alone; faces are the orbits of sigma∘alpha, and the genus
-falls out of the Euler count.  On top of the raw encoding the module builds
+falls out of the Euler count.  Every view of a map is read from one orbit
+walker, which returns a permutation's canonical cycles and, per dart, the
+index of its cycle: vertex cycles and owners, the edge list, face cycles and
+face labels.  A call that needs several views (the report, the face pairs,
+the exchange generators) walks the vertex orbits once and the face orbits
+once.  On top of the raw encoding the module builds
 complete-graph embeddings of prescribed genus, walks them down to a target
 face count, subdivides up to a target vertex count, and reads off the
 exchange generators living on the edges.  Every such edit is an in-place
@@ -43,23 +48,39 @@ if TYPE_CHECKING:
     from . import braids
 
 
-def _cycles(perm: Sequence[int]) -> list[list[int]]:
-    # canonical form: each cycle starts at its least element (the first
-    # unseen one), and cycles come in the order of those least elements
-    seen = [False] * len(perm)
-    out: list[list[int]] = []
+def _orbits(perm: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The cycles of perm, each from its least element and in the order of
+    those elements, and per element the index of its cycle: one walk."""
+    owner = [-1] * len(perm)
+    cycles: list[list[int]] = []
     for start in range(len(perm)):
-        if seen[start]:
+        if owner[start] >= 0:
             continue
+        k = len(cycles)
         cyc = [start]
-        seen[start] = True
+        owner[start] = k
         cur = perm[start]
         while cur != start:
             cyc.append(cur)
-            seen[cur] = True
+            owner[cur] = k
             cur = perm[cur]
-        out.append(cyc)
-    return out
+        cycles.append(cyc)
+    return cycles, owner
+
+
+def _faces(sigma: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    # the orbits of sigma∘alpha, alpha being "xor 1"
+    return _orbits([sigma[d ^ 1] for d in range(len(sigma))])
+
+
+def _edges(owner: list[int]) -> list[tuple[int, int]]:
+    # the endpoints of each edge, from the vertex that holds each of its darts
+    return list(zip(owner[::2], owner[1::2]))
+
+
+def _is_simple(edges: list[tuple[int, int]]) -> bool:
+    pairs = [tuple(sorted(uv)) for uv in edges]
+    return all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
 
 
 def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
@@ -107,28 +128,19 @@ class CombinatorialMap(Frozen):
         return len(self.sigma) // 2
 
     def vertices(self) -> list[list[int]]:
-        return _cycles(self.sigma)
+        return _orbits(self.sigma)[0]
 
     def vertex_of(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
-        for v, cyc in enumerate(self.vertices()):
-            for d in cyc:
-                owner[d] = v
-        return owner
+        return dict(enumerate(_orbits(self.sigma)[1]))
 
     def edges(self) -> list[tuple[int, int]]:
-        owner = self.vertex_of()
-        return [(owner[2 * e], owner[2 * e + 1]) for e in range(self.n_edges)]
+        return _edges(_orbits(self.sigma)[1])
 
     def is_simple(self) -> bool:
-        pairs = [tuple(sorted(uv)) for uv in self.edges()]
-        return all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
+        return _is_simple(self.edges())
 
     def report(self) -> "EmbeddedGraphReport":
-        V = len(self.vertices())
-        E = self.n_edges
-        F = len(trace_faces(self))
-        return EmbeddedGraphReport.from_counts(V, E, F, self.is_simple())
+        return _survey(self)[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,8 +210,19 @@ class EmbeddedGraphReport(Frozen):
 
 def trace_faces(m: CombinatorialMap) -> list[list[int]]:
     """Face cycles of the map: orbits of sigma∘alpha, each from its least dart."""
-    sigma = m.sigma
-    return _cycles([sigma[d ^ 1] for d in range(len(sigma))])
+    return _faces(m.sigma)[0]
+
+
+def _survey(
+    m: CombinatorialMap,
+) -> tuple[EmbeddedGraphReport, list[tuple[int, int]], list[list[int]], list[int]]:
+    # the report, edge list, face cycles and face labels of m, from one walk
+    # of the vertex orbits and one of the face orbits
+    vertices, owner = _orbits(m.sigma)
+    edges = _edges(owner)
+    faces, face_of = _faces(m.sigma)
+    report = EmbeddedGraphReport.from_counts(len(vertices), m.n_edges, len(faces), _is_simple(edges))
+    return report, edges, faces, face_of
 
 
 def build_map(
@@ -297,12 +320,7 @@ MAX_COMPLETE_VERTICES = max(_MIN_GENUS_ROTATIONS)
 
 def _face_labels(rot: list[list[int]], n_darts: int) -> list[int]:
     # label[d] names the face holding dart d: its index among the face cycles
-    sigma = _sigma_of(rot, n_darts)
-    label = [0] * n_darts
-    for f, cyc in enumerate(_cycles([sigma[d ^ 1] for d in range(n_darts)])):
-        for d in cyc:
-            label[d] = f
-    return label
+    return _faces(_sigma_of(rot, n_darts))[1]
 
 
 def _merged(label: list[int], a: int, b: int) -> list[int]:
@@ -399,7 +417,7 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     the result is again 2-cell with one face fewer and the same genus.
     """
     rot = m.vertices()
-    label = _face_labels(rot, m.n_darts)
+    label = _faces(m.sigma)[1]
     _delete_edge(rot, label)
     return CombinatorialMap(_sigma_of(rot, len(label)))
 
@@ -464,15 +482,12 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
     Walks face to face across the chosen edges, restarting when the walk
     closes.
     """
-    report = m.report()
+    report, edges, faces, face_of = _survey(m)
     if report.genus != 0:
         raise PreconditionUnmet("face-pair assignment needs a planar map")
     if not report.simple:
         raise NotSimple("face-pair assignment needs a simple map")
     # no face-count check: a simple planar map has F <= 2V - 4 for V >= 3 (Euler)
-    faces = trace_faces(m)
-    n_faces = len(faces)
-    face_of = {d: idx for idx, cyc in enumerate(faces) for d in cyc}
     adj = [{d // 2 for d in cyc} for cyc in faces]
 
     # The walk never stalls.  An edge is used only by a face that then
@@ -483,7 +498,7 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
     # one face is current with none used.
     assigned: dict[int, int] = {}
     used: set[int] = set()
-    unassigned = set(range(n_faces))
+    unassigned = set(range(len(faces)))
     while unassigned:
         cur = min(unassigned)
         while True:
@@ -496,12 +511,7 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
                 cur = other
             else:
                 break
-
-    owner = m.vertex_of()
-    return {
-        face: tuple(sorted((owner[2 * e], owner[2 * e + 1])))
-        for face, e in assigned.items()
-    }
+    return {face: tuple(sorted(edges[e])) for face, e in assigned.items()}
 
 
 def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
@@ -513,13 +523,11 @@ def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
     """
     from . import braids
 
-    report = m.report()
+    report, edges, _, _ = _survey(m)
     if not report.simple:
         raise NotSimple("generator extraction needs a loopless simple map")
     surface = braids.MarkedSurface(
         genus=report.genus, weights=(1,) * report.V, punctures=report.F
     )
-    words = []
-    for u, v in sorted(tuple(sorted(uv)) for uv in m.edges()):
-        words.append(braids.BraidWord(surface, (braids.sigma(u + 1, v + 1),)))
-    return words
+    pairs = sorted(tuple(sorted(uv)) for uv in edges)
+    return [braids.BraidWord(surface, (braids.sigma(u + 1, v + 1),)) for u, v in pairs]
