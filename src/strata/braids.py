@@ -16,7 +16,7 @@ rewriting step an identity of the underlying group.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, groupby
 from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen, set_field
@@ -377,9 +377,9 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     return len(set(kappa_sums.values())) <= 1
 
 
-def _split_by_permutation(z: BraidWord) -> tuple[list[Letter], list[Letter]]:
-    """The letters of y and of x in ``factor_by_permutation``, no word built
-    for x."""
+def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """Split z = y * x with y a product of exchanges realizing z's permutation
+    and x the permutation-trivial remainder y^-1 z, freely reduced."""
     perm = permutation_image(z)
     y: list[Letter] = []
     seen: set[int] = set()
@@ -396,17 +396,11 @@ def _split_by_permutation(z: BraidWord) -> tuple[list[Letter], list[Letter]]:
         anchor = cycle[0]
         for other in cycle[1:]:
             y.append(sigma(min(anchor, other), max(anchor, other)))
-    if permutation_image(BraidWord(z.surface, y)) != perm:
+    y_word = BraidWord(z.surface, y)
+    if permutation_image(y_word) != perm:
         raise AssertionError
     x = _reduce_letters(chain([lt.inverse() for lt in reversed(y)], z.letters))
-    return y, x
-
-
-def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """Split z = y * x with y a product of exchanges realizing z's permutation
-    and x the permutation-trivial remainder y^-1 z, freely reduced."""
-    y, x = _split_by_permutation(z)
-    return BraidWord._derived(z.surface, tuple(y)), BraidWord._derived(z.surface, tuple(x))
+    return y_word, BraidWord._derived(z.surface, tuple(x))
 
 
 class FactorCertificate(Frozen):
@@ -446,16 +440,6 @@ class FactorCertificate(Frozen):
             "param": self.param,
             "letters": [lt.to_json_dict() for lt in self.word.letters],
         }
-
-
-def _weight_runs(weights: tuple[int, ...]) -> list[tuple[int, int]]:
-    runs: list[tuple[int, int]] = []
-    for w in weights:
-        if runs and runs[-1][0] == w:
-            runs[-1] = (w, runs[-1][1] + 1)
-        else:
-            runs.append((w, 1))
-    return runs
 
 
 def _one_letter_factor(
@@ -545,7 +529,7 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
         raise PreconditionUnmet("factorization needs a stratum-mode surface")
     if surf.genus < 2:
         raise PreconditionUnmet("factorization needs genus at least 2")
-    runs = _weight_runs(surf.weights)
+    runs = [(w, len(list(run))) for w, run in groupby(surf.weights)]
     if len({w for w, _ in runs}) != len(runs):
         raise PreconditionUnmet("weight classes must be contiguous")
     a = runs[0][1]
@@ -559,10 +543,12 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
         raise NotInKernel("word has nonzero homology image %r" % (abel_jacobi(z),))
 
     one_letter: dict[tuple, FactorCertificate] = {}
-    y, x = _split_by_permutation(z)
-    certs = [_one_letter_factor(surf, one_letter, lt) for lt in y]
+    y, x = factor_by_permutation(z)
+    certs = [_one_letter_factor(surf, one_letter, lt) for lt in y.letters]
+    # sigma letters leave here and no puncture letter is valid without
+    # punctures, so current holds only rho and kappa letters
     current: list[Letter] = []
-    for lt in x:
+    for lt in x.letters:
         if lt.kind == SIGMA:
             # permutation-exact: these keep their relative order and multiply
             # to the identity, everything else emitted is permutation-trivial
@@ -574,7 +560,7 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
         moving: list[Letter] = []
         staying: list[Letter] = []
         for lt in current:
-            (moving if lt.i == c and lt.kind in (RHO, KAPPA) else staying).append(lt)
+            (moving if lt.i == c else staying).append(lt)
         if moving:
             stage_certs, stage_kappas, balance_debt = _peel_stage(surf, c, moving)
             certs.extend(stage_certs)
@@ -588,7 +574,7 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     for lt in current:
         if lt.kind == RHO:
             groups[lt.second - 1].append(lt)
-        elif lt.kind == KAPPA:
+        else:
             kappas.append(lt)
     for r, group in enumerate(groups, 1):
         if group:
