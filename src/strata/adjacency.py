@@ -98,6 +98,9 @@ def _part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]
 
 def legal_splits(order: int, include_poles: bool = True) -> list[tuple[int, ...]]:
     """All part multisets a zero of the given order can split into."""
+    # type() rather than isinstance: a bool is an int
+    if type(order) is not int:
+        raise InvalidMove("a zero's order must be an integer, got %r" % (order,))
     if order < 1:
         return []
     lo = -1 if include_poles else 1

@@ -78,11 +78,15 @@ def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
 
     Returns (d, coeffs) where coeffs[l] = d and sum(coeffs[i] * weights[i])
     is 0: the witness of the integer relation.  d equals G / gcd(G, w_l)
-    with G the gcd of the remaining weights.  Every weight must be non-zero.
+    with G the gcd of the remaining weights.  Every weight must be a non-zero
+    int, and l an int index.
     """
     weights = tuple(weights)
-    if not 0 <= l < len(weights):
-        raise IndexOutOfRange("weight index %d out of range" % l)
+    # type() rather than isinstance: a bool is an int
+    if type(l) is not int or not 0 <= l < len(weights):
+        raise IndexOutOfRange("weight index %r out of range" % (l,))
+    if any(type(w) is not int for w in weights):
+        raise OutOfRange("weights must be integers, got %r" % (weights,))
     if len(weights) < 2:
         raise NoOtherWeights("need at least one other weight to balance against")
     if 0 in weights:

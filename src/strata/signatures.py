@@ -47,23 +47,28 @@ class StratumSignature(Frozen):
     orders: tuple[int, ...]
 
     def __init__(self, genus: int, orders: tuple[int, ...]):
-        orders = tuple(sorted(orders, reverse=True))
-        set_field(self, "genus", genus)
-        set_field(self, "orders", orders)
         failed = []
         # type() rather than isinstance: a bool is an int
         if type(genus) is not int or genus < 0:
             failed.append("genus")
-        if any(type(k) is not int or k == 0 or k < -1 for k in orders):
+        try:
+            orders = tuple(sorted(orders, reverse=True))
+            total = sum(orders)
+        except TypeError:  # not iterable, or entries that do not sort or add
             failed.append("entries")
-        if "genus" not in failed and sum(orders) != 4 * genus - 4:
-            failed.append("sum")
+        else:
+            if any(type(k) is not int or k == 0 or k < -1 for k in orders):
+                failed.append("entries")
+            if "genus" not in failed and total != 4 * genus - 4:
+                failed.append("sum")
         if failed:
             raise InvalidSignature(
                 "invalid signature (genus=%r, orders=%r): failed %s"
                 % (genus, orders, ", ".join(failed)),
                 failed=tuple(failed),
             )
+        set_field(self, "genus", genus)
+        set_field(self, "orders", orders)
 
     @property
     def n(self) -> int:

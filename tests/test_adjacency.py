@@ -81,6 +81,13 @@ class TestApplySplit:
         )
 
 
+class TestLegalSplits:
+    @pytest.mark.parametrize("order", ["a", 2.0, True])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(InvalidMove):
+            st.legal_splits(order)
+
+
 class TestPosetSuccessors:
     # the twelve refinements of a single order-4 zero, checked two ways
     FROZEN_SUCCESSORS_OF_4 = {

@@ -261,6 +261,16 @@ class TestMinimalD:
         with pytest.raises(ZeroWeight):
             st.minimal_d((4, 0), 0)
 
+    @pytest.mark.parametrize("weights", [(1.5, 2), (True, 2), (2, 4.0)])
+    def test_weights_must_be_integers(self, weights):
+        with pytest.raises(OutOfRange):
+            st.minimal_d(weights, 0)
+
+    @pytest.mark.parametrize("l", [0.0, True, "0"])
+    def test_index_must_be_an_integer(self, l):
+        with pytest.raises(IndexOutOfRange):
+            st.minimal_d((1, 2), l)
+
 
 class TestFactorByPermutation:
     def test_pure_exchange(self):

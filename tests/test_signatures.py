@@ -44,6 +44,12 @@ class TestValidation:
             sig(2, (3, True))
         assert exc.value.failed == ("entries",)
 
+    @pytest.mark.parametrize("orders", [None, (4, "a")])
+    def test_orders_that_do_not_sort_are_bad_entries(self, orders):
+        with pytest.raises(InvalidSignature) as exc:
+            st.StratumSignature(2, orders)
+        assert exc.value.failed == ("entries",)
+
     def test_both_failures_reported(self):
         with pytest.raises(InvalidSignature) as exc:
             sig(2, (3, 0))
