@@ -107,9 +107,10 @@ def cmd_aj(args) -> tuple[dict, list[str]]:
     from . import braids
 
     word = braids.BraidWord.from_json_dict(_load_json(args.word))
+    vector = list(braids.abel_jacobi(word))
     return {
-        "vector": list(braids.abel_jacobi(word)),
-        "in_kernel": braids.in_kernel(word),
+        "vector": vector,
+        "in_kernel": not any(vector),
         "permutation": list(braids.permutation_image(word)),
     }, []
 
