@@ -80,6 +80,22 @@ class TestCombinatorialMap:
                 {"darts": 2, "sigma": [[0], [1]], "alpha_convention": "involution"}
             )
 
+    def test_views_walk_each_orbit_once(self, monkeypatch):
+        # one walk of the vertex orbits and one of the face orbits per call
+        m = st.embed_complete(4, 0)
+        walked = []
+        orbits = graphs._orbits
+
+        def counting_orbits(perm):
+            walked.append("vertex" if tuple(perm) == m.sigma else "face")
+            return orbits(perm)
+
+        monkeypatch.setattr(graphs, "_orbits", counting_orbits)
+        for view in (st.CombinatorialMap.report, st.copeland_generators, st.assign_face_pairs):
+            walked.clear()
+            view(m)
+            assert sorted(walked) == ["face", "vertex"], view
+
 
 class TestGenusRange:
     def test_seven_vertices(self):
