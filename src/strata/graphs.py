@@ -8,10 +8,10 @@ walker, which returns a permutation's canonical cycles and, per dart, the
 index of its cycle: vertex cycles and owners, the edge list, face cycles and
 face labels.  A call that needs several views (the report, the face pairs,
 the exchange generators) walks the vertex orbits once and the face orbits
-once.  On top of the raw encoding the module builds
-complete-graph embeddings of prescribed genus, walks them down to a target
-face count, subdivides up to a target vertex count, and reads off the
-exchange generators living on the edges.  Every such edit is an in-place
+once.  On top of the raw encoding the module builds complete-graph
+embeddings of prescribed genus, walks them down to a target face count,
+subdivides up to a target vertex count, and reads off the exchange
+generators living on the edges.  Every such edit is an in-place
 move on one rotation list (one dart cycle per vertex), and each public call
 builds and validates one map, from its final rotation.  Faces are traced
 once per build, into one label per dart; a move then merges the labels it
@@ -221,7 +221,8 @@ def _survey(
     vertices, owner = _orbits(m.sigma)
     edges = _edges(owner)
     faces, face_of = _faces(m.sigma)
-    report = EmbeddedGraphReport.from_counts(len(vertices), m.n_edges, len(faces), _is_simple(edges))
+    simple = _is_simple(edges)
+    report = EmbeddedGraphReport.from_counts(len(vertices), m.n_edges, len(faces), simple)
     return report, edges, faces, face_of
 
 
