@@ -30,6 +30,9 @@ def point_bound(g: int, extra: int) -> int:
     vertices a loopless simple graph needs to reach genus g with ``extra``
     faces.
     """
+    # type() rather than isinstance: a bool is an int
+    if type(g) is not int or type(extra) is not int:
+        raise OutOfRange("point bound needs integer genus and count, got %r, %r" % (g, extra))
     if g < 2:
         raise OutOfRange("point bound needs genus >= 2, got %d" % g)
     if extra < 0:
@@ -44,6 +47,8 @@ def a_min(g: int, b: int) -> int:
     For b = 0 the bound is evaluated with one face, the minimum a 2-cell
     decomposition can have.
     """
+    if type(b) is not int:
+        raise OutOfRange("b must be an integer, got %r" % (b,))
     if b < 0:
         raise OutOfRange("b must be non-negative")
     return point_bound(g, max(b, 1))

@@ -13,14 +13,20 @@ embeddings of prescribed genus, walks them down to a target face count,
 subdivides up to a target vertex count, and reads off the exchange
 generators living on the edges.  Every such edit is an in-place
 move on one rotation list (one dart cycle per vertex), and each public call
-builds and validates one map, from its final rotation.  Faces are traced
-once per build, into one label per dart; a move then merges the labels it
-changes, since deleting or inserting an edge across two different faces
-merges those two and leaves every other face as it was.
+builds one map, from its final rotation.  Faces are traced once per build,
+into one label per dart; a move then merges the labels it changes, since
+deleting or inserting an edge across two different faces merges those two
+and leaves every other face as it was.
+
+Every map is a connected rotation on a positive even number of darts.  The
+public ``CombinatorialMap`` constructor, ``from_json_dict`` and
+``build_map`` check this, and maps this module derives from valid rotations
+by its own raise, delete and subdivide moves keep it by construction.
 
 Complete-graph embeddings take one deterministic path: a minimum-genus
-rotation of K_n from a table (Ringel, Map Color Theorem, 1974), then one
-raise move per unit of genus above it.  A raise move deletes an edge whose
+rotation of K_n from a table (Ringel, Map Color Theorem, 1974), held with
+its face labels in the form the moves take and built once at import, then
+one raise move per unit of genus above it.  A raise move deletes an edge whose
 sides lie on two faces and re-inserts it between corners of its endpoints on
 two different faces, so the face count drops by two and the genus rises by
 one on the same graph (Duke's interpolation theorem made constructive, Canad.
@@ -93,17 +99,29 @@ def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
 
 
 class CombinatorialMap(Frozen):
-    """Connected graph 2-cell embedded on an oriented surface."""
+    """Connected graph 2-cell embedded on an oriented surface.
+
+    Every map's rotation is a permutation of a positive even number of darts
+    that, with the edge involution, reaches every dart: the public
+    constructor checks this, and so ``from_json_dict`` and ``build_map``,
+    which call it; maps derived inside ``graphs`` keep it by construction.
+    """
 
     __slots__ = ("sigma",)
     sigma: tuple[int, ...]
 
     def __init__(self, sigma: Sequence[int]):
-        sigma = tuple(sigma)
+        try:
+            sigma = tuple(sigma)
+        except TypeError:
+            raise InvalidSpec("vertex rotation must be a sequence of darts") from None
         set_field(self, "sigma", sigma)
         n = len(sigma)
         if n == 0 or n % 2:
             raise InvalidSpec("a map needs a positive even number of darts")
+        # type() rather than isinstance: a bool is an int, and a float can equal one
+        if any(type(d) is not int for d in sigma):
+            raise InvalidSpec("vertex rotation must hold integer darts")
         if sorted(sigma) != list(range(n)):
             raise InvalidSpec("vertex rotation is not a permutation of the darts")
         # connectivity: the group generated by sigma and alpha acts transitively
@@ -118,6 +136,14 @@ class CombinatorialMap(Frozen):
                     stack.append(nxt)
         if not all(seen):
             raise InvalidSpec("map is not connected")
+
+    @classmethod
+    def _derived(cls, sigma: Sequence[int]) -> "CombinatorialMap":
+        """A map whose rotation is not checked again.  It must come from a
+        valid map's rotation by moves that keep it a connected permutation."""
+        m = object.__new__(cls)
+        set_field(m, "sigma", tuple(sigma))
+        return m
 
     @property
     def n_darts(self) -> int:
@@ -263,6 +289,9 @@ def complete_graph_genus_range(n: int) -> tuple[int, int]:
     The minimum is the Ringel-Youngs ceil((n-3)(n-4)/12); the maximum is
     floor((n-1)(n-2)/4), the largest genus that leaves at least one face.
     """
+    # type() rather than isinstance: a bool is an int
+    if type(n) is not int:
+        raise OutOfRange("vertex count must be an integer, got %r" % (n,))
     if n < 3:
         raise OutOfRange("need n >= 3, got %d" % n)
     gamma = -(-((n - 3) * (n - 4)) // 12)
@@ -324,6 +353,17 @@ def _face_labels(rot: list[list[int]], n_darts: int) -> list[int]:
     return _faces(_sigma_of(rot, n_darts))[1]
 
 
+def _start(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # the tabled rotation of K_n as dart cycles, and its face labels
+    rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
+    return tuple(map(tuple, rot)), tuple(_face_labels(rot, n * (n - 1)))
+
+
+# every start in the form the moves take, built once at import; the entries
+# are tuples, and each build copies one into fresh lists
+_STARTS = {n: _start(n) for n in _MIN_GENUS_ROTATIONS}
+
+
 def _merged(label: list[int], a: int, b: int) -> list[int]:
     # the labels after faces a and b become one face, named a
     return [a if f == b else f for f in label]
@@ -364,7 +404,10 @@ def _raise_genus(rot: list[list[int]], label: list[int]) -> None:
 
 
 def _complete_rotation(n: int, g: int) -> tuple[list[list[int]], list[int]]:
-    # the tabled minimum-genus rotation of K_n raised to genus g, and its face labels
+    # the tabled minimum-genus rotation of K_n raised to genus g, and its face
+    # labels, in fresh lists the caller may edit
+    if type(n) is not int or type(g) is not int:
+        raise OutOfRange("complete-graph embedding needs integer n and genus, got %r, %r" % (n, g))
     if n < 3 or n > MAX_COMPLETE_VERTICES:
         raise OutOfRange("complete-graph embedding supports 3 <= n <= %d" % MAX_COMPLETE_VERTICES)
     gamma, gamma_max = complete_graph_genus_range(n)
@@ -373,8 +416,9 @@ def _complete_rotation(n: int, g: int) -> tuple[list[list[int]], list[int]]:
             "genus %d outside the embeddable range [%d, %d] for K_%d"
             % (g, gamma, gamma_max, n)
         )
-    rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
-    label = _face_labels(rot, n * (n - 1))
+    rot_start, label_start = _STARTS[n]
+    rot = list(map(list, rot_start))
+    label = list(label_start)
     for _ in range(g - gamma):
         _raise_genus(rot, label)
     return rot, label
@@ -389,7 +433,7 @@ def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
     deterministic; ``seed`` is accepted for compatibility and ignored.
     """
     rot, label = _complete_rotation(n, g)
-    return CombinatorialMap(_sigma_of(rot, len(label)))
+    return CombinatorialMap._derived(_sigma_of(rot, len(label)))
 
 
 def _delete_edge(rot: list[list[int]], label: list[int]) -> None:
@@ -420,7 +464,7 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     rot = m.vertices()
     label = _faces(m.sigma)[1]
     _delete_edge(rot, label)
-    return CombinatorialMap(_sigma_of(rot, len(label)))
+    return CombinatorialMap._derived(_sigma_of(rot, len(label)))
 
 
 def _subdivide_edge(rot: list[list[int]], n_darts: int, e: int) -> None:
@@ -442,11 +486,12 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
 
     Vertex and edge counts grow by one; faces and genus are untouched.
     """
-    if not 0 <= e < m.n_edges:
-        raise IndexOutOfRange("edge index %d out of range" % e)
+    # type() rather than isinstance: a bool is an int, and a float can equal one
+    if type(e) is not int or not 0 <= e < m.n_edges:
+        raise IndexOutOfRange("edge index %r out of range" % (e,))
     rot = m.vertices()
     _subdivide_edge(rot, m.n_darts, e)
-    return CombinatorialMap(_sigma_of(rot, m.n_darts + 2))
+    return CombinatorialMap._derived(_sigma_of(rot, m.n_darts + 2))
 
 
 def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMap:
@@ -458,6 +503,11 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
     The map is built once, from the final rotation.  The result is
     deterministic; ``seed`` is accepted for compatibility and ignored.
     """
+    # type() rather than isinstance: a bool is an int
+    if type(g) is not int or type(f) is not int or type(n) is not int:
+        raise BoundViolation(
+            "genus, face and vertex counts must be integers, got %r, %r, %r" % (g, f, n)
+        )
     if g < 2 or not 1 <= f <= 4 * g - 4:
         raise BoundViolation("face count %d outside 1..%d" % (f, max(4 * g - 4, 0)))
     n_base = point_bound(g, f)
@@ -474,7 +524,7 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
     for _ in range(n - n_base):
         _subdivide_edge(rot, n_darts, 0)
         n_darts += 2
-    return CombinatorialMap(_sigma_of(rot, n_darts))
+    return CombinatorialMap._derived(_sigma_of(rot, n_darts))
 
 
 def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -383,18 +384,26 @@ class TestConstructGraph:
                     assert st.construct_graph(g, f, bound + k) == want, (g, f, bound + k)
 
     def test_builds_one_map(self, monkeypatch):
-        built = []
+        # one derived map per build, and no pass through the checking constructor
+        built, checked = [], []
+        derived = graphs.CombinatorialMap._derived
         init = graphs.CombinatorialMap.__init__
 
-        def counting_init(self, sigma):
+        def counting_derived(cls, sigma):
             built.append(len(sigma))
+            return derived(sigma)
+
+        def counting_init(self, sigma):
+            checked.append(len(sigma))
             init(self, sigma)
 
+        monkeypatch.setattr(graphs.CombinatorialMap, "_derived", classmethod(counting_derived))
         monkeypatch.setattr(graphs.CombinatorialMap, "__init__", counting_init)
         for g, f, n in ((2, 1, 5), (2, 1, 60), (3, 4, 9), (4, 12, 8), (10, 2, 20)):
             built.clear()
             m = st.construct_graph(g, f, n)
             assert built == [m.n_darts]
+            assert checked == []
 
     def test_canonical_cycles(self):
         # every vertex and face cycle starts at its least dart, and the
@@ -511,6 +520,115 @@ class TestCopeland:
     def test_rejects_double_edges(self):
         with pytest.raises(NotSimple):
             st.copeland_generators(st.build_map(2, [(0, 1), (0, 1)]))
+
+
+def _complete_maps():
+    # embed_complete at every (n, g) in range
+    for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
+        gamma, gamma_max = st.complete_graph_genus_range(n)
+        for g in range(gamma, gamma_max + 1):
+            yield st.embed_complete(n, g)
+
+
+def _constructed_maps(extra):
+    # construct_graph at every (g, f) the table reaches, k vertices past its
+    # point bound for each k in extra
+    for g in range(2, 11):
+        for f in range(1, 4 * g - 3):
+            bound = st.point_bound(g, f)
+            if bound <= graphs.MAX_COMPLETE_VERTICES:
+                for k in extra:
+                    yield st.construct_graph(g, f, bound + k)
+
+
+def _passes_checks(m):
+    # the public constructor runs every check graphs skips for maps it derives
+    return st.CombinatorialMap(m.sigma) == m
+
+
+class TestDerivedMaps:
+    def test_embed_complete(self):
+        assert all(_passes_checks(m) for m in _complete_maps())
+
+    def test_construct_graph(self):
+        assert all(_passes_checks(m) for m in _constructed_maps(range(41)))
+
+    def test_subdivide_every_edge(self):
+        # every edge, on maps with no, one, two and forty subdivision vertices
+        for m in itertools.chain(_complete_maps(), _constructed_maps((0, 1, 2, 40))):
+            for e in range(m.n_edges):
+                assert _passes_checks(st.subdivide_edge(m, e)), (m, e)
+
+    def test_delete_chains_to_one_face(self):
+        for m in _complete_maps():
+            while m.report().F > 1:
+                m = st.delete_edge_preserving(m)
+                assert _passes_checks(m)
+
+    def test_derived_map_is_an_ordinary_map(self):
+        m = graphs.CombinatorialMap._derived([1, 0])
+        assert type(m) is st.CombinatorialMap and m.sigma == (1, 0)
+        assert m == st.CombinatorialMap((1, 0)) and hash(m) == hash(st.CombinatorialMap((1, 0)))
+
+
+class TestStartTable:
+    def test_labels_are_a_fresh_trace(self):
+        assert sorted(graphs._STARTS) == sorted(graphs._MIN_GENUS_ROTATIONS)
+        for n, (rot, label) in graphs._STARTS.items():
+            assert type(rot) is tuple and all(type(cyc) is tuple for cyc in rot)
+            assert type(label) is tuple
+            fresh = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
+            assert rot == tuple(map(tuple, fresh))
+            assert list(label) == graphs._face_labels(list(map(list, rot)), n * (n - 1))
+
+    def test_unchanged_by_builds(self):
+        # builds edit the lists _complete_rotation returns in place, and so
+        # does the deletion test: each must get fresh copies of the table's
+        before = copy.deepcopy(graphs._STARTS)
+        for _ in _complete_maps():
+            pass
+        for _ in _constructed_maps((0, 3)):
+            pass
+        TestDeleteEdge().test_merged_labels_match_a_fresh_trace()
+        assert graphs._STARTS == before
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: st.construct_graph(2.0, 1, 5), BoundViolation),
+        (lambda: st.construct_graph(2, True, 5), BoundViolation),
+        (lambda: st.construct_graph(2, 1, "5"), BoundViolation),
+        (lambda: st.construct_graph(2, 1, None), BoundViolation),
+        (lambda: st.embed_complete(7, 1.0), OutOfRange),
+        (lambda: st.complete_graph_genus_range(7.5), OutOfRange),
+        (lambda: st.point_bound(2.0, 1), OutOfRange),
+        (lambda: st.a_min(2.5, 1), OutOfRange),
+        (lambda: st.subdivide_edge(st.embed_complete(5, 1), 0.0), IndexOutOfRange),
+        (lambda: st.subdivide_edge(st.embed_complete(5, 1), True), IndexOutOfRange),
+        (lambda: st.CombinatorialMap([1.0, 0]), InvalidSpec),
+        (lambda: st.CombinatorialMap([True, False]), InvalidSpec),
+        (lambda: st.CombinatorialMap(None), InvalidSpec),
+    ],
+    ids=[
+        "construct-float-genus",
+        "construct-bool-faces",
+        "construct-str-vertices",
+        "construct-none-vertices",
+        "embed-float-genus",
+        "genus-range-float",
+        "point-bound-float",
+        "a-min-float",
+        "subdivide-float-edge",
+        "subdivide-bool-edge",
+        "map-float-darts",
+        "map-bool-darts",
+        "map-none",
+    ],
+)
+def test_entry_points_keep_the_integer_contract(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _frozen_maps():
