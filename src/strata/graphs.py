@@ -24,13 +24,14 @@ public ``CombinatorialMap`` constructor, ``from_json_dict`` and
 by its own raise, delete and subdivide moves keep it by construction.
 
 Complete-graph embeddings take one deterministic path: a minimum-genus
-rotation of K_n from a table (Ringel, Map Color Theorem, 1974), held with
-its face labels in the form the moves take and built once at import, then
-one raise move per unit of genus above it.  A raise move deletes an edge whose
-sides lie on two faces and re-inserts it between corners of its endpoints on
-two different faces, so the face count drops by two and the genus rises by
-one on the same graph (Duke's interpolation theorem made constructive, Canad.
-J. Math. 18, 1966; the face rule is Gross & Tucker, Topological Graph Theory).
+rotation of K_n from a table (Ringel, Map Color Theorem, 1974), held with its
+face labels and the vertex of each dart in the form the moves take and built
+once at import, then one raise move per unit of genus above it.  A raise move
+deletes an edge whose sides lie on two faces and re-inserts it between
+corners of its endpoints on two different faces, so the face count drops by
+two and the genus rises by one on the same graph (Duke's interpolation
+theorem made constructive, Canad. J. Math. 18, 1966; the face rule is Gross &
+Tucker, Topological Graph Theory).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _edges(owner: list[int]) -> list[tuple[int, int]]:
 
 
 def _is_simple(edges: list[tuple[int, int]]) -> bool:
-    pairs = [tuple(sorted(uv)) for uv in edges]
+    pairs = [(u, v) if u < v else (v, u) for u, v in edges]
     return all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
 
 
@@ -93,8 +94,8 @@ def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
     # vertex rotation from its cycles, each listing the darts at one vertex
     sigma = [0] * n_darts
     for cyc in cycles:
-        for pos, d in enumerate(cyc):
-            sigma[d] = cyc[(pos + 1) % len(cyc)]
+        for d, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+            sigma[d] = nxt
     return sigma
 
 
@@ -234,8 +235,15 @@ class EmbeddedGraphReport(Frozen):
         }
 
 
+def _require_map(m) -> None:
+    # the boundary check of every entry point that takes a map
+    if not isinstance(m, CombinatorialMap):
+        raise InvalidSpec("expected a CombinatorialMap, got %s" % type(m).__name__)
+
+
 def trace_faces(m: CombinatorialMap) -> list[list[int]]:
     """Face cycles of the map: orbits of sigma∘alpha, each from its least dart."""
+    _require_map(m)
     return _faces(m.sigma)[0]
 
 
@@ -353,14 +361,19 @@ def _face_labels(rot: list[list[int]], n_darts: int) -> list[int]:
     return _faces(_sigma_of(rot, n_darts))[1]
 
 
-def _start(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    # the tabled rotation of K_n as dart cycles, and its face labels
+def _start(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    # the tabled rotation of K_n as dart cycles, its face labels, and per dart
+    # the index of its vertex cycle in that rotation.  _orbits lists the
+    # vertex cycles by least dart, and the least dart at vertex v grows with
+    # v, so its owner index counts vertices in the table's order
     rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
-    return tuple(map(tuple, rot)), tuple(_face_labels(rot, n * (n - 1)))
+    n_darts = n * (n - 1)
+    owner = _orbits(_sigma_of(rot, n_darts))[1]
+    return tuple(map(tuple, rot)), tuple(_face_labels(rot, n_darts)), tuple(owner)
 
 
 # every start in the form the moves take, built once at import; the entries
-# are tuples, and each build copies one into fresh lists
+# are tuples, and each build copies the rotation and labels into fresh lists
 _STARTS = {n: _start(n) for n in _MIN_GENUS_ROTATIONS}
 
 
@@ -369,7 +382,7 @@ def _merged(label: list[int], a: int, b: int) -> list[int]:
     return [a if f == b else f for f in label]
 
 
-def _raise_genus(rot: list[list[int]], label: list[int]) -> None:
+def _raise_genus(rot: list[list[int]], label: list[int], owner: Sequence[int]) -> None:
     """One raise move on the rotation and its face labels: F - 2, genus + 1.
 
     Lifts out the lowest-index edge whose two darts lie on different faces,
@@ -380,24 +393,31 @@ def _raise_genus(rot: list[list[int]], label: list[int]) -> None:
     the face of sigma(d).  Every dart keeps its edge and endpoints, so the
     graph, and its simplicity, are unchanged.  An edge with no such corner
     pair is skipped, and rot is edited only once the pair is found.
+
+    ``owner[d]`` is the index in rot of the vertex cycle holding dart d.  A
+    raise keeps every dart at its vertex, so the index of the start holds
+    for every raise in a chain.  The corner faces are read through the
+    pending lift (face b of the lifted edge reads as face a), and the labels
+    are rewritten in one pass per raise, once the corner pair is found.
     """
     for e in range(len(label) // 2):
         du, dv = 2 * e, 2 * e + 1
-        if label[du] == label[dv]:
+        a, b = label[du], label[dv]
+        if a == b:
             continue
-        lifted = _merged(label, label[du], label[dv])
-        cu = next(cyc for cyc in rot if du in cyc)
-        cv = next(cyc for cyc in rot if dv in cyc)
+        cu, cv = rot[owner[du]], rot[owner[dv]]
         ru = [d for d in cu if d != du]
         rv = [d for d in cv if d != dv]
-        faces_u = [lifted[d] for d in ru[1:] + ru[:1]]
-        faces_v = [lifted[d] for d in rv[1:] + rv[:1]]
+        faces_u = [a if label[d] == b else label[d] for d in ru[1:] + ru[:1]]
+        faces_v = [a if label[d] == b else label[d] for d in rv[1:] + rv[:1]]
         for ra, fu in enumerate(faces_u):
             for rb, fv in enumerate(faces_v):
                 if fu != fv:
                     cu[:] = ru[: ra + 1] + [du] + ru[ra + 1 :]
                     cv[:] = rv[: rb + 1] + [dv] + rv[rb + 1 :]
-                    label[:] = _merged(lifted, fu, fv)
+                    # lift (b -> a), then the handle (fv -> fu); fu, fv != b
+                    b_to = fu if a == fv else a
+                    label[:] = [fu if f == fv else b_to if f == b else f for f in label]
                     label[du] = label[dv] = fu
                     return
     raise OutOfRange("no edge admits a raise move on this map")
@@ -416,11 +436,11 @@ def _complete_rotation(n: int, g: int) -> tuple[list[list[int]], list[int]]:
             "genus %d outside the embeddable range [%d, %d] for K_%d"
             % (g, gamma, gamma_max, n)
         )
-    rot_start, label_start = _STARTS[n]
+    rot_start, label_start, owner = _STARTS[n]
     rot = list(map(list, rot_start))
     label = list(label_start)
     for _ in range(g - gamma):
-        _raise_genus(rot, label)
+        _raise_genus(rot, label, owner)
     return rot, label
 
 
@@ -461,6 +481,7 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     Such an edge is never a bridge, so the two faces merge into one disk:
     the result is again 2-cell with one face fewer and the same genus.
     """
+    _require_map(m)
     rot = m.vertices()
     label = _faces(m.sigma)[1]
     _delete_edge(rot, label)
@@ -486,6 +507,7 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
 
     Vertex and edge counts grow by one; faces and genus are untouched.
     """
+    _require_map(m)
     # type() rather than isinstance: a bool is an int, and a float can equal one
     if type(e) is not int or not 0 <= e < m.n_edges:
         raise IndexOutOfRange("edge index %r out of range" % (e,))
@@ -533,6 +555,7 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
     Walks face to face across the chosen edges, restarting when the walk
     closes.
     """
+    _require_map(m)
     report, edges, faces, face_of = _survey(m)
     if report.genus != 0:
         raise PreconditionUnmet("face-pair assignment needs a planar map")
@@ -574,11 +597,12 @@ def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
     """
     from . import braids
 
+    _require_map(m)
     report, edges, _, _ = _survey(m)
     if not report.simple:
         raise NotSimple("generator extraction needs a loopless simple map")
     surface = braids.MarkedSurface(
         genus=report.genus, weights=(1,) * report.V, punctures=report.F
     )
-    pairs = sorted(tuple(sorted(uv)) for uv in edges)
+    pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
     return [braids.BraidWord(surface, (braids.sigma(u + 1, v + 1),)) for u, v in pairs]

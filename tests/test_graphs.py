@@ -228,10 +228,11 @@ class TestRaiseMove:
             edges = _edge_multiset(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
             label = graphs._face_labels(rot, n_darts)
+            owner = graphs._STARTS[n][2]
             before = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
             assert before.genus == gamma
             for _ in range(gamma, gamma_max):
-                graphs._raise_genus(rot, label)
+                graphs._raise_genus(rot, label, owner)
                 after = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
                 assert _edge_multiset(rot) == edges
                 assert (after.F, after.genus) == (before.F - 2, before.genus + 1)
@@ -242,10 +243,11 @@ class TestRaiseMove:
         n = 5
         rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
         label = graphs._face_labels(rot, n * (n - 1))
+        owner = graphs._STARTS[n][2]
         for _ in range(2):
-            graphs._raise_genus(rot, label)
+            graphs._raise_genus(rot, label, owner)
         with pytest.raises(OutOfRange):
-            graphs._raise_genus(rot, label)
+            graphs._raise_genus(rot, label, owner)
 
     def test_merged_labels_match_a_fresh_trace(self):
         # each move merges labels instead of re-tracing faces; after every
@@ -254,10 +256,22 @@ class TestRaiseMove:
             n_darts = n * (n - 1)
             rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
             label = graphs._face_labels(rot, n_darts)
+            owner = graphs._STARTS[n][2]
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for _ in range(gamma, gamma_max):
-                graphs._raise_genus(rot, label)
+                graphs._raise_genus(rot, label, owner)
                 assert _same_partition(label, graphs._face_labels(rot, n_darts)), n
+
+    def test_darts_stay_at_their_vertex(self):
+        # one tabled dart -> vertex index serves every raise in a chain: after
+        # every raise move over the whole genus range, a fresh index is the same
+        for n, (rot_start, label_start, owner) in graphs._STARTS.items():
+            rot, label = list(map(list, rot_start)), list(label_start)
+            gamma, gamma_max = st.complete_graph_genus_range(n)
+            for _ in range(gamma, gamma_max):
+                graphs._raise_genus(rot, label, owner)
+                fresh = {d: v for v, cyc in enumerate(rot) for d in cyc}
+                assert [fresh[d] for d in range(len(owner))] == list(owner), n
 
 
 class TestDeleteEdge:
@@ -574,12 +588,20 @@ class TestDerivedMaps:
 class TestStartTable:
     def test_labels_are_a_fresh_trace(self):
         assert sorted(graphs._STARTS) == sorted(graphs._MIN_GENUS_ROTATIONS)
-        for n, (rot, label) in graphs._STARTS.items():
+        for n, (rot, label, _) in graphs._STARTS.items():
             assert type(rot) is tuple and all(type(cyc) is tuple for cyc in rot)
             assert type(label) is tuple
             fresh = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
             assert rot == tuple(map(tuple, fresh))
             assert list(label) == graphs._face_labels(list(map(list, rot)), n * (n - 1))
+
+    def test_vertex_index_is_a_fresh_walk(self):
+        for n, (rot, _, owner) in graphs._STARTS.items():
+            n_darts = n * (n - 1)
+            assert type(owner) is tuple and len(owner) == n_darts
+            assert all(d in rot[owner[d]] for d in range(n_darts))
+            sigma = graphs._sigma_of(list(map(list, rot)), n_darts)
+            assert list(owner) == graphs._orbits(sigma)[1]
 
     def test_unchanged_by_builds(self):
         # builds edit the lists _complete_rotation returns in place, and so
@@ -628,6 +650,22 @@ class TestStartTable:
 )
 def test_entry_points_keep_the_integer_contract(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: st.subdivide_edge("x", 0),
+        lambda: st.delete_edge_preserving([1, 0]),
+        lambda: st.copeland_generators([1, 0]),
+        lambda: st.assign_face_pairs(None),
+        lambda: st.trace_faces("ab"),
+    ],
+    ids=["subdivide-str", "delete-list", "copeland-list", "face-pairs-none", "trace-str"],
+)
+def test_map_entry_points_reject_a_non_map(call):
+    with pytest.raises(InvalidSpec):
         call()
 
 
