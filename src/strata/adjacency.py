@@ -5,6 +5,8 @@ sum to k.  Two-part splits of an even order must produce two even parts;
 three- and four-part splits carry no parity constraint.  Simple poles
 (order -1) may appear among the parts but can never themselves be split.
 Iterating splits refines signatures and orders the partitions of 4g - 4.
+``legal_splits`` tries no first of m parts above k // m, so no branch is empty,
+and ``poset_successors`` builds each successor once, from a legal tuple.
 
 Reachability is decided without a search over signatures.  A split acts on
 one entry, so ``higher`` refines ``lower`` exactly when the entries of
@@ -68,19 +70,18 @@ def _check_move(order: int, parts: tuple[int, ...]) -> None:
         raise InvalidMove("parts must be -1 or positive, got %r" % (parts,))
     if sum(parts) != order:
         raise BadSum("parts %r sum to %d, expected %d" % (parts, sum(parts), order))
-    if len(parts) == 2 and order % 2 == 0 and parts[0] % 2 != 0:
+    if not _reaches(len(parts), order % 2 == 1, all(p % 2 == 0 for p in parts)):
         raise ParityViolation(
             "an even order splits in two only into even parts, got %r" % (parts,)
         )
 
 
 def apply_split(s: StratumSignature, move: SplitMove) -> StratumSignature:
-    if not 0 <= move.source_index < s.n:
-        raise IndexOutOfRange("source index %d out of range" % move.source_index)
-    _check_move(s.orders[move.source_index], move.parts)
-    orders = list(s.orders)
-    orders[move.source_index : move.source_index + 1] = list(move.parts)
-    return StratumSignature(s.genus, tuple(orders))
+    idx = move.source_index
+    if type(idx) is not int or not 0 <= idx < s.n:
+        raise IndexOutOfRange("source index %r out of range" % (idx,))
+    _check_move(s.orders[idx], move.parts)
+    return StratumSignature(s.genus, s.orders[:idx] + move.parts + s.orders[idx + 1 :])
 
 
 def _part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]]:
@@ -89,7 +90,7 @@ def _part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]
         if total >= lo and total != 0:
             yield (total,)
         return
-    for v in range(lo, total + count):
+    for v in range(lo, total // count + 1):  # no later part is smaller than v
         if v == 0:
             continue
         for rest in _part_multisets(total - v, count - 1, v):
@@ -104,12 +105,10 @@ def legal_splits(order: int, include_poles: bool = True) -> list[tuple[int, ...]
     if order < 1:
         return []
     lo = -1 if include_poles else 1
-    out: list[tuple[int, ...]] = []
-    for count in (2, 3, 4):
-        for parts in _part_multisets(order, count, lo):
-            if count == 2 and order % 2 == 0 and parts[0] % 2 != 0:
-                continue
-            out.append(parts)
+    two = _part_multisets(order, 2, lo)
+    out = [t for t in two if _reaches(2, order % 2 == 1, all(p % 2 == 0 for p in t))]
+    out.extend(_part_multisets(order, 3, lo))
+    out.extend(_part_multisets(order, 4, lo))
     return out
 
 
@@ -118,13 +117,12 @@ def poset_successors(
 ) -> set[StratumSignature]:
     """Signatures obtained from ``s`` by exactly one split, as a set."""
     out: set[StratumSignature] = set()
-    seen_orders: set[int] = set()
     for idx, order in enumerate(s.orders):
-        if order in seen_orders:
+        if idx and s.orders[idx - 1] == order:  # orders descend: tried already
             continue
-        seen_orders.add(order)
-        for parts in legal_splits(order, include_poles=include_poles):
-            out.add(apply_split(s, SplitMove(idx, parts)))
+        head, tail = s.orders[:idx], s.orders[idx + 1 :]
+        for parts in legal_splits(order, include_poles):
+            out.add(StratumSignature(s.genus, head + parts + tail))
     return out
 
 
@@ -260,7 +258,8 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
 def check_grouping(s: StratumSignature, grp: GroupingSpec) -> bool:
     """Whether the two groups balance and collide to a valid signature."""
     indices = grp.left + grp.right
-    if any(i < 0 or i >= s.n for i in indices):
+    # type() rather than isinstance: a bool is an int
+    if any(type(i) is not int or not 0 <= i < s.n for i in indices):
         raise IndexOutOfRange("grouping index out of range for %r" % (s,))
     if len(set(indices)) != len(indices):
         raise IndexOutOfRange("grouping indices must be disjoint")

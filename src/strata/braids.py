@@ -151,12 +151,8 @@ class Letter(Frozen):
         second = _SECOND_KEY[kind]
         if "i" not in data or second not in data:
             raise InvalidLetter("%s letter JSON needs 'i' and %r" % (kind, second))
-        fields = (data["i"], data[second], data.get("exp", 1))
-        if any(type(x) is not int for x in fields):
-            raise InvalidLetter(
-                "%s letter fields 'i', %r and 'exp' must be integers" % (kind, second)
-            )
-        return Letter(kind, *fields)
+        # the field types are checked with the rest by the BraidWord constructor
+        return Letter(kind, data["i"], data[second], data.get("exp", 1))
 
 
 def rho(i: int, r: int, exp: int = 1) -> Letter:
@@ -181,6 +177,13 @@ def _validate_letters(letters: Sequence[Letter], surf: MarkedSurface) -> None:
     n, dirs = len(weights), 2 * surf.genus
     for lt in letters:
         kind, i, second, exp = lt.kind, lt.i, lt.second, lt.exp
+        # type() rather than isinstance: a bool is an int
+        if type(i) is not int or type(second) is not int or type(exp) is not int:
+            if kind not in (RHO, SIGMA, KAPPA, PUNCTURE):  # a tuple: kind may not hash
+                raise InvalidLetter("unknown letter kind %r" % (kind,))
+            raise InvalidLetter(
+                "%s letter fields 'i', %r and 'exp' must be integers" % (kind, _SECOND_KEY[kind])
+            )
         if exp not in (1, -1):
             raise InvalidLetter("letter exponent must be +-1, got %r" % (exp,))
         if not 1 <= i <= n:
@@ -361,8 +364,9 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     count vanishes and the puncture-loop counts share one common value.
     """
     n = w.surface.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange("point index %d out of range 1..%d" % (i, n))
+    # type() rather than isinstance: a bool is an int
+    if type(i) is not int or not 1 <= i <= n:
+        raise IndexOutOfRange("point index %r out of range 1..%d" % (i, n))
     rho_sums = _direction_vector(w.surface.genus)
     kappa_sums = {l: 0 for l in range(i + 1, n + 1)}
     for lt in w.letters:

@@ -71,7 +71,7 @@ def cmd_poset(args) -> tuple[dict, list[str]]:
     include_poles = not args.no_poles
     notes: list[str] = []
     edges: list[dict] = []
-    nodes = {root.orders}
+    nodes = {root.orders: root}
     frontier = [root]
     for _ in range(args.depth):
         fresh: list[signatures.StratumSignature] = []
@@ -82,12 +82,11 @@ def cmd_poset(args) -> tuple[dict, list[str]]:
             ):
                 edges.append({"from": list(s.orders), "to": list(succ.orders)})
                 if succ.orders not in nodes:
-                    nodes.add(succ.orders)
+                    nodes[succ.orders] = succ
                     fresh.append(succ)
         frontier = fresh
     for orders in sorted(nodes):
-        s = signatures.StratumSignature(args.genus, orders)
-        report = signatures.classify_connectivity(s)
+        report = signatures.classify_connectivity(nodes[orders])
         if report.component_count == 2:
             notes.append(
                 "stratum %s has two connected components; adjacency is stratum-level"

@@ -57,7 +57,9 @@ if TYPE_CHECKING:
 
 def _orbits(perm: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """The cycles of perm, each from its least element and in the order of
-    those elements, and per element the index of its cycle: one walk."""
+    those elements, and per element the index of its cycle: one walk.  Each
+    walk stops at the first element already owned, so a list that is not a
+    permutation raises instead of looping."""
     owner = [-1] * len(perm)
     cycles: list[list[int]] = []
     for start in range(len(perm)):
@@ -67,10 +69,12 @@ def _orbits(perm: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         cyc = [start]
         owner[start] = k
         cur = perm[start]
-        while cur != start:
+        while owner[cur] < 0:
             cyc.append(cur)
             owner[cur] = k
             cur = perm[cur]
+        if cur != start:
+            raise AssertionError("internal error: two elements map to %d" % cur)
         cycles.append(cyc)
     return cycles, owner
 

@@ -205,6 +205,33 @@ def construct_graph_oracle(g: int, f: int, extra: int) -> list[st.CombinatorialM
     return maps
 
 
+def loose_part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]]:
+    """Non-decreasing tuples of ``count`` valid orders (no zeros, each at
+    least ``lo``) summing to ``total``, with every first part up to
+    ``total + count - 1`` tried, so some branches yield nothing."""
+    if count == 1:
+        if total >= lo and total != 0:
+            yield (total,)
+        return
+    for v in range(lo, total + count):
+        if v == 0:
+            continue
+        for rest in loose_part_multisets(total - v, count - 1, v):
+            yield (v,) + rest
+
+
+def legal_splits_oracle(order: int, include_poles: bool = True) -> list[tuple[int, ...]]:
+    """Oracle for ``legal_splits``: the loosely enumerated tuples of 2, 3 and
+    4 parts in that order, without two odd parts of an even order."""
+    lo = -1 if include_poles else 1
+    return [
+        parts
+        for count in (2, 3, 4)
+        for parts in loose_part_multisets(order, count, lo)
+        if not (count == 2 and order % 2 == 0 and parts[0] % 2 != 0)
+    ]
+
+
 def bfs_refinements(lower: st.StratumSignature, max_poles: int) -> set[tuple[int, ...]]:
     """Oracle: the orders of every signature reachable from ``lower`` by
     splits with at most ``max_poles`` poles, ``lower`` included, found by a

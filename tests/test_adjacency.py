@@ -4,7 +4,12 @@ import random
 import pytest
 
 import strata as st
-from support import bfs_refinements, enumerate_signatures, positive_partitions
+from support import (
+    bfs_refinements,
+    enumerate_signatures,
+    legal_splits_oracle,
+    positive_partitions,
+)
 from strata.errors import (
     BadSum,
     GenusMismatch,
@@ -75,6 +80,12 @@ class TestApplySplit:
         with pytest.raises(IndexOutOfRange):
             st.apply_split(sig(2, (4,)), st.SplitMove(3, (2, 2)))
 
+    @pytest.mark.parametrize("idx", [0.0, True])
+    def test_index_must_be_an_integer(self, idx):
+        # read as 1, True would name the order 2, where (2, -1, 1) is legal
+        with pytest.raises(IndexOutOfRange):
+            st.apply_split(sig(2, (4, 2, -1, -1)), st.SplitMove(idx, (2, -1, 1)))
+
     def test_odd_two_part_split_is_free(self):
         assert st.apply_split(sig(2, (3, 1)), st.SplitMove(0, (1, 2))) == sig(
             2, (1, 2, 1)
@@ -86,6 +97,12 @@ class TestLegalSplits:
     def test_order_must_be_an_integer(self, order):
         with pytest.raises(InvalidMove):
             st.legal_splits(order)
+
+    @pytest.mark.parametrize("include_poles", [True, False])
+    def test_matches_loose_enumeration(self, include_poles):
+        # same tuples in the same order as trying every first part
+        for k in range(1, 61):
+            assert st.legal_splits(k, include_poles) == legal_splits_oracle(k, include_poles), k
 
 
 class TestPosetSuccessors:
@@ -110,8 +127,15 @@ class TestPosetSuccessors:
         assert got == self.FROZEN_SUCCESSORS_OF_4
 
     def test_matches_brute_force(self):
-        for s in (sig(2, (4,)), sig(2, (1, 1, 1, 1)), sig(3, (6, 2)), sig(2, (2, 1, 1))):
-            assert st.poset_successors(s) == brute_successors(s)
+        # every signature of genus <= 2 with at most four poles, and of genus 3
+        # without poles; without poles, no successor gains one
+        sigs = [s for g in range(3) for s in enumerate_signatures(g, max_poles=4)]
+        for s in sigs + enumerate_signatures(3, max_poles=0):
+            brute = brute_successors(s)
+            assert st.poset_successors(s) == brute, s.orders
+            poles = s.orders.count(-1)
+            no_poles = {t for t in brute if t.orders.count(-1) == poles}
+            assert st.poset_successors(s, include_poles=False) == no_poles, s.orders
 
     def test_all_poles_has_no_successors(self):
         assert st.poset_successors(sig(0, (-1, -1, -1, -1))) == set()
@@ -299,6 +323,12 @@ class TestGrouping:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             st.check_grouping(sig(2, (4,)), st.GroupingSpec((0,), (5,)))
+
+    @pytest.mark.parametrize("index", [1.0, True])
+    def test_index_must_be_an_integer(self, index):
+        # read as 1, True would name an order that balances index 0
+        with pytest.raises(IndexOutOfRange):
+            st.check_grouping(sig(2, (2, 2)), st.GroupingSpec((0,), (index,)))
 
     def test_overlap_rejected(self):
         with pytest.raises(IndexOutOfRange):

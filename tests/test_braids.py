@@ -60,8 +60,19 @@ class TestSurfaceAndLetters:
             ((2.0, (4,)), "'genus' and 'punctures' must be integers"),
             ((2, (4,), 1.0), "'genus' and 'punctures' must be integers"),
             ((2, (4,), 0, 1), "'stratum_mode' must be true or false"),
+            ((-1, ()), "genus must be non-negative"),
+            ((2, (4,), -1), "puncture count must be non-negative"),
         ],
-        ids=["float-weight", "bool-weight", "bool-genus", "float-genus", "float-punctures", "int-mode"],
+        ids=[
+            "float-weight",
+            "bool-weight",
+            "bool-genus",
+            "float-genus",
+            "float-punctures",
+            "int-mode",
+            "negative-genus",
+            "negative-punctures",
+        ],
     )
     def test_field_types_checked_by_constructor(self, args, message):
         with pytest.raises(InvalidSurface, match=message):
@@ -98,6 +109,26 @@ class TestSurfaceAndLetters:
             word(SURF112, st.rho(1, 1), bad_direction, bad_weights)
         with pytest.raises(InvalidLetter, match=r"^sigma exchanges equal weights only: 1 vs 2$"):
             word(SURF112, bad_weights, bad_direction)
+
+    @pytest.mark.parametrize(
+        "letter, message",
+        [
+            (st.rho(1.0, 1), "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
+            (st.rho(1, 1, 1.0), "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
+            (st.rho(1, 1, True), "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
+            (st.kappa(True, 2), "^kappa letter fields 'i', 'j' and 'exp' must be integers$"),
+            (st.Letter([], 1.0, 1), r"^unknown letter kind \[\]$"),
+        ],
+        ids=["float-index", "float-exp", "bool-exp", "bool-index", "unhashable-kind"],
+    )
+    def test_letter_field_types_checked(self, letter, message):
+        # the first four are in range when read as numbers: only the type is wrong
+        with pytest.raises(InvalidLetter, match=message):
+            word(SURF112, letter)
+
+    def test_product_needs_one_surface(self):
+        with pytest.raises(InvalidSurface):
+            word(SURF112) * word(st.MarkedSurface(2, (1, 1, 1, 1)))
 
     def test_exponent_checked_before_index(self):
         with pytest.raises(InvalidLetter, match=r"^letter exponent must be \+-1, got 2$"):
@@ -207,6 +238,14 @@ class TestCertifyICommutator:
     def test_index_validated(self):
         with pytest.raises(IndexOutOfRange):
             st.certify_i_commutator(word(SURF112), 4)
+
+    @pytest.mark.parametrize("i", [1.0, True])
+    def test_index_must_be_an_integer(self, i):
+        with pytest.raises(IndexOutOfRange):
+            st.certify_i_commutator(word(SURF112), i)
+
+    def test_unbalanced_direction_fails(self):
+        assert not st.certify_i_commutator(word(SURF112, st.rho(1, 1)), 1)
 
     # 10**19 does not fit an index and 3 * 10**18 coordinates do not fit the
     # address space, so both fail at once without allocating
@@ -337,6 +376,14 @@ class TestFactorize:
     def test_rejects_non_stratum_surface(self):
         with pytest.raises(PreconditionUnmet):
             st.factorize_kernel_word(word(SURF112))
+
+    def test_rejects_genus_one(self):
+        surf = st.MarkedSurface(1, (1, -1), stratum_mode=True)
+        with pytest.raises(PreconditionUnmet):
+            st.factorize_kernel_word(st.BraidWord(surf))
+
+    def test_unknown_tag_does_not_verify(self):
+        assert not st.FactorCertificate("bogus", word(FLAGSHIP)).verify()
 
     def test_rejects_scrambled_classes(self):
         surf = st.MarkedSurface(2, (1, 2, 1), stratum_mode=True)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -75,7 +76,18 @@ class TestInfo:
             assert (doc["payload"]["components"], doc["payload"]["reason"]) == expected
 
 
+# sha256 of what ``strata poset --genus 3 --root 8 --depth 3`` prints, taken
+# while each successor was built through apply_split
+POSET_OUTPUT_DIGEST = "2b4cceeecb07d3c8b2b78d2dc44eb4f1e51c5e09818d91f52836d10d51b91d71"
+
+
 class TestPoset:
+    def test_output_frozen(self, capsys):
+        code = main(["poset", "--genus", "3", "--root", "8", "--depth", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == POSET_OUTPUT_DIGEST
+
     def test_depth_one_edges(self, capsys):
         code, doc = run(capsys, "poset", "--genus", "2", "--root", "4")
         assert code == 0

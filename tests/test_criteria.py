@@ -45,6 +45,8 @@ class TestAMin:
             st.a_min(1, 0)
         with pytest.raises(OutOfRange):
             st.a_min(2, -1)
+        with pytest.raises(OutOfRange):
+            st.point_bound(2, -1)
 
 
 class TestCascade:

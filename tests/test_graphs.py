@@ -75,11 +75,36 @@ class TestCombinatorialMap:
         m = st.embed_complete(5, 1)
         assert st.CombinatorialMap.from_json_dict(m.to_json_dict()) == m
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: st.CombinatorialMap(()),
+            lambda: st.CombinatorialMap.from_json_dict(
+                {"darts": 4, "sigma": [[0], [1]], "alpha_convention": "pairs"}
+            ),
+            lambda: st.CombinatorialMap.from_json_dict(
+                {"darts": 2, "sigma": [[0], [5]], "alpha_convention": "pairs"}
+            ),
+            lambda: st.build_map(3, [(0, 1)]),
+            lambda: st.EmbeddedGraphReport.from_counts(1, 0, 0, True),
+        ],
+        ids=["no-darts", "json-missing-darts", "json-foreign-dart", "isolated-vertex", "bad-euler"],
+    )
+    def test_malformed_input_rejected(self, call):
+        with pytest.raises(InvalidSpec):
+            call()
+
     def test_json_requires_pair_convention(self):
         with pytest.raises(InvalidSpec):
             st.CombinatorialMap.from_json_dict(
                 {"darts": 2, "sigma": [[0], [1]], "alpha_convention": "involution"}
             )
+
+    @pytest.mark.parametrize("perm", [[1, 0, 0], [0, 0], [1, 2, 1]])
+    def test_orbits_of_a_non_permutation_raise(self, perm):
+        # a derived map is not re-checked, so a broken move must fail, not hang
+        with pytest.raises(AssertionError, match="internal error"):
+            graphs._orbits(perm)
 
     def test_views_walk_each_orbit_once(self, monkeypatch):
         # one walk of the vertex orbits and one of the face orbits per call
@@ -626,6 +651,7 @@ class TestStartTable:
         (lambda: st.complete_graph_genus_range(7.5), OutOfRange),
         (lambda: st.point_bound(2.0, 1), OutOfRange),
         (lambda: st.a_min(2.5, 1), OutOfRange),
+        (lambda: st.a_min(2, 1.5), OutOfRange),
         (lambda: st.subdivide_edge(st.embed_complete(5, 1), 0.0), IndexOutOfRange),
         (lambda: st.subdivide_edge(st.embed_complete(5, 1), True), IndexOutOfRange),
         (lambda: st.CombinatorialMap([1.0, 0]), InvalidSpec),
@@ -641,6 +667,7 @@ class TestStartTable:
         "genus-range-float",
         "point-bound-float",
         "a-min-float",
+        "a-min-float-count",
         "subdivide-float-edge",
         "subdivide-bool-edge",
         "map-float-darts",
