@@ -16,10 +16,6 @@ __version__ = "0.1.0"
 # every public name, grouped by the submodule that defines it
 _EXPORTS = {
     "adjacency": (
-        "GroupingSpec",
-        "SplitMove",
-        "apply_split",
-        "check_grouping",
         "is_adjacent",
         "legal_splits",
         "poset_successors",
@@ -71,7 +67,6 @@ _EXPORTS = {
         "DoubleCoverSpec",
         "StratumSignature",
         "classify_connectivity",
-        "connectivity",
         "dimension",
         "double_cover",
         "is_empty",

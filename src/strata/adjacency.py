@@ -29,59 +29,14 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ._frozen import Frozen, set_field
-from .errors import (
-    BadSum,
-    GenusMismatch,
-    IndexOutOfRange,
-    InvalidMove,
-    InvalidSignature,
-    ParityViolation,
-)
+from .errors import GenusMismatch, InvalidMove, InvalidSignature
 from .signatures import StratumSignature
 
 
-class SplitMove(Frozen):
-    __slots__ = ("source_index", "parts")
-    source_index: int
-    parts: tuple[int, ...]
-
-    def __init__(self, source_index: int, parts: Sequence[int]):
-        set_field(self, "source_index", source_index)
-        set_field(self, "parts", tuple(parts))
-
-
-class GroupingSpec(Frozen):
-    __slots__ = ("left", "right")
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def __init__(self, left: Sequence[int], right: Sequence[int]):
-        set_field(self, "left", tuple(left))
-        set_field(self, "right", tuple(right))
-
-
-def _check_move(order: int, parts: tuple[int, ...]) -> None:
-    if order < 1:
-        raise InvalidMove("only zeros of positive order can be split, not %d" % order)
-    if not 2 <= len(parts) <= 4:
-        raise InvalidMove("a split produces 2, 3 or 4 parts, got %d" % len(parts))
-    if any(p == 0 or p < -1 for p in parts):
-        raise InvalidMove("parts must be -1 or positive, got %r" % (parts,))
-    if sum(parts) != order:
-        raise BadSum("parts %r sum to %d, expected %d" % (parts, sum(parts), order))
-    if not _reaches(len(parts), order % 2 == 1, all(p % 2 == 0 for p in parts)):
-        raise ParityViolation(
-            "an even order splits in two only into even parts, got %r" % (parts,)
-        )
-
-
-def apply_split(s: StratumSignature, move: SplitMove) -> StratumSignature:
-    idx = move.source_index
-    if type(idx) is not int or not 0 <= idx < s.n:
-        raise IndexOutOfRange("source index %r out of range" % (idx,))
-    _check_move(s.orders[idx], move.parts)
-    return StratumSignature(s.genus, s.orders[:idx] + move.parts + s.orders[idx + 1 :])
+def _require_signature(s) -> None:
+    # the boundary check of every entry point that takes a signature
+    if not isinstance(s, StratumSignature):
+        raise InvalidSignature("expected a StratumSignature, got %s" % type(s).__name__)
 
 
 def _part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]]:
@@ -115,21 +70,32 @@ def legal_splits(order: int, include_poles: bool = True) -> list[tuple[int, ...]
 def poset_successors(
     s: StratumSignature, include_poles: bool = True
 ) -> set[StratumSignature]:
-    """Signatures obtained from ``s`` by exactly one split, as a set."""
+    """Signatures obtained from ``s`` by exactly one split, as a set.
+
+    Each successor is built unchecked: a legal split keeps the sum and gives
+    parts that are -1 or positive, so only the order needs sorting."""
+    _require_signature(s)
     out: set[StratumSignature] = set()
     for idx, order in enumerate(s.orders):
         if idx and s.orders[idx - 1] == order:  # orders descend: tried already
             continue
         head, tail = s.orders[:idx], s.orders[idx + 1 :]
         for parts in legal_splits(order, include_poles):
-            out.add(StratumSignature(s.genus, head + parts + tail))
+            orders = tuple(sorted(head + parts + tail, reverse=True))
+            out.add(StratumSignature._derived(s.genus, orders))
     return out
 
 
 def splits_into(order: int, parts: Sequence[int]) -> bool:
     """Whether a zero of the given order becomes exactly ``parts`` after one
     or more splits.  See the module docstring for the rule and its proof."""
-    parts = tuple(parts)
+    try:
+        parts = tuple(parts)
+    except TypeError:  # not iterable
+        raise InvalidMove("parts must be a sequence of integers, got %r" % (parts,)) from None
+    # type() rather than isinstance: a bool is an int
+    if type(order) is not int or any(type(p) is not int for p in parts):
+        raise InvalidMove("an order and its parts must be integers, got %r, %r" % (order, parts))
     if order < 1 or any(p == 0 or p < -1 for p in parts) or sum(parts) != order:
         return False
     return _reaches(len(parts), order % 2 == 1, all(p % 2 == 0 for p in parts))
@@ -227,6 +193,8 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
     is a zero that reaches the rest.  No intermediate signature is built;
     the grouping is a depth-first search over the entries of ``higher``.
     """
+    _require_signature(higher)
+    _require_signature(lower)
     if higher.genus != lower.genus:
         raise GenusMismatch(
             "genus %d vs %d" % (higher.genus, lower.genus)
@@ -253,25 +221,3 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
         # what is left sums to 0 with the spare poles and joins a lone zero
         return lower.n > lower_poles
     return _groupable(zeros, positives, spare)
-
-
-def check_grouping(s: StratumSignature, grp: GroupingSpec) -> bool:
-    """Whether the two groups balance and collide to a valid signature."""
-    indices = grp.left + grp.right
-    # type() rather than isinstance: a bool is an int
-    if any(type(i) is not int or not 0 <= i < s.n for i in indices):
-        raise IndexOutOfRange("grouping index out of range for %r" % (s,))
-    if len(set(indices)) != len(indices):
-        raise IndexOutOfRange("grouping indices must be disjoint")
-    left_sum = sum(s.orders[i] for i in grp.left)
-    right_sum = sum(s.orders[i] for i in grp.right)
-    if left_sum != right_sum:
-        return False
-    drop = set(indices)
-    orders = [k for i, k in enumerate(s.orders) if i not in drop]
-    orders.extend((left_sum, right_sum))
-    try:
-        StratumSignature(s.genus, tuple(orders))
-    except InvalidSignature:
-        return False
-    return True

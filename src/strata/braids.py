@@ -134,12 +134,11 @@ class Letter(Frozen):
         return Letter(self.kind, self.i, self.second, -self.exp)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "i": self.i,
-            _SECOND_KEY[self.kind]: self.second,
-            "exp": self.exp,
-        }
+        try:
+            second_key = _SECOND_KEY[self.kind]
+        except (KeyError, TypeError):  # unknown, or unhashable
+            raise InvalidLetter("unknown letter kind %r" % (self.kind,)) from None
+        return {"kind": self.kind, "i": self.i, second_key: self.second, "exp": self.exp}
 
     @staticmethod
     def from_json_dict(data: dict) -> "Letter":
@@ -215,7 +214,9 @@ class BraidWord(Frozen):
     """A word of letters over one marked surface.
 
     Every word's letters are valid on its surface: the public constructor
-    checks this, and words derived inside ``braids`` keep it by construction.
+    checks this, and the words ``braids`` derives with ``_derived`` keep it
+    by construction: each of their letters comes from a valid word on an
+    equal surface, is such a letter's inverse, or is valid by how it was made.
     """
 
     __slots__ = ("surface", "letters")
@@ -227,16 +228,6 @@ class BraidWord(Frozen):
         set_field(self, "surface", surface)
         set_field(self, "letters", letters)
         _validate_letters(letters, surface)
-
-    @classmethod
-    def _derived(cls, surface: MarkedSurface, letters: tuple[Letter, ...]) -> "BraidWord":
-        """A word whose letters are not checked again.  Each must come from a
-        valid word on an equal surface, be such a letter's inverse, or be
-        valid by how it was made."""
-        word = object.__new__(cls)
-        set_field(word, "surface", surface)
-        set_field(word, "letters", letters)
-        return word
 
     def __len__(self) -> int:
         return len(self.letters)

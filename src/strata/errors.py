@@ -45,14 +45,6 @@ class InvalidMove(StrataError):
     code = "invalid-move"
 
 
-class ParityViolation(InvalidMove):
-    code = "parity-violation"
-
-
-class BadSum(InvalidMove):
-    code = "bad-sum"
-
-
 class GenusMismatch(StrataError):
     code = "genus-mismatch"
 

@@ -109,7 +109,9 @@ class CombinatorialMap(Frozen):
     Every map's rotation is a permutation of a positive even number of darts
     that, with the edge involution, reaches every dart: the public
     constructor checks this, and so ``from_json_dict`` and ``build_map``,
-    which call it; maps derived inside ``graphs`` keep it by construction.
+    which call it; the maps ``graphs`` derives with ``_derived`` keep it by
+    construction: each rotation comes from a valid map's rotation by moves
+    that keep it a connected permutation.
     """
 
     __slots__ = ("sigma",)
@@ -141,14 +143,6 @@ class CombinatorialMap(Frozen):
                     stack.append(nxt)
         if not all(seen):
             raise InvalidSpec("map is not connected")
-
-    @classmethod
-    def _derived(cls, sigma: Sequence[int]) -> "CombinatorialMap":
-        """A map whose rotation is not checked again.  It must come from a
-        valid map's rotation by moves that keep it a connected permutation."""
-        m = object.__new__(cls)
-        set_field(m, "sigma", tuple(sigma))
-        return m
 
     @property
     def n_darts(self) -> int:
@@ -457,7 +451,7 @@ def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
     deterministic; ``seed`` is accepted for compatibility and ignored.
     """
     rot, label = _complete_rotation(n, g)
-    return CombinatorialMap._derived(_sigma_of(rot, len(label)))
+    return CombinatorialMap._derived(tuple(_sigma_of(rot, len(label))))
 
 
 def _delete_edge(rot: list[list[int]], label: list[int]) -> None:
@@ -489,7 +483,7 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     rot = m.vertices()
     label = _faces(m.sigma)[1]
     _delete_edge(rot, label)
-    return CombinatorialMap._derived(_sigma_of(rot, len(label)))
+    return CombinatorialMap._derived(tuple(_sigma_of(rot, len(label))))
 
 
 def _subdivide_edge(rot: list[list[int]], n_darts: int, e: int) -> None:
@@ -517,7 +511,7 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
         raise IndexOutOfRange("edge index %r out of range" % (e,))
     rot = m.vertices()
     _subdivide_edge(rot, m.n_darts, e)
-    return CombinatorialMap._derived(_sigma_of(rot, m.n_darts + 2))
+    return CombinatorialMap._derived(tuple(_sigma_of(rot, m.n_darts + 2)))
 
 
 def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMap:
@@ -550,7 +544,7 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
     for _ in range(n - n_base):
         _subdivide_edge(rot, n_darts, 0)
         n_darts += 2
-    return CombinatorialMap._derived(_sigma_of(rot, n_darts))
+    return CombinatorialMap._derived(tuple(_sigma_of(rot, n_darts)))
 
 
 def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:

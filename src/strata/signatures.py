@@ -40,7 +40,13 @@ _G2_TWO_COMPONENT = frozenset({(3, 3, -1, -1), (6, -1, -1)})
 
 
 class StratumSignature(Frozen):
-    """Genus plus the multiset of orders, stored descending."""
+    """Genus plus the multiset of orders, stored descending.
+
+    Every signature's orders are -1 or positive and sum to 4g - 4: the public
+    constructor checks this, and the signatures ``adjacency`` derives with
+    ``_derived`` keep it by construction: each comes from a valid signature
+    by one legal split of one zero, with its orders sorted again.
+    """
 
     __slots__ = ("genus", "orders")
     genus: int
@@ -181,12 +187,6 @@ def classify_connectivity(s: StratumSignature) -> ConnectivityReport:
     if s.orders.count(1) >= s.genus:
         return ConnectivityReport(1, False, REASON_C1)
     return ConnectivityReport(1, False, REASON_DEFAULT)
-
-
-def connectivity(s: StratumSignature) -> ConnectivityReport:
-    if is_empty(s):
-        raise EmptyStratum("stratum %r is empty" % (s,))
-    return classify_connectivity(s)
 
 
 def double_cover(spec: DoubleCoverSpec) -> tuple[StratumSignature, bool]:

@@ -84,7 +84,7 @@ def test_criterion_1_classification():
         scanned = {
             s.orders
             for s in enumerate_signatures(g, max_poles=4)
-            if not st.is_empty(s) and st.connectivity(s).component_count == 2
+            if not st.is_empty(s) and st.classify_connectivity(s).component_count == 2
         }
         expected = {t for t in lanneau_expected(g) if t.count(-1) <= 4}
         assert scanned == expected, "genus %d scan mismatch" % g

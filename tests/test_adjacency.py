@@ -10,13 +10,7 @@ from support import (
     legal_splits_oracle,
     positive_partitions,
 )
-from strata.errors import (
-    BadSum,
-    GenusMismatch,
-    IndexOutOfRange,
-    InvalidMove,
-    ParityViolation,
-)
+from strata.errors import GenusMismatch, InvalidMove, InvalidSignature
 
 
 def sig(g, orders):
@@ -43,53 +37,44 @@ def brute_successors(s):
     return out
 
 
-class TestApplySplit:
+class TestSplitRules:
+    # one split through legal_splits, any number of splits through splits_into
     def test_even_split(self):
-        assert st.apply_split(sig(2, (4,)), st.SplitMove(0, (2, 2))) == sig(2, (2, 2))
+        assert (2, 2) in st.legal_splits(4)
+        assert st.splits_into(4, (2, 2))
 
     def test_parity_violation(self):
-        with pytest.raises(ParityViolation):
-            st.apply_split(sig(2, (4,)), st.SplitMove(0, (1, 3)))
+        assert (1, 3) not in st.legal_splits(4)
+        assert not st.splits_into(4, (1, 3))
 
     def test_four_odd_parts(self):
-        assert st.apply_split(sig(2, (4,)), st.SplitMove(0, (1, 1, 1, 1))) == sig(
-            2, (1, 1, 1, 1)
-        )
+        assert (1, 1, 1, 1) in st.legal_splits(4)
+        assert st.splits_into(4, (1, 1, 1, 1))
 
     def test_bad_sum(self):
-        with pytest.raises(BadSum):
-            st.apply_split(sig(2, (4,)), st.SplitMove(0, (1, 2)))
+        assert not any(sum(parts) != 4 for parts in st.legal_splits(4))
+        assert not st.splits_into(4, (1, 2))
 
     def test_zero_part_rejected(self):
-        with pytest.raises(InvalidMove):
-            st.apply_split(sig(2, (4,)), st.SplitMove(0, (4, 0)))
+        assert not any(0 in parts for parts in st.legal_splits(4))
+        assert not st.splits_into(4, (4, 0))
 
     def test_deep_pole_rejected(self):
-        with pytest.raises(InvalidMove):
-            st.apply_split(sig(2, (4,)), st.SplitMove(0, (6, -2)))
+        assert min(min(parts) for parts in st.legal_splits(4)) == -1
+        assert not st.splits_into(4, (6, -2))
 
     def test_pole_source_rejected(self):
-        with pytest.raises(InvalidMove):
-            st.apply_split(sig(2, (4, 1, -1)), st.SplitMove(2, (-1, -1, 1)))
+        assert st.legal_splits(-1) == []
+        assert not st.splits_into(-1, (-1, -1, 1))
 
     def test_five_parts_rejected(self):
-        with pytest.raises(InvalidMove):
-            st.apply_split(sig(3, (8,)), st.SplitMove(0, (2, 2, 2, 1, 1)))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            st.apply_split(sig(2, (4,)), st.SplitMove(3, (2, 2)))
-
-    @pytest.mark.parametrize("idx", [0.0, True])
-    def test_index_must_be_an_integer(self, idx):
-        # read as 1, True would name the order 2, where (2, -1, 1) is legal
-        with pytest.raises(IndexOutOfRange):
-            st.apply_split(sig(2, (4, 2, -1, -1)), st.SplitMove(idx, (2, -1, 1)))
+        # one split makes at most four parts; two splits make five
+        assert max(len(parts) for parts in st.legal_splits(8)) == 4
+        assert st.splits_into(8, (2, 2, 2, 1, 1))
 
     def test_odd_two_part_split_is_free(self):
-        assert st.apply_split(sig(2, (3, 1)), st.SplitMove(0, (1, 2))) == sig(
-            2, (1, 2, 1)
-        )
+        assert (1, 2) in st.legal_splits(3)
+        assert st.splits_into(3, (1, 2))
 
 
 class TestLegalSplits:
@@ -149,6 +134,34 @@ class TestPosetSuccessors:
         succ = {t.orders for t in st.poset_successors(sig(2, (4,)), include_poles=False)}
         assert succ == {(2, 2), (2, 1, 1), (1, 1, 1, 1)}
 
+    def test_derived_successors_are_ordinary_signatures(self):
+        # poset_successors builds these without the checking constructor
+        for g in range(4):
+            for s in enumerate_signatures(g, max_poles=2):
+                for include_poles in (True, False):
+                    for t in st.poset_successors(s, include_poles):
+                        assert t == st.StratumSignature(t.genus, t.orders), t
+                        assert list(t.orders) == sorted(t.orders, reverse=True), t
+
+    def test_never_runs_the_checking_constructor(self, monkeypatch):
+        s = sig(5, (8, 4, 2, 1, 1))
+        want = st.poset_successors(s)
+        checked = []
+        init = st.StratumSignature.__init__
+
+        def counting_init(self, genus, orders):
+            checked.append(orders)
+            init(self, genus, orders)
+
+        monkeypatch.setattr(st.StratumSignature, "__init__", counting_init)
+        assert st.poset_successors(s) == want
+        assert checked == []
+
+    @pytest.mark.parametrize("s", ["x", None, (2, (4,))], ids=["str", "None", "tuple"])
+    def test_non_signature_rejected(self, s):
+        with pytest.raises(InvalidSignature):
+            st.poset_successors(s)
+
     def test_length_growth_bounds(self):
         s = sig(3, (6, 2))
         for t in st.poset_successors(s):
@@ -161,13 +174,15 @@ class TestRoundTrip:
     def test_collapse_recovers_source(self):
         rng = random.Random(11)
         s = sig(3, (6, 2))
+        successors = st.poset_successors(s)
         for _ in range(50):
             idx = rng.randrange(s.n)
             if s.orders[idx] < 1:
                 continue
             splits = st.legal_splits(s.orders[idx])
             parts = rng.choice(splits)
-            t = st.apply_split(s, st.SplitMove(idx, parts))
+            t = sig(s.genus, s.orders[:idx] + parts + s.orders[idx + 1 :])
+            assert t in successors
             back = list(t.orders)
             for p in parts:
                 back.remove(p)
@@ -190,6 +205,13 @@ class TestIsAdjacent:
 
     def test_shorter_target_unreachable(self):
         assert not st.is_adjacent(sig(2, (4,)), sig(2, (1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("other", [None, "x", (2, (4,))], ids=["None", "str", "tuple"])
+    def test_non_signature_rejected(self, other):
+        with pytest.raises(InvalidSignature):
+            st.is_adjacent(sig(2, (4,)), other)
+        with pytest.raises(InvalidSignature):
+            st.is_adjacent(other, sig(2, (4,)))
 
     def test_genus_mismatch(self):
         with pytest.raises(GenusMismatch):
@@ -297,42 +319,19 @@ class TestSplitsInto:
         assert st.splits_into(3, (4, -1))
         assert st.splits_into(4, (1, 1, 1, 1, 1, -1))
 
+    @pytest.mark.parametrize(
+        "order,parts",
+        [(4.0, (2.0, 2.0)), ("a", (1,)), (4, (2, 2.0)), (True, (1,)), (2, (True, 1)), (4, ("a",)),
+         (4, None)],
+        ids=["float", "str", "float-part", "bool", "bool-part", "str-part", "not-iterable"],
+    )
+    def test_orders_must_be_integers(self, order, parts):
+        with pytest.raises(InvalidMove):
+            st.splits_into(order, parts)
+
     def test_malformed_parts(self):
         assert not st.splits_into(4, (2, 1))
         assert not st.splits_into(4, (4, 0))
         assert not st.splits_into(4, (6, -2))
         assert not st.splits_into(-1, (-1,))
         assert not st.splits_into(4, ())
-
-
-class TestGrouping:
-    def test_two_ones_balance_a_two(self):
-        s = sig(5, (1,) * 12 + (2, 2))
-        # canonical descending order puts the twos first
-        assert s.orders[:2] == (2, 2)
-        assert st.check_grouping(s, st.GroupingSpec((2, 3), (0,)))
-
-    def test_unbalanced(self):
-        s = sig(5, (1,) * 12 + (2, 2))
-        assert not st.check_grouping(s, st.GroupingSpec((2,), (0,)))
-
-    def test_equal_weights(self):
-        s = sig(2, (1, 1, 1, 1))
-        assert st.check_grouping(s, st.GroupingSpec((0,), (1,)))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            st.check_grouping(sig(2, (4,)), st.GroupingSpec((0,), (5,)))
-
-    @pytest.mark.parametrize("index", [1.0, True])
-    def test_index_must_be_an_integer(self, index):
-        # read as 1, True would name an order that balances index 0
-        with pytest.raises(IndexOutOfRange):
-            st.check_grouping(sig(2, (2, 2)), st.GroupingSpec((0,), (index,)))
-
-    def test_overlap_rejected(self):
-        with pytest.raises(IndexOutOfRange):
-            st.check_grouping(sig(2, (2, 2)), st.GroupingSpec((0,), (0,)))
-
-    def test_empty_groups_rejected(self):
-        assert not st.check_grouping(sig(2, (2, 2)), st.GroupingSpec((), ()))

@@ -632,6 +632,11 @@ class TestJson:
         with pytest.raises(InvalidLetter, match=message):
             st.BraidWord.from_json_dict(data)
 
+    @pytest.mark.parametrize("kind", ["tau", []], ids=["unknown", "unhashable"])
+    def test_unknown_kind_has_no_json(self, kind):
+        with pytest.raises(InvalidLetter, match=r"^unknown letter kind "):
+            st.Letter(kind, 1, 1).to_json_dict()
+
     def test_letter_keys_by_kind(self):
         assert st.rho(1, 3).to_json_dict() == {"kind": "rho", "i": 1, "r": 3, "exp": 1}
         assert st.sigma(1, 2, -1).to_json_dict() == {

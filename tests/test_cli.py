@@ -77,7 +77,8 @@ class TestInfo:
 
 
 # sha256 of what ``strata poset --genus 3 --root 8 --depth 3`` prints, taken
-# while each successor was built through apply_split
+# while each successor was built by a split move and checked by the public
+# StratumSignature constructor
 POSET_OUTPUT_DIGEST = "2b4cceeecb07d3c8b2b78d2dc44eb4f1e51c5e09818d91f52836d10d51b91d71"
 
 

@@ -132,7 +132,7 @@ class TestHypothesisChain:
                     continue
                 if st.main_theorem_verdict(s)[0]:
                     assert st.null_prop_verdict(s)[0]
-                    report = st.connectivity(s)
+                    report = st.classify_connectivity(s)
                     assert report.component_count == 1
                     assert report.reason == "c1-theorem"
                 if st.null_prop_verdict(s)[0]:

@@ -605,7 +605,7 @@ class TestDerivedMaps:
                 assert _passes_checks(m)
 
     def test_derived_map_is_an_ordinary_map(self):
-        m = graphs.CombinatorialMap._derived([1, 0])
+        m = graphs.CombinatorialMap._derived((1, 0))
         assert type(m) is st.CombinatorialMap and m.sigma == (1, 0)
         assert m == st.CombinatorialMap((1, 0)) and hash(m) == hash(st.CombinatorialMap((1, 0)))
 

@@ -13,8 +13,7 @@ import strata
 
 EXPORTS = {
     "adjacency": (
-        "GroupingSpec", "SplitMove", "apply_split", "check_grouping", "is_adjacent",
-        "legal_splits", "poset_successors", "splits_into",
+        "is_adjacent", "legal_splits", "poset_successors", "splits_into",
     ),
     "braids": (
         "BraidWord", "FactorCertificate", "Letter", "MarkedSurface", "abel_jacobi",
@@ -33,7 +32,7 @@ EXPORTS = {
     ),
     "signatures": (
         "ConnectivityReport", "DoubleCoverSpec", "StratumSignature", "classify_connectivity",
-        "connectivity", "dimension", "double_cover", "is_empty",
+        "dimension", "double_cover", "is_empty",
     ),
 }
 SUBMODULES = ("adjacency", "braids", "criteria", "errors", "graphs", "signatures")
@@ -54,7 +53,7 @@ def _fresh(code):
 
 
 def test_all_lists_the_exports():
-    assert len(NAMES) == 51
+    assert len(NAMES) == 46
     assert set(strata.__all__) == set(NAMES)
     assert len(strata.__all__) == len(NAMES)
 
@@ -95,7 +94,7 @@ def test_dir_lists_every_public_name():
     listed = set(dir(strata))
     assert set(NAMES) <= listed
     assert set(SUBMODULES) <= listed
-    assert len(set(NAMES) | set(SUBMODULES)) == 57
+    assert len(set(NAMES) | set(SUBMODULES)) == 52
 
 
 def test_unknown_attribute():

@@ -93,34 +93,30 @@ class TestEmptiness:
 
 class TestConnectivity:
     def test_family_one(self):
-        report = st.connectivity(sig(3, (6, 2)))
+        report = st.classify_connectivity(sig(3, (6, 2)))
         assert report.component_count == 2
         assert report.reason == "Lanneau-family-1"
 
     def test_genus_two_special(self):
-        report = st.connectivity(sig(2, (6, -1, -1)))
+        report = st.classify_connectivity(sig(2, (6, -1, -1)))
         assert report.component_count == 2
         assert report.reason == "Lanneau-g2-special"
-        assert st.connectivity(sig(2, (3, 3, -1, -1))).component_count == 2
+        assert st.classify_connectivity(sig(2, (3, 3, -1, -1))).component_count == 2
 
     def test_many_simple_zeros(self):
-        report = st.connectivity(sig(2, (1, 1, 1, 1)))
+        report = st.classify_connectivity(sig(2, (1, 1, 1, 1)))
         assert report.component_count == 1
         assert report.reason == "c1-theorem"
 
     def test_sphere_always_connected(self):
-        report = st.connectivity(sig(0, (-1, -1, -1, -1)))
+        report = st.classify_connectivity(sig(0, (-1, -1, -1, -1)))
         assert report.component_count == 1
         assert report.reason == "genus-le-1"
 
     def test_default_tag(self):
-        report = st.connectivity(sig(2, (2, 2)))
+        report = st.classify_connectivity(sig(2, (2, 2)))
         assert report.component_count == 1
         assert report.reason == "one-component-default"
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyStratum):
-            st.connectivity(sig(1, ()))
 
     def test_classify_is_total(self):
         report = st.classify_connectivity(sig(1, ()))
@@ -131,15 +127,15 @@ class TestConnectivity:
             for s in enumerate_signatures(g, max_poles=4):
                 if st.is_empty(s):
                     continue
-                assert st.connectivity(s).component_count == 1
+                assert st.classify_connectivity(s).component_count == 1
 
     def test_family_matching_is_multiset_based(self):
-        assert st.connectivity(sig(3, (2, 6))).component_count == 2
+        assert st.classify_connectivity(sig(3, (2, 6))).component_count == 2
 
     def test_pole_pair_family(self):
         # Lanneau's third family at k = -1: Q(2g-1, 2g-1, -1, -1)
         for g in (3, 4, 5):
-            report = st.connectivity(sig(g, (2 * g - 1, 2 * g - 1, -1, -1)))
+            report = st.classify_connectivity(sig(g, (2 * g - 1, 2 * g - 1, -1, -1)))
             assert report.component_count == 2
             assert report.reason == "Lanneau-family-3"
 

@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 import strata as st
+from strata._frozen import Frozen, set_field
 
 SURF = st.MarkedSurface(2, (1, 1, 1, 1), 0, True)
 WORD = st.BraidWord(SURF, (st.sigma(1, 2), st.rho(1, 1)))
@@ -43,18 +44,6 @@ CASES = {
         "DoubleCoverSpec(base=%s, ramified_indices=frozenset({0, 1, 2, 3, 4, 5}), "
         "target_genus=2)" % BASE_REPR,
         {"base": BASE, "ramified_indices": frozenset(range(6)), "target_genus": 2},
-    ),
-    "SplitMove": (
-        lambda: st.SplitMove(0, [2, 2]),
-        lambda: st.SplitMove(1, [2, 2]),
-        "SplitMove(source_index=0, parts=(2, 2))",
-        {"source_index": 0, "parts": (2, 2)},
-    ),
-    "GroupingSpec": (
-        lambda: st.GroupingSpec([0, 1], [1]),
-        lambda: st.GroupingSpec([0, 1], [0]),
-        "GroupingSpec(left=(0, 1), right=(1,))",
-        {"left": (0, 1), "right": (1,)},
     ),
     "MarkedSurface": (
         lambda: st.MarkedSurface(2, [1, 1, 1, 1]),
@@ -98,7 +87,7 @@ NAMES = sorted(CASES)
 
 def test_every_exported_class_is_covered():
     assert {name for name in st.__all__ if isinstance(getattr(st, name), type)} == set(CASES)
-    assert len(CASES) == 11
+    assert len(CASES) == 9
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -119,9 +108,32 @@ def test_equality(name):
 
 
 def test_same_fields_in_another_class_are_not_equal():
-    move, grouping = st.SplitMove((0,), (1,)), st.GroupingSpec((0,), (1,))
+    class Move(Frozen):
+        __slots__ = ("source", "parts")
+
+        def __init__(self, source, parts):
+            set_field(self, "source", source)
+            set_field(self, "parts", parts)
+
+    class Grouping(Frozen):
+        __slots__ = ("left", "right")
+
+        def __init__(self, left, right):
+            set_field(self, "left", left)
+            set_field(self, "right", right)
+
+    move, grouping = Move((0,), (1,)), Grouping((0,), (1,))
     assert move != grouping and not move == grouping and grouping != move
     assert hash(move) == hash(grouping)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_derived_sets_the_fields_in_order(name):
+    # _derived skips __init__, so it stores exactly what it is given
+    build, _, text, fields = CASES[name]
+    value = getattr(st, name)._derived(*fields.values())
+    assert type(value) is getattr(st, name)
+    assert value == build() and repr(value) == text
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -182,8 +194,6 @@ class TestConstruction:
         assert st.DoubleCoverSpec(
             base=BASE, ramified_indices={0, 1, 2, 3}, target_genus=1
         ) == st.DoubleCoverSpec(BASE, frozenset(range(4)), 1)
-        assert st.SplitMove(parts=(1, 1), source_index=2) == st.SplitMove(2, (1, 1))
-        assert st.GroupingSpec(right=(0,), left=(1,)) == st.GroupingSpec((1,), (0,))
         surf = st.MarkedSurface(genus=2, weights=(4,), stratum_mode=True, punctures=1)
         assert surf == st.MarkedSurface(2, (4,), 1, True)
         assert st.Letter(kind="sigma", i=1, second=2, exp=-1) == st.sigma(1, 2, -1)
@@ -200,9 +210,6 @@ class TestConstruction:
         assert st.StratumSignature(2, [-1, 6, -1]).orders == (6, -1, -1)
         spec = st.DoubleCoverSpec(BASE, [0, 1, 2, 3, 4, 5], 2)
         assert type(spec.ramified_indices) is frozenset
-        assert type(st.SplitMove(0, [1, 1]).parts) is tuple
-        grouping = st.GroupingSpec([0], [1])
-        assert type(grouping.left) is tuple and type(grouping.right) is tuple
         assert type(st.MarkedSurface(2, [4]).weights) is tuple
         assert type(st.BraidWord(SURF, [st.rho(1, 1)]).letters) is tuple
         assert type(st.CombinatorialMap([0, 1]).sigma) is tuple
