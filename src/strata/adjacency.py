@@ -29,14 +29,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import GenusMismatch, InvalidMove, InvalidSignature
-from .signatures import StratumSignature
-
-
-def _require_signature(s) -> None:
-    # the boundary check of every entry point that takes a signature
-    if not isinstance(s, StratumSignature):
-        raise InvalidSignature("expected a StratumSignature, got %s" % type(s).__name__)
+from .errors import GenusMismatch, InvalidMove
+from .signatures import StratumSignature, _require_signature
 
 
 def _part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]]:

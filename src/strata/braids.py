@@ -587,6 +587,8 @@ def concatenate_factors(
     surf: MarkedSurface, certs: Sequence[FactorCertificate]
 ) -> BraidWord:
     """The product of the factors' words, left to right, built in one pass."""
+    if not isinstance(surf, MarkedSurface):
+        raise InvalidSurface("expected a MarkedSurface, got %s" % type(surf).__name__)
     for cert in certs:
         other = cert.word.surface
         if other is not surf and other != surf:

@@ -6,15 +6,36 @@ Every invocation prints a single JSON document shaped as
 byte-identical across runs.
 
 Start-up dominates a one-shot run, so each handler imports the library
-modules it uses and a run loads only those.
-"""
+modules it uses and a run loads only those.  For the same reason the
+command line is read without argparse, whose import (with gettext and
+locale) cost a one-shot run about 6 % of its wall time.  ``COMMANDS`` is
+the one table of subcommands and their options, and ``parse_args`` reads
+argv against it by argparse's rules:
 
+- each word is read, in this order, as an exact option name, as
+  ``--name=value`` with an exact name, as a unique prefix of a long name
+  (an ambiguous prefix is an error), or as a value when it is a negative
+  number (``-3``, ``-.5``) or holds a space;
+- a value given as its own word may not otherwise start with a dash, so
+  ``--orders -1,2`` is an error and ``--orders=-1,2`` is not;
+- a value goes through ``int()`` where the option takes an integer, and
+  the last of repeated options wins;
+- flags take no value, and unknown options and stray words are errors;
+- ``-h``/``--help`` prints help and exits 0; a usage error prints usage and
+  ``strata <cmd>: error: ...`` to stderr and exits 2.
+
+argparse versions disagree on a ``--`` separator, on ``--name=--`` and on
+``-h`` with text attached, so each of those is a usage error.  The tests
+build the argparse parser from the same table and check that both read
+generated argv alike.
+"""
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 from .errors import InvalidIntList, InvalidJson, OutOfRange, StrataError
 
@@ -194,69 +215,215 @@ def cmd_dmin(args) -> tuple[dict, list[str]]:
     return {"d": d, "coeffs": list(coeffs)}, []
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="indent the JSON output")
+DESCRIPTION = "exact combinatorics of half-translation surface strata"
+REQUIRED = object()  # the default of an option that must be given
 
-    parser = argparse.ArgumentParser(
-        prog="strata",
-        description="exact combinatorics of half-translation surface strata",
+# Each option is (name, kind, default, help).  kind is int or str for an
+# option that takes one value, a tuple of the values it accepts, or bool for
+# a flag that takes none.  COMMON goes before every subcommand's own options.
+COMMON = (("--pretty", bool, False, "indent the JSON output"),)
+COMMANDS = {
+    "info": ("classify one signature", cmd_info, (
+        ("--genus", int, REQUIRED, None),
+        ("--orders", str, REQUIRED, None),
+    )),
+    "poset": ("reachable splits of a signature", cmd_poset, (
+        ("--genus", int, REQUIRED, None),
+        ("--root", str, REQUIRED, None),
+        ("--depth", int, 1, None),
+        ("--no-poles", bool, False, None),
+    )),
+    "aj": ("homology image of a braid word", cmd_aj, (
+        ("--word", str, REQUIRED, "path to a braid-word JSON file"),
+    )),
+    "factorize": ("certified kernel factors", cmd_factorize, (
+        ("--word", str, REQUIRED, "path to a braid-word JSON file"),
+    )),
+    "graph": ("build an embedded graph", cmd_graph, (
+        ("--genus", int, REQUIRED, None),
+        ("--faces", int, REQUIRED, None),
+        ("--vertices", int, REQUIRED, None),
+        ("--seed", int, 0, "accepted and ignored: the output is deterministic"),
+    )),
+    "copeland": ("edge generators of a map", cmd_copeland, (
+        ("--map", str, REQUIRED, "path to a map JSON file"),
+    )),
+    "check": ("hypothesis predicates", cmd_check, (
+        ("--genus", int, REQUIRED, None),
+        ("--orders", str, REQUIRED, None),
+        ("--criterion", ("main", "hy2", "null", "gen2"), "main", None),
+    )),
+    "cover": ("branched double cover", cmd_cover, (
+        ("--base-orders", str, REQUIRED, None),
+        ("--ramify", str, REQUIRED, "comma-separated indices"),
+        ("--target-genus", int, REQUIRED, None),
+    )),
+    "dmin": ("minimal balancing multiple", cmd_dmin, (
+        ("--weights", str, REQUIRED, None),
+        ("--index", int, REQUIRED, None),
+    )),
+}
+
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # argparse's pattern: such a word is a value
+
+
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
+
+
+def _invocation(name: str, kind) -> str:
+    # an option as usage and help show it: its name, then a name for its value
+    if kind is bool:
+        return name
+    value = "{%s}" % ",".join(kind) if type(kind) is tuple else _dest(name).upper()
+    return "%s %s" % (name, value)
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: strata [-h] {%s} ..." % ",".join(COMMANDS)
+    words = ["usage: strata %s [-h]" % command]
+    for name, kind, default, _ in COMMON + COMMANDS[command][2]:
+        word = _invocation(name, kind)
+        words.append(word if default is REQUIRED else "[%s]" % word)
+    return " ".join(words)
+
+
+def _fail(command: str | None, message: str):
+    prog = "strata" if command is None else "strata " + command
+    sys.stderr.write("%s\n%s: error: %s\n" % (_usage(command), prog, message))
+    raise SystemExit(2)
+
+
+def _help(command: str | None):
+    if command is None:
+        commands = [(name, spec[0]) for name, spec in COMMANDS.items()]
+        blocks = [(DESCRIPTION, []), ("commands:", commands)]
+        options = []
+    else:
+        blocks = []
+        options = [
+            (_invocation(name, kind), text or "")
+            for name, kind, _, text in COMMON + COMMANDS[command][2]
+        ]
+    blocks.append(("options:", [("-h, --help", "show this help message and exit")] + options))
+    width = max(len(left) for _, rows in blocks for left, _ in rows)
+    lines = [_usage(command)]
+    for title, rows in blocks:
+        lines += ["", title]
+        lines += [("  %-*s  %s" % (width, left, text)).rstrip() for left, text in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _classify(word: str, names, command: str | None):
+    """argparse's reading of one word against the option ``names``, in its
+    order: None for a value or a stray word, else (name, the value attached
+    to it or None), with name None for an unknown option."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in names:
+        return word, None
+    head, eq, tail = word.partition("=")
+    if eq and head in names:
+        return head, tail
+    if word[1] == "-":  # a unique prefix of a long name, with any value after "="
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            _fail(command, "ambiguous option: %s could match %s" % (word, ", ".join(found)))
+        if found:
+            return found[0], tail if eq else None
+    if re.match(_NEGATIVE_NUMBER, word) or " " in word:
+        return None
+    return None, None
+
+
+def _unaccepted(word: str) -> bool:
+    # the words argparse reads differently from one Python version to the next:
+    # a "--" separator, "--" as the value after "=" of an option, and -h with
+    # text attached; each is a usage error, wherever it stands
+    head, _, tail = word.partition("=")
+    return (
+        word == "--"
+        or (word.startswith("-h") and word != "-h")
+        or (tail == "--" and head.startswith("--") and " " not in head)
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", parents=[common], help="classify one signature")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--orders", required=True)
-    p.set_defaults(handler=cmd_info)
 
-    p = sub.add_parser("poset", parents=[common], help="reachable splits of a signature")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--root", required=True)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--no-poles", action="store_true")
-    p.set_defaults(handler=cmd_poset)
+def _value(command: str, name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _fail(command, "argument %s: invalid int value: %r" % (name, text))
+    if type(kind) is tuple and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        _fail(command, "argument %s: invalid choice: %r (choose from %s)" % (name, text, choices))
+    return text
 
-    p = sub.add_parser("aj", parents=[common], help="homology image of a braid word")
-    p.add_argument("--word", required=True, help="path to a braid-word JSON file")
-    p.set_defaults(handler=cmd_aj)
 
-    p = sub.add_parser("factorize", parents=[common], help="certified kernel factors")
-    p.add_argument("--word", required=True, help="path to a braid-word JSON file")
-    p.set_defaults(handler=cmd_factorize)
-
-    p = sub.add_parser("graph", parents=[common], help="build an embedded graph")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--faces", type=int, required=True)
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument(
-        "--seed", type=int, default=0, help="accepted and ignored: the output is deterministic"
-    )
-    p.set_defaults(handler=cmd_graph)
-
-    p = sub.add_parser("copeland", parents=[common], help="edge generators of a map")
-    p.add_argument("--map", required=True, help="path to a map JSON file")
-    p.set_defaults(handler=cmd_copeland)
-
-    p = sub.add_parser("check", parents=[common], help="hypothesis predicates")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--orders", required=True)
-    p.add_argument(
-        "--criterion", choices=("main", "hy2", "null", "gen2"), default="main"
-    )
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("cover", parents=[common], help="branched double cover")
-    p.add_argument("--base-orders", required=True)
-    p.add_argument("--ramify", required=True, help="comma-separated indices")
-    p.add_argument("--target-genus", type=int, required=True)
-    p.set_defaults(handler=cmd_cover)
-
-    p = sub.add_parser("dmin", parents=[common], help="minimal balancing multiple")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.set_defaults(handler=cmd_dmin)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and option values ``argv`` gives, read against
+    ``COMMANDS`` as argparse would read it.  A usage error writes usage and
+    the error to stderr and exits 2; -h or --help writes help and exits 0."""
+    for word in argv:
+        if _unaccepted(word):
+            _fail(None, "%r is not accepted: no '--' separator or value, no value for -h" % word)
+    stray: list[str] = []
+    # words before the subcommand are read against -h alone
+    for at, word in enumerate(argv):
+        found = _classify(word, _HELP, None)
+        if found is None:
+            break
+        if found[0] is None:
+            stray.append(word)
+        elif found[1] is not None:
+            _fail(None, "argument -h/--help: ignored explicit argument %r" % found[1])
+        else:
+            _help(None)
+    else:
+        _fail(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, "argument command: invalid choice: %r (choose from %s)" % (command, choices))
+    specs = COMMON + COMMANDS[command][2]
+    options = dict.fromkeys(_HELP)
+    options.update((spec[0], spec) for spec in specs)
+    values = {_dest(name): default for name, _, default, _ in specs}
+    words = argv[at + 1 :]
+    # like argparse, read every word before taking any: an ambiguous one fails first
+    kinds = [_classify(word, options, command) for word in words]
+    at = 0
+    while at < len(words):
+        word, found = words[at], kinds[at]
+        at += 1
+        if found is None or found[0] is None:
+            stray.append(word)
+            continue
+        name, text = found
+        spec = options[name]
+        if spec is None or spec[1] is bool:  # -h, --help and flags take no value
+            if text is not None:
+                label = "-h/--help" if spec is None else name
+                _fail(command, "argument %s: ignored explicit argument %r" % (label, text))
+            if spec is None:
+                _help(command)
+            values[_dest(name)] = True
+            continue
+        if text is None:
+            if at == len(words) or kinds[at] is not None:
+                _fail(command, "argument %s: expected one argument" % name)
+            text = words[at]
+            at += 1
+        values[_dest(name)] = _value(command, name, spec[1], text)
+    missing = [spec[0] for spec in specs if values[_dest(spec[0])] is REQUIRED]
+    if missing:
+        _fail(command, "the following arguments are required: %s" % ", ".join(missing))
+    if stray:
+        _fail(command, "unrecognized arguments: %s" % " ".join(stray))
+    return SimpleNamespace(command=command, **values)
 
 
 def _emit(doc: dict, pretty: bool) -> None:
@@ -268,11 +435,10 @@ def _emit(doc: dict, pretty: bool) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     status, exit_code = "ok", 0
     try:
-        payload, diagnostics = args.handler(args)
+        payload, diagnostics = COMMANDS[args.command][1](args)
     except (StrataError, OSError) as err:
         status, exit_code, diagnostics = "error", 1, []
         code = err.code if isinstance(err, StrataError) else "io"

@@ -56,6 +56,9 @@ def a_min(g: int, b: int) -> int:
 
 def gen2_cascade_ok(g: int, b_list: list[int]) -> bool:
     """Whether every secondary class size meets its cascaded bound."""
+    # type() rather than isinstance: a bool is an int
+    if not isinstance(b_list, (list, tuple)) or any(type(b) is not int for b in b_list):
+        raise OutOfRange("class sizes must be a list of integers, got %r" % (b_list,))
     for i, b_i in enumerate(b_list):
         tail = sum(b_list[i + 1 :])
         if b_i < point_bound(g, tail):
@@ -86,7 +89,10 @@ def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
     with G the gcd of the remaining weights.  Every weight must be a non-zero
     int, and l an int index.
     """
-    weights = tuple(weights)
+    try:
+        weights = tuple(weights)
+    except TypeError:  # not iterable
+        raise OutOfRange("weights must be integers, got %r" % (weights,))
     # type() rather than isinstance: a bool is an int
     if type(l) is not int or not 0 <= l < len(weights):
         raise IndexOutOfRange("weight index %r out of range" % (l,))
@@ -135,7 +141,15 @@ def _has_even_pair(rest: list[int]) -> tuple[bool, str]:
     return True, "even pair present"
 
 
+def _require_signature(s) -> None:
+    # imported at the call, so that dmin and graph runs never load signatures
+    from .signatures import _require_signature
+
+    _require_signature(s)
+
+
 def hy2_verdict(s: StratumSignature) -> tuple[bool, str]:
+    _require_signature(s)
     ones, rest = _split_orders(s)
     if ones % 2 != 0:
         return False, "count of simple zeros is odd"
@@ -157,10 +171,12 @@ def _threshold_verdict(s: StratumSignature, k: int) -> tuple[bool, str]:
 
 
 def main_theorem_verdict(s: StratumSignature) -> tuple[bool, str]:
+    _require_signature(s)
     return _threshold_verdict(s, 5)
 
 
 def null_prop_verdict(s: StratumSignature) -> tuple[bool, str]:
+    _require_signature(s)
     if s.genus <= 2:
         return False, "needs genus greater than 2"
     return _threshold_verdict(s, 4)

@@ -112,6 +112,12 @@ class StratumSignature(Frozen):
         return StratumSignature.from_json_dict(data)
 
 
+def _require_signature(s) -> None:
+    # the boundary check of every entry point that takes a signature
+    if not isinstance(s, StratumSignature):
+        raise InvalidSignature("expected a StratumSignature, got %s" % type(s).__name__)
+
+
 class ConnectivityReport(Frozen):
     __slots__ = ("component_count", "is_empty", "reason")
     component_count: int
@@ -134,6 +140,7 @@ class DoubleCoverSpec(Frozen):
     target_genus: int
 
     def __init__(self, base: StratumSignature, ramified_indices, target_genus: int):
+        _require_signature(base)
         listed = list(ramified_indices)
         set_field(self, "base", base)
         set_field(self, "ramified_indices", frozenset(listed))
@@ -143,12 +150,14 @@ class DoubleCoverSpec(Frozen):
 
 
 def is_empty(s: StratumSignature) -> bool:
+    _require_signature(s)
     return (s.genus, s.orders) in EMPTY_SIGNATURES
 
 
 def dimension(s: StratumSignature) -> int:
     """Complex dimension 2g - 2 + n of a non-empty stratum."""
-    if is_empty(s):
+    _require_signature(s)
+    if (s.genus, s.orders) in EMPTY_SIGNATURES:
         raise EmptyStratum("stratum %r is empty" % (s,))
     return 2 * s.genus - 2 + s.n
 
@@ -177,7 +186,8 @@ def _two_component_reason(s: StratumSignature) -> str | None:
 
 def classify_connectivity(s: StratumSignature) -> ConnectivityReport:
     """Total classification, reporting empty signatures instead of raising."""
-    if is_empty(s):
+    _require_signature(s)
+    if (s.genus, s.orders) in EMPTY_SIGNATURES:
         return ConnectivityReport(0, True, REASON_EMPTY)
     reason = _two_component_reason(s)
     if reason is not None:
@@ -199,6 +209,8 @@ def double_cover(spec: DoubleCoverSpec) -> tuple[StratumSignature, bool]:
     be the square of an abelian differential rather than a genuine
     half-translation structure.
     """
+    if not isinstance(spec, DoubleCoverSpec):
+        raise InvalidSpec("expected a DoubleCoverSpec, got %s" % type(spec).__name__)
     base, g = spec.base, spec.target_genus
     if base.genus != 0:
         raise InvalidSpec("double cover base must have genus 0, got %d" % base.genus)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import random
 from typing import Iterator
 
 import strata as st
+from strata import cli
 from strata.signatures import _G2_TWO_COMPONENT, REASON_FAMILY, REASON_G2
 
 
@@ -253,3 +257,100 @@ def bfs_refinements(lower: st.StratumSignature, max_poles: int) -> set[tuple[int
                 fresh.append(nxt)
         frontier = fresh
     return seen
+
+
+def argparse_oracle():
+    """Oracle for ``cli.parse_args``: the argparse parser ``strata`` used to
+    build, made from the same table, ``cli.COMMANDS``."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="strata", description=cli.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, _, options) in cli.COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, kind, default, help_text in cli.COMMON + options:
+            if kind is bool:
+                p.add_argument(name, action="store_true", help=help_text)
+                continue
+            extra = {"required": True} if default is cli.REQUIRED else {"default": default}
+            if kind is int:
+                extra["type"] = int
+            elif type(kind) is tuple:
+                extra["choices"] = kind
+            p.add_argument(name, help=help_text, **extra)
+    return parser
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """("ok", the parsed values) or ("exit", code): what ``parse(argv)`` did,
+    with what it printed thrown away."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code
+    return "ok", vars(namespace)
+
+
+def version_dependent(argv: list[str]) -> bool:
+    """Whether ``argv`` holds a word that argparse reads differently from one
+    Python version to the next; ``cli.parse_args`` rejects each with exit 2."""
+    for word in argv:
+        head, _, tail = word.partition("=")
+        if word == "--" or (word.startswith("-h") and word != "-h"):
+            return True
+        if tail == "--" and head.startswith("--") and " " not in head:  # --name=--
+            return True
+    return False
+
+
+# the words an adversarial argv is made of: every option name with its
+# prefixes, values argparse reads in more than one way (a sign, spaces, a
+# non-ASCII digit, a leading dash), and the forms argparse versions disagree on
+_NAMES = {"-h", "--help"} | {
+    spec[0] for _, _, options in cli.COMMANDS.values() for spec in cli.COMMON + options
+}
+ARGV_NAMES = sorted({name[:k] for name in _NAMES for k in range(2, len(name) + 1)} | {"-x", "--x"})
+ARGV_INTS = ["3", "0", "-3", "+3", " 3", "3 ", "\u0663", "1_0", "-3\n", "x", "", "-.5", "9" * 4400]
+ARGV_VALUES = ARGV_INTS + [
+    "4", "2,2", "-1,2", "-1, 2", "-1.", "-", "a b", "-x y", "--x y", "main", "gen2",
+    "--", "-h", "-hX", "-hh", "-h x", "-h=h", "--=x", "--=",
+]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """One adversarial argv: now and then a word before the subcommand, then
+    most of the subcommand's options, each spelled in full, as a prefix or
+    with "=", with values drawn for its kind, and now and then a stray word."""
+    words = [rng.choice(ARGV_NAMES + ARGV_VALUES) for _ in range(rng.choice((0, 0, 0, 0, 1)))]
+    if rng.random() < 0.05:
+        words.append(rng.choice(["", "bogus", "inf", "-1"]))
+        return words
+    command = rng.choice(list(cli.COMMANDS))
+    words.append(command)
+    given = []
+    for name, kind, _, _ in cli.COMMON + cli.COMMANDS[command][2]:
+        for _ in range(rng.choice((0, 1, 1, 1, 1, 2))):
+            spelled = name[: rng.randint(3, len(name))] if rng.random() < 0.3 else name
+            if kind is bool:
+                given.append([spelled + "=" + rng.choice(ARGV_INTS) if rng.random() < 0.1 else spelled])
+                continue
+            if kind is int:
+                value = rng.choice(ARGV_INTS)
+            elif kind is str:
+                value = rng.choice(ARGV_VALUES)
+            else:
+                value = rng.choice(list(kind) + ["x", ""])
+            given.append([spelled + "=" + value] if rng.random() < 0.5 else [spelled, value])
+    rng.shuffle(given)
+    for option in given:
+        words.extend(option)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        words.insert(rng.randint(len(words) - len(given), len(words)), rng.choice(ARGV_NAMES + ARGV_VALUES))
+    return words
+
+
+def argv_corpus(count: int = 4000, seed: int = 0) -> list[list[str]]:
+    """A fixed list of adversarial argv, the same on every Python version."""
+    rng = random.Random(seed)
+    return [random_argv(rng) for _ in range(count)]

@@ -426,6 +426,11 @@ class TestFactorize:
         with pytest.raises(InvalidSurface):
             st.concatenate_factors(other, certs)
 
+    @pytest.mark.parametrize("surf", [None, "x", (5, (1,) * 12 + (2, 2))])
+    def test_concatenation_needs_a_surface(self, surf):
+        with pytest.raises(InvalidSurface):
+            st.concatenate_factors(surf, [])
+
     def test_kappa_on_peeled_point_becomes_square_transposition(self):
         z = word(FLAGSHIP, st.kappa(13, 14), st.kappa(1, 2, -1))
         certs = st.factorize_kernel_word(z)

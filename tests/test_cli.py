@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import strata as st
+from strata import cli
 from strata.cli import main
+from support import argparse_oracle, argv_corpus, parse_outcome, random_argv, version_dependent
 
 
 def run(capsys, *argv):
@@ -60,6 +62,10 @@ class TestInfo:
         with pytest.raises(SystemExit) as exc:
             main(["info", "--genus", "2"])
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: strata info ")
+        assert "\nstrata info: error: the following arguments are required: --orders\n" in err
 
     def test_huge_genus(self, capsys):
         # classification is a rule on the orders, so the genus size is free
@@ -397,12 +403,13 @@ LIBRARY = {"adjacency", "braids", "criteria", "graphs", "signatures"}
 def _footprint(*argv):
     """What a fresh interpreter holds after ``import strata.cli`` and, given an
     ``argv``, ``main(argv)``, which must return 0: the set of ``strata``
-    submodules loaded, and the set of other modules that ``main`` added."""
+    submodules loaded, and the set of other modules that the import and
+    ``main`` added to those the interpreter started with."""
     script = "\n".join(
         [
             "import sys",
-            "from strata.cli import main",
             "before = set(sys.modules)",
+            "from strata.cli import main",
             "assert main(%r) == 0" % list(argv) if argv else "",
             "print(' '.join(m[7:] for m in sys.modules if m.startswith('strata.')))",
             "print(' '.join(m for m in set(sys.modules) - before if not m.startswith('strata')))",
@@ -470,7 +477,78 @@ class TestImportFootprint:
         path.write_text(json.dumps(data))
         argv = [arg.replace("{file}", str(path)) for arg in SUBCOMMANDS[command]]
         _, added = _footprint(command, *argv)
-        assert not added & {"dataclasses", "inspect"}
+        assert not added & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["info", "--help"], ["cover", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: strata ") and err == ""
+
+    @pytest.mark.parametrize(
+        "words, value",
+        [
+            (["--genus", " 3"], 3),
+            (["--genus", "+3"], 3),
+            (["--genus", "\u0663"], 3),  # ARABIC-INDIC DIGIT THREE: int() reads it
+            (["--genus", "-3"], -3),  # a negative number is a value
+            (["--gen=3"], 3),  # a unique prefix, with its value after "="
+            (["--genus", "9", "--genus", "3"], 3),  # the last repeat wins
+        ],
+    )
+    def test_integer_values(self, words, value):
+        args = cli.parse_args(["info", "--orders", "4"] + words)
+        assert args.genus == value
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["--orders", "-1,2"],  # a dash value needs --orders=-1,2
+            ["--pretty=1"],  # a flag takes no value
+            ["--bogus"],
+            ["stray"],
+            ["--=x"],  # a prefix of every long name
+            ["--genus", "3.0"],
+            ["--"],  # the forms argparse versions disagree on
+            ["--orders=--"],
+            ["-hX"],
+            ["-hh"],
+            ["-h", "--"],  # rejected even after -h
+        ],
+    )
+    def test_usage_errors(self, capsys, words):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(["info", "--genus", "3", "--orders=4"] + words)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+ORACLE = argparse_oracle()
+
+
+def _agrees_with_argparse(argv):
+    got = parse_outcome(cli.parse_args, argv)
+    if version_dependent(argv):
+        assert got == ("exit", 2), argv
+    else:
+        assert got == parse_outcome(ORACLE.parse_args, argv), argv
+
+
+@given(hs.randoms(use_true_random=False))
+@settings(max_examples=500, deadline=None)
+def test_parser_agrees_with_argparse(rng):
+    _agrees_with_argparse(random_argv(rng))
+
+
+def test_fixed_corpus_agrees_with_argparse():
+    # the same argv on every Python version, so each CI interpreter's argparse
+    # is checked on the same words
+    for argv in argv_corpus(2000):
+        _agrees_with_argparse(argv)
 
 
 # --- the envelope contract over generated argv --------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import strata as st
-from strata.errors import OutOfRange
+from strata.errors import InvalidSignature, OutOfRange
 from support import enumerate_signatures, minimal_d_oracle
 
 
@@ -63,6 +63,26 @@ class TestCascade:
         # the same class size can pass late in the cascade and fail early
         assert st.gen2_cascade_ok(2, [4])
         assert not st.gen2_cascade_ok(2, [4, 4])
+
+
+class TestWrongKindRejected:
+    @pytest.mark.parametrize("s", ["x", None, 3, (2, (4,))], ids=["str", "None", "int", "tuple"])
+    @pytest.mark.parametrize(
+        "verdict", [st.hy2_verdict, st.main_theorem_verdict, st.null_prop_verdict]
+    )
+    def test_verdicts_need_a_signature(self, verdict, s):
+        with pytest.raises(InvalidSignature):
+            verdict(s)
+
+    @pytest.mark.parametrize("weights", [None, 3])
+    def test_minimal_d_needs_a_sequence(self, weights):
+        with pytest.raises(OutOfRange):
+            st.minimal_d(weights, 0)
+
+    @pytest.mark.parametrize("b_list", [None, 3, ["a", "b"], [None], [True]])
+    def test_cascade_needs_integer_sizes(self, b_list):
+        with pytest.raises(OutOfRange):
+            st.gen2_cascade_ok(2, b_list)
 
 
 class TestMinimalDOracle:

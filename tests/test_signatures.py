@@ -262,6 +262,23 @@ class TestDoubleCover:
         assert flag == all(k % 2 == 0 for k in cover.orders)
 
 
+class TestWrongKindRejected:
+    @pytest.mark.parametrize("s", ["x", None, 3, (2, (4,))], ids=["str", "None", "int", "tuple"])
+    @pytest.mark.parametrize("call", [st.classify_connectivity, st.dimension, st.is_empty])
+    def test_signature_entry_points(self, call, s):
+        with pytest.raises(InvalidSignature):
+            call(s)
+
+    def test_cover_base(self):
+        with pytest.raises(InvalidSignature):
+            st.DoubleCoverSpec("x", (0,), 1)
+
+    @pytest.mark.parametrize("spec", ["x", None, sig(0, (-1, -1, -1, -1))])
+    def test_double_cover_needs_a_spec(self, spec):
+        with pytest.raises(InvalidSpec):
+            st.double_cover(spec)
+
+
 class TestJson:
     def test_round_trip(self):
         s = sig(2, (6, -1, -1))
