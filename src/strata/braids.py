@@ -20,7 +20,6 @@ from itertools import chain, groupby
 from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen, set_field
-from .criteria import a_min, minimal_d
 from .errors import (
     IndexOutOfRange,
     InvalidLetter,
@@ -131,7 +130,7 @@ class Letter(Frozen):
         set_field(self, "exp", exp)
 
     def inverse(self) -> "Letter":
-        return Letter(self.kind, self.i, self.second, -self.exp)
+        return Letter._derived(self.kind, self.i, self.second, -self.exp)
 
     def to_json_dict(self) -> dict:
         try:
@@ -262,6 +261,12 @@ class BraidWord(Frozen):
         return BraidWord(surf, tuple(Letter.from_json_dict(d) for d in letters))
 
 
+def _require_word(w) -> None:
+    # the boundary check of every entry point that takes a word
+    if not isinstance(w, BraidWord):
+        raise InvalidSurface("expected a BraidWord, got %s" % type(w).__name__)
+
+
 def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
     stack: list[Letter] = []
     for lt in letters:
@@ -277,6 +282,7 @@ def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
 
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
+    _require_word(w)
     return BraidWord._derived(w.surface, tuple(_reduce_letters(w.letters)))
 
 
@@ -285,6 +291,7 @@ def permutation_image(w: BraidWord) -> tuple[int, ...]:
 
     Letters act left to right; only sigma letters move points.
     """
+    _require_word(w)
     n = w.surface.n
     perm = list(range(1, n + 1))
     # where[v] is the index k with perm[k] == v, so each sigma costs O(1)
@@ -312,6 +319,7 @@ def abel_jacobi(w: BraidWord) -> tuple[int, ...]:
     Each rho letter adds its point's weight (signed by the exponent) to the
     coordinate of its direction; all other letters bound disks and vanish.
     """
+    _require_word(w)
     coords = _direction_vector(w.surface.genus)
     weights, rho_kind = w.surface.weights, RHO
     for lt in w.letters:
@@ -330,19 +338,19 @@ def certify_null_rho(w: BraidWord) -> tuple[bool, int | None]:
     Returns (True, r) on success; the empty word is vacuously balanced for
     any direction and reports r = None.
     """
+    _require_word(w)
     if not w.letters:
         return True, None
-    directions = set()
+    r = w.letters[0].second
     total = 0
     weights = w.surface.weights
     for lt in w.letters:
-        if lt.kind != RHO:
+        if lt.kind != RHO or lt.second != r:
             return False, None
-        directions.add(lt.second)
         total += lt.exp * weights[lt.i - 1]
-    if len(directions) != 1 or total != 0:
+    if total != 0:
         return False, None
-    return True, directions.pop()
+    return True, r
 
 
 def certify_i_commutator(w: BraidWord, i: int) -> bool:
@@ -354,6 +362,7 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     commutators, so the path is a commutator exactly when every direction
     count vanishes and the puncture-loop counts share one common value.
     """
+    _require_word(w)
     n = w.surface.n
     # type() rather than isinstance: a bool is an int
     if type(i) is not int or not 1 <= i <= n:
@@ -375,6 +384,7 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
 def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
     """Split z = y * x with y a product of exchanges realizing z's permutation
     and x the permutation-trivial remainder y^-1 z, freely reduced."""
+    _require_word(z)
     perm = permutation_image(z)
     y: list[Letter] = []
     seen: set[int] = set()
@@ -390,8 +400,9 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
         seen.update(cycle)
         anchor = cycle[0]
         for other in cycle[1:]:
-            y.append(sigma(min(anchor, other), max(anchor, other)))
-    y_word = BraidWord(z.surface, y)
+            # a cycle stays in one weight class, and its anchor is its least point
+            y.append(Letter._derived(SIGMA, anchor, other, 1))
+    y_word = BraidWord._derived(z.surface, tuple(y))
     if permutation_image(y_word) != perm:
         raise AssertionError
     x = _reduce_letters(chain([lt.inverse() for lt in reversed(y)], z.letters))
@@ -418,10 +429,11 @@ class FactorCertificate(Frozen):
         set_field(self, "param", param)
 
     def verify(self) -> bool:
+        letters = self.word.letters
         if self.tag == TRANSPOSITION:
-            return len(self.word) == 1 and self.word.letters[0].kind == SIGMA
+            return len(letters) == 1 and letters[0].kind == SIGMA
         if self.tag == SQUARE_TRANSPOSITION:
-            return len(self.word) == 1 and self.word.letters[0].kind in (KAPPA, PUNCTURE)
+            return len(letters) == 1 and letters[0].kind in (KAPPA, PUNCTURE)
         if self.tag == NULL_RHO:
             ok, r = certify_null_rho(self.word)
             return ok and (r is None or r == self.param)
@@ -437,35 +449,38 @@ class FactorCertificate(Frozen):
         }
 
 
-def _one_letter_factor(
-    surf: MarkedSurface, entries: dict[tuple, FactorCertificate], lt: Letter
-) -> FactorCertificate:
-    """The transposition (sigma) or square transposition (kappa) factor of lt,
-    made and verified at its first occurrence and kept in entries under its
-    fields' tuple, which hashes in C where a Letter would call Python code."""
-    key = (lt.kind, lt.i, lt.second, lt.exp)
-    cert = entries.get(key)
-    if cert is None:
-        tag = TRANSPOSITION if lt.kind == SIGMA else SQUARE_TRANSPOSITION
-        cert = FactorCertificate(tag, BraidWord._derived(surf, (lt,)))
-        if not cert.verify():
-            raise AssertionError("internal error: emitted an uncertifiable factor")
-        entries[key] = cert
-    return cert
+def _one_letter_factors(
+    surf: MarkedSurface, entries: dict[tuple, FactorCertificate], letters, out: list
+) -> None:
+    """Append to out the transposition (sigma) or square transposition
+    (kappa) factor of each letter, made and verified at its first occurrence
+    and kept in entries under its fields' tuple, which hashes in C where a
+    Letter would call Python code."""
+    for lt in letters:
+        key = (lt.kind, lt.i, lt.second, lt.exp)
+        cert = entries.get(key)
+        if cert is None:
+            tag = TRANSPOSITION if lt.kind == SIGMA else SQUARE_TRANSPOSITION
+            cert = FactorCertificate._derived(tag, BraidWord._derived(surf, (lt,)), None)
+            if not cert.verify():
+                raise AssertionError("internal error: emitted an uncertifiable factor")
+            entries[key] = cert
+        out.append(cert)
 
 
 def _peel_stage(
-    surf: MarkedSurface, c: int, moving: list[Letter]
-) -> tuple[list[FactorCertificate], list[Letter], list[Letter]]:
+    surf: MarkedSurface, c: int, moving: list[Letter], balance: tuple[int, list[int]], a: int
+) -> tuple[list[FactorCertificate], list[Letter], dict[int, list[Letter]]]:
     """Certify the letters moving point c; return the certificates, the kappa
     letters (each a square transposition factor, emitted after the
-    certificates) and the balancing debt.
+    certificates) and the balancing debt by bucket (0 for the points up to a).
 
     The moving subword equals, in the free group on its letters, a commutator
     (the sorting discrepancy) followed by one run per direction and the
     puncture loops in their original order.  Each run is completed to a
-    balanced block by borrowing lower points, and the inverse of what was
-    borrowed is handed back to the remaining word.
+    balanced block by borrowing lower points, as many as ``balance``, the
+    witness of minimal_d(weights[:c], c - 1), asks, and the inverse of what
+    was borrowed is handed back to the remaining word.
     """
     rhos = [lt for lt in moving if lt.kind == RHO]
     kappas = [lt for lt in moving if lt.kind == KAPPA]
@@ -473,9 +488,11 @@ def _peel_stage(
     certs: list[FactorCertificate] = []
     h_inv = _reduce_letters(chain(moving, [lt.inverse() for lt in reversed(sorted_word)]))
     if h_inv:
-        certs.append(FactorCertificate(I_COMMUTATOR, BraidWord._derived(surf, tuple(h_inv)), c))
-    d, coeffs = minimal_d(surf.weights[:c], c - 1)
-    balance_debt: list[Letter] = []
+        h_word = BraidWord._derived(surf, tuple(h_inv))
+        certs.append(FactorCertificate._derived(I_COMMUTATOR, h_word, c))
+    d, coeffs = balance
+    lenders = [(p, cf) for p, cf in enumerate(coeffs[:-1], 1) if cf]
+    debt: dict[int, list[Letter]] = {}
     windings = _direction_vector(surf.genus)
     for lt in rhos:
         windings[lt.second - 1] += lt.exp
@@ -486,16 +503,17 @@ def _peel_stage(
         if e % d:
             raise AssertionError("net winding must be a multiple of the balance step")
         q = e // d
-        block = [rho(c, r, 1 if e > 0 else -1)] * abs(e)
-        for idx in range(c - 1):
-            cnt = q * coeffs[idx]
-            if cnt == 0:
-                continue
+        block = [Letter._derived(RHO, c, r, 1 if e > 0 else -1)] * abs(e)
+        for p, cf in lenders:
+            cnt = q * cf
             sign = 1 if cnt > 0 else -1
-            block.extend([rho(idx + 1, r, sign)] * abs(cnt))
-            balance_debt.extend([rho(idx + 1, r, -sign)] * abs(cnt))
-        certs.append(FactorCertificate(NULL_RHO, BraidWord._derived(surf, tuple(block)), r))
-    return certs, kappas, balance_debt
+            block.extend([Letter._derived(RHO, p, r, sign)] * abs(cnt))
+            debt.setdefault(p if p > a else 0, []).extend(
+                [Letter._derived(RHO, p, r, -sign)] * abs(cnt)
+            )
+        block_word = BraidWord._derived(surf, tuple(block))
+        certs.append(FactorCertificate._derived(NULL_RHO, block_word, r))
+    return certs, kappas, debt
 
 
 def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
@@ -512,11 +530,17 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     shared within one call: each distinct letter's certificate is built and
     verified once, and the same immutable object is returned at every later
     occurrence in that call.  Every factor's word is on z's surface object.
-    Cost: a few linear passes over the word, plus one per peeled point, and
-    one verification per distinct one-letter factor and per multi-letter
-    factor.  No factor's letters are validated again: they come from z, or
-    are made valid.
+    Cost: a few linear passes over the word and one over the balancing debt:
+    one pass puts each letter in the bucket of the stage that peels it, and a
+    stage reads only its bucket and the debt owed to it.  One gcd chain over
+    the weights gives every stage's balancing witness.  One verification per
+    distinct one-letter factor and per multi-letter factor.  No factor's
+    letters are validated again: they come from z, or are made valid.
     """
+    # imported at the call, so that aj and copeland runs never load criteria
+    from . import criteria
+
+    _require_word(z)
     surf = z.surface
     if surf.punctures:
         raise PreconditionUnmet("factorization needs a surface without punctures")
@@ -529,7 +553,7 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
         raise PreconditionUnmet("weight classes must be contiguous")
     a = runs[0][1]
     b = surf.n - a
-    need = a_min(surf.genus, b)
+    need = criteria.a_min(surf.genus, b)
     if a < need:
         raise PreconditionUnmet(
             "leading class has %d points, bound requires %d" % (a, need)
@@ -539,42 +563,53 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
 
     one_letter: dict[tuple, FactorCertificate] = {}
     y, x = factor_by_permutation(z)
-    certs = [_one_letter_factor(surf, one_letter, lt) for lt in y.letters]
-    # sigma letters leave here and no puncture letter is valid without
-    # punctures, so current holds only rho and kappa letters
-    current: list[Letter] = []
+    certs: list[FactorCertificate] = []
+    sigmas = list(y.letters)
+    # bucket c > a holds the letters stage c peels; the points up to a share
+    # the low list, which no stage peels.  heads[c] (heads[0] for the low
+    # list) holds the debt owed to bucket c, one list per stage, in the order
+    # the stages ran; each goes in front of those before it.
+    low: list[Letter] = []
+    buckets = [low] * (a + 1) + [[] for _ in range(b)]
+    heads: dict[int, list[list[Letter]]] = {}
+    # no puncture letter is valid without punctures, so the buckets hold only
+    # rho and kappa letters
     for lt in x.letters:
         if lt.kind == SIGMA:
-            # permutation-exact: these keep their relative order and multiply
-            # to the identity, everything else emitted is permutation-trivial
-            certs.append(_one_letter_factor(surf, one_letter, lt))
+            sigmas.append(lt)
         else:
-            current.append(lt)
+            buckets[lt.i].append(lt)
+    # permutation-exact: these keep their relative order and multiply to the
+    # identity, everything else emitted is permutation-trivial
+    _one_letter_factors(surf, one_letter, sigmas, certs)
 
+    weights = surf.weights
+    steps = criteria._gcd_chain(weights[: surf.n - 1]) if b else []
     for c in range(surf.n, a, -1):
-        moving: list[Letter] = []
-        staying: list[Letter] = []
-        for lt in current:
-            (moving if lt.i == c else staying).append(lt)
+        moving = buckets[c]
+        moving[:0] = chain.from_iterable(reversed(heads.get(c, ())))
         if moving:
-            stage_certs, stage_kappas, balance_debt = _peel_stage(surf, c, moving)
+            stage_certs, stage_kappas, debt = _peel_stage(
+                surf, c, moving, criteria._balance(weights, steps, c - 1), a
+            )
             certs.extend(stage_certs)
-            certs.extend(_one_letter_factor(surf, one_letter, lt) for lt in stage_kappas)
-            current = balance_debt + staying
-        else:
-            current = staying
+            _one_letter_factors(surf, one_letter, stage_kappas, certs)
+            for slot, letters in debt.items():
+                heads.setdefault(slot, []).append(letters)
 
+    low[:0] = chain.from_iterable(reversed(heads.get(0, ())))
     groups: list[list[Letter]] = [[] for _ in range(2 * surf.genus)]
     kappas: list[Letter] = []
-    for lt in current:
+    for lt in low:
         if lt.kind == RHO:
             groups[lt.second - 1].append(lt)
         else:
             kappas.append(lt)
     for r, group in enumerate(groups, 1):
         if group:
-            certs.append(FactorCertificate(NULL_RHO, BraidWord._derived(surf, tuple(group)), r))
-    certs.extend(_one_letter_factor(surf, one_letter, lt) for lt in kappas)
+            group_word = BraidWord._derived(surf, tuple(group))
+            certs.append(FactorCertificate._derived(NULL_RHO, group_word, r))
+    _one_letter_factors(surf, one_letter, kappas, certs)
 
     for cert in certs:
         # the one-letter factors were verified when they were made
@@ -593,4 +628,4 @@ def concatenate_factors(
         other = cert.word.surface
         if other is not surf and other != surf:
             raise InvalidSurface("cannot concatenate words over different surfaces")
-    return BraidWord._derived(surf, tuple(lt for cert in certs for lt in cert.word.letters))
+    return BraidWord._derived(surf, tuple(chain.from_iterable(c.word.letters for c in certs)))

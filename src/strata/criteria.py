@@ -3,8 +3,9 @@
 All bounds are evaluated in exact integer arithmetic; the ceilinged square
 root never goes through floating point, since an off-by-one here silently
 changes which strata the generation results cover.  The module also holds
-``minimal_d``, the balancing multiple of one weight against the others that
-each peel stage of the kernel factorization uses.
+``minimal_d``, the balancing multiple of one weight against the others,
+built on one gcd chain that also gives every peel stage of the kernel
+factorization its balancing witness.
 """
 
 from __future__ import annotations
@@ -81,6 +82,37 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _gcd_chain(weights: Sequence[int]) -> list[tuple[int, int, int]]:
+    # step k is (g_k, x_k, y_k): g_k = gcd(weights[:k + 1]) = x_k g_{k-1} + y_k w_k
+    steps = [(0, 0, 0)]
+    for w in weights:
+        steps.append(_egcd(steps[-1][0], w))
+    return steps[1:]
+
+
+def _balance(weights: Sequence[int], steps: list, m: int) -> tuple[int, list[int]]:
+    """``minimal_d(weights[:m + 1], m)`` as a list, from any gcd chain whose
+    first m steps are those of weights[:m]: one chain serves every prefix."""
+    # w_k's witness coefficient is y_k times the x of every later step, filled
+    # in one backward pass that stops once that product is 0
+    coeffs = [0] * (m + 1)
+    later = 1
+    for k in range(m - 1, -1, -1):
+        _, x, y = steps[k]
+        coeffs[k] = y * later
+        later *= x
+        if not later:
+            break
+    g, target = steps[m - 1][0], weights[m]
+    d = g // _egcd(g, target)[0]
+    scale = -(d * target) // g
+    coeffs = [scale * c for c in coeffs]
+    coeffs[m] = d
+    if sum(c * w for c, w in zip(coeffs, weights)) != 0:
+        raise AssertionError
+    return d, coeffs
+
+
 def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
     """Smallest d > 0 such that d copies of weight l balance the others.
 
@@ -102,27 +134,9 @@ def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
         raise NoOtherWeights("need at least one other weight to balance against")
     if 0 in weights:
         raise ZeroWeight("weights must be non-zero, got %r" % (weights,))
-    # step k sets g_k = x_k g_{k-1} + y_k w_k, so w_k's witness coefficient
-    # is y_k times the x of every later step: filled in one backward pass
-    g = 0
-    steps = []
-    for idx, w in enumerate(weights):
-        if idx != l:
-            g, x, y = _egcd(g, w)
-            steps.append((idx, x, y))
-    witness = [0] * len(weights)
-    later = 1
-    for idx, x, y in reversed(steps):
-        witness[idx] = y * later
-        later *= x
-    target = weights[l]
-    d = g // _egcd(g, target)[0]
-    scale = -(d * target) // g
-    coeffs = [scale * c for c in witness]
-    coeffs[l] = d
-    if sum(c * w for c, w in zip(coeffs, weights)) != 0:
-        raise AssertionError
-    return d, tuple(coeffs)
+    others = weights[:l] + weights[l + 1 :]
+    d, coeffs = _balance(others + weights[l : l + 1], _gcd_chain(others), len(others))
+    return d, tuple(coeffs[:l]) + (d,) + tuple(coeffs[l:-1])
 
 
 def _split_orders(s: StratumSignature) -> tuple[int, list[int]]:

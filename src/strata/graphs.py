@@ -40,7 +40,6 @@ import itertools
 from typing import TYPE_CHECKING, Sequence
 
 from ._frozen import Frozen, set_field
-from .criteria import point_bound
 from .errors import (
     BoundViolation,
     IndexOutOfRange,
@@ -523,6 +522,9 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
     The map is built once, from the final rotation.  The result is
     deterministic; ``seed`` is accepted for compatibility and ignored.
     """
+    # imported at the call, so that copeland runs never load criteria
+    from . import criteria
+
     # type() rather than isinstance: a bool is an int
     if type(g) is not int or type(f) is not int or type(n) is not int:
         raise BoundViolation(
@@ -530,7 +532,7 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
         )
     if g < 2 or not 1 <= f <= 4 * g - 4:
         raise BoundViolation("face count %d outside 1..%d" % (f, max(4 * g - 4, 0)))
-    n_base = point_bound(g, f)
+    n_base = criteria.point_bound(g, f)
     if n < n_base:
         raise BoundViolation(
             "need at least %d vertices for genus %d with %d faces, got %d"
@@ -603,4 +605,6 @@ def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
         genus=report.genus, weights=(1,) * report.V, punctures=report.F
     )
     pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    return [braids.BraidWord(surface, (braids.sigma(u + 1, v + 1),)) for u, v in pairs]
+    # an edge joins two distinct vertices, and every vertex has weight 1
+    word, letter = braids.BraidWord._derived, braids.Letter._derived
+    return [word(surface, (letter(braids.SIGMA, u + 1, v + 1, 1),)) for u, v in pairs]

@@ -354,3 +354,50 @@ def argv_corpus(count: int = 4000, seed: int = 0) -> list[list[str]]:
     """A fixed list of adversarial argv, the same on every Python version."""
     rng = random.Random(seed)
     return [random_argv(rng) for _ in range(count)]
+
+
+def factorize_oracle(z: st.BraidWord) -> list[tuple]:
+    """Oracle for ``factorize_kernel_word`` on a word it accepts: each factor
+    as (tag, param, letters), built by the plain peel.  Every stage splits the
+    whole remaining word into the letters moving its point and the rest,
+    balances by ``minimal_d`` on its weight prefix, and puts its debt in
+    front of the rest."""
+    surf = z.surface
+    weights, n = surf.weights, surf.n
+    a = next((k for k, w in enumerate(weights) if w != weights[0]), n)
+    y, x = factor_by_permutation_oracle(z)
+    out = [("transposition", None, (lt,)) for lt in y.letters + x.letters if lt.kind == "sigma"]
+    current = [lt for lt in x.letters if lt.kind != "sigma"]
+    for c in range(n, a, -1):
+        moving = [lt for lt in current if lt.i == c]
+        current = [lt for lt in current if lt.i != c]
+        if not moving:
+            continue
+        rhos = [lt for lt in moving if lt.kind == "rho"]
+        kappas = [lt for lt in moving if lt.kind == "kappa"]
+        ordered = st.BraidWord(surf, sorted(rhos, key=lambda lt: lt.second) + kappas)
+        h = st.free_reduce(st.BraidWord(surf, moving) * ordered.inverse())
+        if h.letters:
+            out.append(("i_commutator", c, h.letters))
+        d, coeffs = st.minimal_d(weights[:c], c - 1)
+        debt = []
+        for r in range(1, 2 * surf.genus + 1):
+            e = sum(lt.exp for lt in rhos if lt.second == r)
+            if e == 0:
+                continue
+            assert e % d == 0
+            block = [st.rho(c, r, 1 if e > 0 else -1)] * abs(e)
+            for k in range(c - 1):
+                cnt = e // d * coeffs[k]
+                sign = 1 if cnt > 0 else -1
+                block += [st.rho(k + 1, r, sign)] * abs(cnt)
+                debt += [st.rho(k + 1, r, -sign)] * abs(cnt)
+            out.append(("null_rho", r, tuple(block)))
+        out += [("square_transposition", None, (lt,)) for lt in kappas]
+        current = debt + current
+    for r in range(1, 2 * surf.genus + 1):
+        group = tuple(lt for lt in current if lt.kind == "rho" and lt.second == r)
+        if group:
+            out.append(("null_rho", r, group))
+    out += [("square_transposition", None, (lt,)) for lt in current if lt.kind == "kappa"]
+    return out

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import strata as st
-from strata import braids
+from strata import braids, criteria
 from strata.braids import I_COMMUTATOR, NULL_RHO, SQUARE_TRANSPOSITION, TRANSPOSITION
 from strata.errors import (
     IndexOutOfRange,
@@ -28,6 +28,8 @@ from strata.errors import (
 )
 from support import (
     factor_by_permutation_oracle,
+    factorize_oracle,
+    minimal_d_oracle,
     permutation_image_oracle,
     random_kernel_word,
     random_word,
@@ -261,6 +263,36 @@ class TestCertifyICommutator:
         w = word(SURF112, st.kappa(1, 2), st.kappa(1, 3), st.kappa(1, 2, -1), st.kappa(1, 3, -1))
         if st.certify_i_commutator(w, 1):
             assert st.in_kernel(w)
+
+
+class TestWordEntryPointsRejectANonWord:
+    @pytest.mark.parametrize("arg", [None, "x", []], ids=["None", "str", "list"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            st.abel_jacobi,
+            st.permutation_image,
+            st.in_kernel,
+            st.free_reduce,
+            st.factor_by_permutation,
+            st.factorize_kernel_word,
+            st.certify_null_rho,
+            lambda w: st.certify_i_commutator(w, 1),
+        ],
+        ids=[
+            "abel_jacobi",
+            "permutation_image",
+            "in_kernel",
+            "free_reduce",
+            "factor_by_permutation",
+            "factorize_kernel_word",
+            "certify_null_rho",
+            "certify_i_commutator",
+        ],
+    )
+    def test_rejected(self, call, arg):
+        with pytest.raises(InvalidSurface, match=r"^expected a BraidWord, got "):
+            call(arg)
 
 
 class TestMinimalD:
@@ -514,6 +546,35 @@ ORACLE_SURFACES = [
 FACTORIZATION_DIGEST = "6ac3217abd5bd384e16db0924b3c3ce8c4294f2f8d221a3839460bb6cbb04483"
 
 
+# stratum surfaces the factorization accepts: the two of the digest, where no
+# debt reaches a later stage, then surfaces with b >= 3 or whose debt does,
+# the last two with a point that owes debt to two stages
+PEEL_SURFACES = [
+    FLAGSHIP,
+    EQUAL8,
+    st.MarkedSurface(3, (1,) * 6 + (-1, 3), stratum_mode=True),
+    st.MarkedSurface(6, (2,) * 7 + (1, 5), stratum_mode=True),
+    st.MarkedSurface(4, (1,) * 6 + (2, 2, 2), stratum_mode=True),
+    st.MarkedSurface(3, (1,) * 6 + (-1, -1, 4), stratum_mode=True),
+    st.MarkedSurface(5, (2,) * 7 + (-1, -1, 4), stratum_mode=True),
+    st.MarkedSurface(4, (1,) * 6 + (-1, 2, 5), stratum_mode=True),
+    st.MarkedSurface(3, (1,) * 6 + (-1, -1, 2, 2), stratum_mode=True),
+]
+
+
+def _unit_kernel_word(surf, rng, length):
+    """A random word made a kernel word by loops of a point of weight +-1,
+    each put in at a random place."""
+    w = random_word(surf, rng, length)
+    unit = next(i for i, weight in enumerate(surf.weights, 1) if abs(weight) == 1)
+    letters = list(w.letters)
+    for r, val in enumerate(st.abel_jacobi(w), 1):
+        exp = -1 if val * surf.weights[unit - 1] > 0 else 1
+        for _ in range(abs(val)):
+            letters.insert(rng.randint(0, len(letters)), st.rho(unit, r, exp))
+    return st.BraidWord(surf, letters)
+
+
 class TestAgainstOracles:
     @pytest.mark.parametrize("sigma_share", [None, 0.8])
     def test_permutation_image(self, sigma_share):
@@ -530,6 +591,46 @@ class TestAgainstOracles:
             for length in (0, 1, 30, 300):
                 z = random_word(surf, rng, length, sigma_share)
                 assert st.factor_by_permutation(z) == factor_by_permutation_oracle(z)
+
+    @pytest.mark.parametrize("surf", PEEL_SURFACES, ids=lambda s: "g%d-%s" % (s.genus, s.weights))
+    def test_factorize_matches_plain_peel(self, surf):
+        rng = random.Random(53)
+        for length in (0, 1, 8, 40, 300) * 6:
+            z = _unit_kernel_word(surf, rng, length)
+            certs = st.factorize_kernel_word(z)
+            assert [(c.tag, c.param, c.word.letters) for c in certs] == factorize_oracle(z)
+
+    def test_peel_surfaces_lend_to_later_stages(self):
+        # per surface, how many stages leave debt on each point a later stage
+        # peels: some debt crosses stages, and some point owes two stages
+        owed = []
+        for surf in PEEL_SURFACES:
+            a = surf.weights.count(surf.weights[0])
+            steps = criteria._gcd_chain(surf.weights[:-1])
+            owed.append(Counter(
+                p
+                for c in range(a + 1, surf.n + 1)
+                for p, cf in enumerate(criteria._balance(surf.weights, steps, c - 1)[1][:-1], 1)
+                if cf and p > a
+            ))
+        assert [sorted(counts.values()) for counts in owed] == [
+            [], [], [1], [1], [], [1, 1], [1, 1], [2], [1, 2]
+        ]
+
+    def test_one_gcd_chain_serves_every_prefix(self):
+        # as the peel uses it: one chain, then minimal_d(weights[:c], c - 1)
+        # for every stage c, on the peel surfaces and on random weights
+        rng = random.Random(59)
+        cases = [surf.weights for surf in PEEL_SURFACES] + [
+            tuple(rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(rng.randint(2, 9)))
+            for _ in range(300)
+        ]
+        for weights in cases:
+            steps = criteria._gcd_chain(weights[:-1])
+            for c in range(2, len(weights) + 1):
+                d, coeffs = criteria._balance(weights, steps, c - 1)
+                expected = minimal_d_oracle(weights[:c], c - 1)
+                assert (d, tuple(coeffs)) == st.minimal_d(weights[:c], c - 1) == expected
 
     def test_factorization_output_frozen(self):
         docs = []
@@ -718,9 +819,9 @@ print(raises_assertion(
 ))
 print(raises_assertion(braids, "permutation_image", image_then_identity, factorize(EQUAL8, st.sigma(1, 2))))
 print(raises_assertion(
-    braids,
-    "minimal_d",
-    lambda weights, l: (3, (0,) * len(weights)),
+    criteria,
+    "_balance",
+    lambda weights, steps, m: (3, [0] * (m + 1)),
     factorize(FLAGSHIP, st.rho(14, 1), st.rho(1, 1, -1), st.rho(2, 1, -1)),
 ))
 print(raises_assertion(criteria, "_egcd", lambda a, b: (1, 0, 0), lambda: criteria.minimal_d((1, 2), 0)))
@@ -729,7 +830,7 @@ print(raises_assertion(criteria, "_egcd", lambda a, b: (1, 0, 0), lambda: criter
 
 def test_certificate_checks_survive_optimize():
     # one-letter factor, final verify loop, permutation split, winding step,
-    # minimal_d witness: none may vanish with the asserts under -O
+    # balancing witness: none may vanish with the asserts under -O
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),

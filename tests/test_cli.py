@@ -444,6 +444,18 @@ SUBCOMMANDS = {
 }
 
 
+def _file_argv(command, tmp_path):
+    """The arguments of ``command`` in SUBCOMMANDS, with its input written to
+    a file: a map for copeland, KERNEL_WORD for the others."""
+    path = tmp_path / "input.json"
+    if command == "copeland":
+        data = st.construct_graph(2, 1, 5).to_json_dict()
+    else:
+        data = KERNEL_WORD
+    path.write_text(json.dumps(data))
+    return [arg.replace("{file}", str(path)) for arg in SUBCOMMANDS[command]]
+
+
 class TestImportFootprint:
     def test_import_loads_no_library_module(self):
         assert not _footprint()[0] & LIBRARY
@@ -467,16 +479,23 @@ class TestImportFootprint:
         loaded, _ = _footprint(*(("graph",) + SUBCOMMANDS["graph"]))
         assert loaded == {"cli", "errors", "_frozen", "criteria", "graphs"}
 
+    @pytest.mark.parametrize(
+        "command, modules",
+        [
+            ("aj", {"cli", "errors", "_frozen", "braids"}),
+            ("copeland", {"cli", "errors", "_frozen", "braids", "graphs"}),
+            ("factorize", {"cli", "errors", "_frozen", "braids", "criteria"}),
+        ],
+    )
+    def test_word_and_map_commands(self, command, modules, tmp_path):
+        # exact: only factorize_kernel_word and construct_graph need criteria,
+        # and each imports it itself
+        loaded, _ = _footprint(command, *_file_argv(command, tmp_path))
+        assert loaded == modules
+
     @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
     def test_no_subcommand_loads_dataclasses(self, command, tmp_path):
-        path = tmp_path / "input.json"
-        if command == "copeland":
-            data = st.construct_graph(2, 1, 5).to_json_dict()
-        else:
-            data = KERNEL_WORD
-        path.write_text(json.dumps(data))
-        argv = [arg.replace("{file}", str(path)) for arg in SUBCOMMANDS[command]]
-        _, added = _footprint(command, *argv)
+        _, added = _footprint(command, *_file_argv(command, tmp_path))
         assert not added & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -559,6 +560,45 @@ class TestCopeland:
     def test_rejects_double_edges(self):
         with pytest.raises(NotSimple):
             st.copeland_generators(st.build_map(2, [(0, 1), (0, 1)]))
+
+    def test_words_pass_the_public_constructor(self):
+        # the words are built unchecked: each must equal its checked rebuild
+        maps = [st.construct_graph(g, f, n) for g, f, n in _ladder_plan()]
+        rng = random.Random(61)
+        maps += [_random_simple_map(rng, rng.randint(2, 9)) for _ in range(200)]
+        for m in maps:
+            for w in st.copeland_generators(m):
+                surf = w.surface
+                rebuilt = st.BraidWord(
+                    st.MarkedSurface(surf.genus, surf.weights, surf.punctures),
+                    tuple(st.Letter(lt.kind, lt.i, lt.second, lt.exp) for lt in w.letters),
+                )
+                assert rebuilt == w
+
+
+def _ladder_plan():
+    # every (g, f, n) the graph-embed benchmark ladder can ask for: f in
+    # {1, 2g, 4g - 4} with point bound at most 8, and n up to 2 above it
+    for g in range(2, 64):
+        for f in sorted({1, 2 * g, 4 * g - 4}):
+            bound = st.point_bound(g, f)
+            if bound <= 8:
+                yield from ((g, f, n) for n in range(bound, bound + 3))
+
+
+def _random_simple_map(rng, n):
+    # a random spanning tree, random further edges, and random rotations
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in edges]
+    edges += rng.sample(others, rng.randint(0, len(others)))
+    rng.shuffle(edges)
+    darts_at = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        darts_at[u].append(2 * e)
+        darts_at[v].append(2 * e + 1)
+    for darts in darts_at:
+        rng.shuffle(darts)
+    return st.build_map(n, edges, darts_at)
 
 
 def _complete_maps():

@@ -19,11 +19,11 @@ EXPORTS = {
         "BraidWord", "FactorCertificate", "Letter", "MarkedSurface", "abel_jacobi",
         "certify_i_commutator", "certify_null_rho", "concatenate_factors",
         "factor_by_permutation", "factorize_kernel_word", "free_reduce", "in_kernel", "kappa",
-        "minimal_d", "permutation_image", "puncture_loop", "rho", "sigma",
+        "permutation_image", "puncture_loop", "rho", "sigma",
     ),
     "criteria": (
-        "a_min", "gen2_cascade_ok", "hy2_verdict", "main_theorem_verdict", "null_prop_verdict",
-        "point_bound",
+        "a_min", "gen2_cascade_ok", "hy2_verdict", "main_theorem_verdict", "minimal_d",
+        "null_prop_verdict", "point_bound",
     ),
     "graphs": (
         "CombinatorialMap", "EmbeddedGraphReport", "assign_face_pairs", "build_map",
