@@ -13,11 +13,20 @@ without running ``__init__``, so nothing is checked.  It is for values the
 package derives itself: the fields must come from a valid value by moves that
 keep it valid.  Like a dataclass ``__init__``, it is compiled once per class,
 so that it costs what a hand-written setter of the same fields costs.
+
+``require(value, cls)`` is the boundary check of every public call that takes
+a value: it raises the error class that ``cls._error`` names unless ``value``
+is a ``cls``.
 """
 
 from operator import attrgetter
 
 set_field = object.__setattr__
+
+
+def require(value, cls) -> None:
+    if not isinstance(value, cls):
+        raise cls._error("expected a %s, got %s" % (cls.__name__, type(value).__name__))
 
 
 class Frozen:

@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import GenusMismatch, InvalidMove
-from .signatures import StratumSignature, _require_signature
+from ._frozen import require
+from .signatures import StratumSignature
 
 
 def _part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]]:
@@ -68,7 +69,7 @@ def poset_successors(
 
     Each successor is built unchecked: a legal split keeps the sum and gives
     parts that are -1 or positive, so only the order needs sorting."""
-    _require_signature(s)
+    require(s, StratumSignature)
     out: set[StratumSignature] = set()
     for idx, order in enumerate(s.orders):
         if idx and s.orders[idx - 1] == order:  # orders descend: tried already
@@ -187,8 +188,8 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
     is a zero that reaches the rest.  No intermediate signature is built;
     the grouping is a depth-first search over the entries of ``higher``.
     """
-    _require_signature(higher)
-    _require_signature(lower)
+    require(higher, StratumSignature)
+    require(lower, StratumSignature)
     if higher.genus != lower.genus:
         raise GenusMismatch(
             "genus %d vs %d" % (higher.genus, lower.genus)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import chain, groupby
 from typing import Iterable, Iterator, Sequence
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen, require, set_field
 from .errors import (
     IndexOutOfRange,
     InvalidLetter,
@@ -51,6 +51,7 @@ class MarkedSurface(Frozen):
     """
 
     __slots__ = ("genus", "weights", "punctures", "stratum_mode")
+    _error = InvalidSurface
     genus: int
     weights: tuple[int, ...]
     punctures: int
@@ -63,15 +64,14 @@ class MarkedSurface(Frozen):
         punctures: int = 0,
         stratum_mode: bool = False,
     ):
-        weights = tuple(weights)
-        set_field(self, "genus", genus)
-        set_field(self, "weights", weights)
-        set_field(self, "punctures", punctures)
-        set_field(self, "stratum_mode", stratum_mode)
         # type() rather than isinstance: JSON true/false decode to bool, an int
         if type(genus) is not int or type(punctures) is not int:
             raise InvalidSurface("surface 'genus' and 'punctures' must be integers")
-        if any(type(w) is not int for w in weights):
+        try:
+            weights = tuple(weights)
+        except TypeError:  # not iterable
+            weights = None
+        if weights is None or any(type(w) is not int for w in weights):
             raise InvalidSurface("surface 'weights' must be a list of integers")
         if type(stratum_mode) is not bool:
             raise InvalidSurface("surface 'stratum_mode' must be true or false")
@@ -86,6 +86,10 @@ class MarkedSurface(Frozen):
                 "stratum mode requires weights summing to %d, got %d"
                 % (4 * genus - 4, sum(weights))
             )
+        set_field(self, "genus", genus)
+        set_field(self, "weights", weights)
+        set_field(self, "punctures", punctures)
+        set_field(self, "stratum_mode", stratum_mode)
 
     @property
     def n(self) -> int:
@@ -104,11 +108,13 @@ class MarkedSurface(Frozen):
         if not isinstance(data, dict) or "genus" not in data or "weights" not in data:
             raise InvalidSurface("surface JSON needs 'genus' and 'weights'")
         weights = data["weights"]
-        if not isinstance(weights, list):
-            # rejected as a non-integer weight, so after genus and punctures
-            weights = (None,)
+        # a JSON string or object iterates as weights: pass None for it, which
+        # the constructor rejects after genus and punctures
         return MarkedSurface(
-            data["genus"], weights, data.get("punctures", 0), data.get("stratum_mode", False)
+            data["genus"],
+            weights if isinstance(weights, list) else None,
+            data.get("punctures", 0),
+            data.get("stratum_mode", False),
         )
 
 
@@ -219,14 +225,19 @@ class BraidWord(Frozen):
     """
 
     __slots__ = ("surface", "letters")
+    _error = InvalidSurface
     surface: MarkedSurface
     letters: tuple[Letter, ...]
 
     def __init__(self, surface: MarkedSurface, letters: Sequence[Letter] = ()):
-        letters = tuple(letters)
+        require(surface, MarkedSurface)
+        try:
+            letters = tuple(letters)
+            _validate_letters(letters, surface)
+        except (AttributeError, TypeError):  # not a sequence of letters
+            raise InvalidLetter("word letters must be a sequence of Letter objects") from None
         set_field(self, "surface", surface)
         set_field(self, "letters", letters)
-        _validate_letters(letters, surface)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -261,12 +272,6 @@ class BraidWord(Frozen):
         return BraidWord(surf, tuple(Letter.from_json_dict(d) for d in letters))
 
 
-def _require_word(w) -> None:
-    # the boundary check of every entry point that takes a word
-    if not isinstance(w, BraidWord):
-        raise InvalidSurface("expected a BraidWord, got %s" % type(w).__name__)
-
-
 def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
     stack: list[Letter] = []
     for lt in letters:
@@ -282,7 +287,7 @@ def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
 
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain."""
-    _require_word(w)
+    require(w, BraidWord)
     return BraidWord._derived(w.surface, tuple(_reduce_letters(w.letters)))
 
 
@@ -291,7 +296,7 @@ def permutation_image(w: BraidWord) -> tuple[int, ...]:
 
     Letters act left to right; only sigma letters move points.
     """
-    _require_word(w)
+    require(w, BraidWord)
     n = w.surface.n
     perm = list(range(1, n + 1))
     # where[v] is the index k with perm[k] == v, so each sigma costs O(1)
@@ -319,7 +324,7 @@ def abel_jacobi(w: BraidWord) -> tuple[int, ...]:
     Each rho letter adds its point's weight (signed by the exponent) to the
     coordinate of its direction; all other letters bound disks and vanish.
     """
-    _require_word(w)
+    require(w, BraidWord)
     coords = _direction_vector(w.surface.genus)
     weights, rho_kind = w.surface.weights, RHO
     for lt in w.letters:
@@ -338,7 +343,7 @@ def certify_null_rho(w: BraidWord) -> tuple[bool, int | None]:
     Returns (True, r) on success; the empty word is vacuously balanced for
     any direction and reports r = None.
     """
-    _require_word(w)
+    require(w, BraidWord)
     if not w.letters:
         return True, None
     r = w.letters[0].second
@@ -362,7 +367,7 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     commutators, so the path is a commutator exactly when every direction
     count vanishes and the puncture-loop counts share one common value.
     """
-    _require_word(w)
+    require(w, BraidWord)
     n = w.surface.n
     # type() rather than isinstance: a bool is an int
     if type(i) is not int or not 1 <= i <= n:
@@ -384,7 +389,7 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
 def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
     """Split z = y * x with y a product of exchanges realizing z's permutation
     and x the permutation-trivial remainder y^-1 z, freely reduced."""
-    _require_word(z)
+    require(z, BraidWord)
     perm = permutation_image(z)
     y: list[Letter] = []
     seen: set[int] = set()
@@ -424,6 +429,7 @@ class FactorCertificate(Frozen):
     param: int | None
 
     def __init__(self, tag: str, word: BraidWord, param: int | None = None):
+        require(word, BraidWord)
         set_field(self, "tag", tag)
         set_field(self, "word", word)
         set_field(self, "param", param)
@@ -540,7 +546,7 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     # imported at the call, so that aj and copeland runs never load criteria
     from . import criteria
 
-    _require_word(z)
+    require(z, BraidWord)
     surf = z.surface
     if surf.punctures:
         raise PreconditionUnmet("factorization needs a surface without punctures")
@@ -622,10 +628,12 @@ def concatenate_factors(
     surf: MarkedSurface, certs: Sequence[FactorCertificate]
 ) -> BraidWord:
     """The product of the factors' words, left to right, built in one pass."""
-    if not isinstance(surf, MarkedSurface):
-        raise InvalidSurface("expected a MarkedSurface, got %s" % type(surf).__name__)
-    for cert in certs:
-        other = cert.word.surface
-        if other is not surf and other != surf:
-            raise InvalidSurface("cannot concatenate words over different surfaces")
+    require(surf, MarkedSurface)
+    try:
+        for cert in certs:
+            other = cert.word.surface
+            if other is not surf and other != surf:
+                raise InvalidSurface("cannot concatenate words over different surfaces")
+    except (AttributeError, TypeError):  # not a sequence of certificates
+        raise InvalidSurface("factors must be a sequence of FactorCertificate objects") from None
     return BraidWord._derived(surf, tuple(chain.from_iterable(c.word.letters for c in certs)))

@@ -140,6 +140,12 @@ def minimal_d(weights: Sequence[int], l: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _split_orders(s: StratumSignature) -> tuple[int, list[int]]:
+    # the first call of every verdict, so that each checks its argument once;
+    # imported at the call, so that dmin and graph runs never load signatures
+    from ._frozen import require
+    from .signatures import StratumSignature
+
+    require(s, StratumSignature)
     ones = s.orders.count(1)
     rest = [k for k in s.orders if k != 1]
     return ones, rest
@@ -155,15 +161,7 @@ def _has_even_pair(rest: list[int]) -> tuple[bool, str]:
     return True, "even pair present"
 
 
-def _require_signature(s) -> None:
-    # imported at the call, so that dmin and graph runs never load signatures
-    from .signatures import _require_signature
-
-    _require_signature(s)
-
-
 def hy2_verdict(s: StratumSignature) -> tuple[bool, str]:
-    _require_signature(s)
     ones, rest = _split_orders(s)
     if ones % 2 != 0:
         return False, "count of simple zeros is odd"
@@ -172,25 +170,24 @@ def hy2_verdict(s: StratumSignature) -> tuple[bool, str]:
     return _has_even_pair(rest)
 
 
-def _threshold_verdict(s: StratumSignature, k: int) -> tuple[bool, str]:
+def _threshold_verdict(g: int, ones: int, rest: list[int], k: int) -> tuple[bool, str]:
     # an even pair, and more than max(g + k, every higher order) simple zeros
-    ones, rest = _split_orders(s)
     ok, why = _has_even_pair(rest)
     if not ok:
         return False, why
-    threshold = max([s.genus + k] + rest)
+    threshold = max([g + k] + rest)
     if ones <= threshold:
         return False, "need more than %d simple zeros, have %d" % (threshold, ones)
     return True, "all clauses hold"
 
 
 def main_theorem_verdict(s: StratumSignature) -> tuple[bool, str]:
-    _require_signature(s)
-    return _threshold_verdict(s, 5)
+    ones, rest = _split_orders(s)
+    return _threshold_verdict(s.genus, ones, rest, 5)
 
 
 def null_prop_verdict(s: StratumSignature) -> tuple[bool, str]:
-    _require_signature(s)
+    ones, rest = _split_orders(s)
     if s.genus <= 2:
         return False, "needs genus greater than 2"
-    return _threshold_verdict(s, 4)
+    return _threshold_verdict(s.genus, ones, rest, 4)

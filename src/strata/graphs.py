@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Sequence
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen, require, set_field
 from .errors import (
     BoundViolation,
     IndexOutOfRange,
@@ -114,6 +114,7 @@ class CombinatorialMap(Frozen):
     """
 
     __slots__ = ("sigma",)
+    _error = InvalidSpec
     sigma: tuple[int, ...]
 
     def __init__(self, sigma: Sequence[int]):
@@ -232,15 +233,9 @@ class EmbeddedGraphReport(Frozen):
         }
 
 
-def _require_map(m) -> None:
-    # the boundary check of every entry point that takes a map
-    if not isinstance(m, CombinatorialMap):
-        raise InvalidSpec("expected a CombinatorialMap, got %s" % type(m).__name__)
-
-
 def trace_faces(m: CombinatorialMap) -> list[list[int]]:
     """Face cycles of the map: orbits of sigma∘alpha, each from its least dart."""
-    _require_map(m)
+    require(m, CombinatorialMap)
     return _faces(m.sigma)[0]
 
 
@@ -268,6 +263,16 @@ def build_map(
     lists the darts at v in cyclic order, and must hold exactly the darts the
     edge list puts there; when omitted, darts sit in edge-index order.
     """
+    try:
+        edges = [tuple(edge) for edge in edges]
+    except TypeError:  # not a list of pairs
+        edges = None
+    # type() rather than isinstance: a bool is an int, and a float can equal one
+    if type(n_vertices) is not int or edges is None or any(
+        len(edge) != 2 or any(type(v) is not int or not 0 <= v < n_vertices for v in edge)
+        for edge in edges
+    ):
+        raise InvalidSpec("edges must be pairs of integer vertices in 0..n_vertices - 1")
     darts_at: list[list[int]] = [[] for _ in range(n_vertices)]
     for e, (u, v) in enumerate(edges):
         if u == v:
@@ -478,7 +483,7 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     Such an edge is never a bridge, so the two faces merge into one disk:
     the result is again 2-cell with one face fewer and the same genus.
     """
-    _require_map(m)
+    require(m, CombinatorialMap)
     rot = m.vertices()
     label = _faces(m.sigma)[1]
     _delete_edge(rot, label)
@@ -504,7 +509,7 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
 
     Vertex and edge counts grow by one; faces and genus are untouched.
     """
-    _require_map(m)
+    require(m, CombinatorialMap)
     # type() rather than isinstance: a bool is an int, and a float can equal one
     if type(e) is not int or not 0 <= e < m.n_edges:
         raise IndexOutOfRange("edge index %r out of range" % (e,))
@@ -555,7 +560,7 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
     Walks face to face across the chosen edges, restarting when the walk
     closes.
     """
-    _require_map(m)
+    require(m, CombinatorialMap)
     report, edges, faces, face_of = _survey(m)
     if report.genus != 0:
         raise PreconditionUnmet("face-pair assignment needs a planar map")
@@ -597,7 +602,7 @@ def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
     """
     from . import braids
 
-    _require_map(m)
+    require(m, CombinatorialMap)
     report, edges, _, _ = _survey(m)
     if not report.simple:
         raise NotSimple("generator extraction needs a loopless simple map")

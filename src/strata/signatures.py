@@ -13,10 +13,8 @@ exceptional strata of genus 3 and 4 and counts of three are not yet known.
 
 from __future__ import annotations
 
-import json
-
-from ._frozen import Frozen, set_field
-from .errors import EmptyStratum, InvalidJson, InvalidSignature, InvalidSpec
+from ._frozen import Frozen, require, set_field
+from .errors import EmptyStratum, InvalidSignature, InvalidSpec
 
 # The four exceptional signatures whose strata contain no half-translation
 # structure at all.  Orders stored descending, matching the canonical form.
@@ -49,6 +47,7 @@ class StratumSignature(Frozen):
     """
 
     __slots__ = ("genus", "orders")
+    _error = InvalidSignature
     genus: int
     orders: tuple[int, ...]
 
@@ -83,40 +82,6 @@ class StratumSignature(Frozen):
     def to_json_dict(self) -> dict:
         return {"genus": self.genus, "orders": list(self.orders)}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "StratumSignature":
-        if not isinstance(data, dict) or "genus" not in data or "orders" not in data:
-            raise InvalidSignature(
-                "signature JSON needs 'genus' and 'orders'", failed=("fields",)
-            )
-        genus, orders = data["genus"], data["orders"]
-        # type() rather than isinstance: JSON true/false decode to bool, an int
-        if type(genus) is not int or not isinstance(orders, list) or any(
-            type(k) is not int for k in orders
-        ):
-            raise InvalidSignature(
-                "signature 'genus' must be an integer and 'orders' a list of integers",
-                failed=("fields",),
-            )
-        return StratumSignature(genus, tuple(orders))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "StratumSignature":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as err:  # malformed or too deeply nested
-            raise InvalidJson("signature JSON: %s" % err)
-        return StratumSignature.from_json_dict(data)
-
-
-def _require_signature(s) -> None:
-    # the boundary check of every entry point that takes a signature
-    if not isinstance(s, StratumSignature):
-        raise InvalidSignature("expected a StratumSignature, got %s" % type(s).__name__)
-
 
 class ConnectivityReport(Frozen):
     __slots__ = ("component_count", "is_empty", "reason")
@@ -135,13 +100,20 @@ class DoubleCoverSpec(Frozen):
     each named once."""
 
     __slots__ = ("base", "ramified_indices", "target_genus")
+    _error = InvalidSpec
     base: StratumSignature
     ramified_indices: frozenset[int]
     target_genus: int
 
     def __init__(self, base: StratumSignature, ramified_indices, target_genus: int):
-        _require_signature(base)
-        listed = list(ramified_indices)
+        require(base, StratumSignature)
+        try:
+            listed = list(ramified_indices)
+        except TypeError:  # not iterable
+            listed = None
+        # type() rather than isinstance: a bool is an int
+        if listed is None or any(type(i) is not int for i in listed + [target_genus]):
+            raise InvalidSpec("ramified indices and target genus must be integers")
         set_field(self, "base", base)
         set_field(self, "ramified_indices", frozenset(listed))
         set_field(self, "target_genus", target_genus)
@@ -150,13 +122,13 @@ class DoubleCoverSpec(Frozen):
 
 
 def is_empty(s: StratumSignature) -> bool:
-    _require_signature(s)
+    require(s, StratumSignature)
     return (s.genus, s.orders) in EMPTY_SIGNATURES
 
 
 def dimension(s: StratumSignature) -> int:
     """Complex dimension 2g - 2 + n of a non-empty stratum."""
-    _require_signature(s)
+    require(s, StratumSignature)
     if (s.genus, s.orders) in EMPTY_SIGNATURES:
         raise EmptyStratum("stratum %r is empty" % (s,))
     return 2 * s.genus - 2 + s.n
@@ -186,7 +158,7 @@ def _two_component_reason(s: StratumSignature) -> str | None:
 
 def classify_connectivity(s: StratumSignature) -> ConnectivityReport:
     """Total classification, reporting empty signatures instead of raising."""
-    _require_signature(s)
+    require(s, StratumSignature)
     if (s.genus, s.orders) in EMPTY_SIGNATURES:
         return ConnectivityReport(0, True, REASON_EMPTY)
     reason = _two_component_reason(s)
@@ -209,8 +181,7 @@ def double_cover(spec: DoubleCoverSpec) -> tuple[StratumSignature, bool]:
     be the square of an abelian differential rather than a genuine
     half-translation structure.
     """
-    if not isinstance(spec, DoubleCoverSpec):
-        raise InvalidSpec("expected a DoubleCoverSpec, got %s" % type(spec).__name__)
+    require(spec, DoubleCoverSpec)
     base, g = spec.base, spec.target_genus
     if base.genus != 0:
         raise InvalidSpec("double cover base must have genus 0, got %d" % base.genus)

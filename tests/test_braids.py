@@ -64,6 +64,8 @@ class TestSurfaceAndLetters:
             ((2, (4,), 0, 1), "'stratum_mode' must be true or false"),
             ((-1, ()), "genus must be non-negative"),
             ((2, (4,), -1), "puncture count must be non-negative"),
+            ((2, None), "'weights' must be a list of integers"),
+            ((2.0, None), "'genus' and 'punctures' must be integers"),
         ],
         ids=[
             "float-weight",
@@ -74,6 +76,8 @@ class TestSurfaceAndLetters:
             "int-mode",
             "negative-genus",
             "negative-punctures",
+            "non-iterable-weights",
+            "genus-before-weights",
         ],
     )
     def test_field_types_checked_by_constructor(self, args, message):
@@ -139,6 +143,19 @@ class TestSurfaceAndLetters:
     def test_unknown_kind_built_directly(self):
         with pytest.raises(InvalidLetter, match=r"^unknown letter kind 'tau'$"):
             word(SURF112, st.rho(1, 1), st.Letter("tau", 1, 1))
+
+    def test_word_needs_a_surface(self):
+        with pytest.raises(InvalidSurface, match=r"^expected a MarkedSurface, got NoneType$"):
+            st.BraidWord(None)
+
+    @pytest.mark.parametrize("letters", [(1, 2), 5], ids=["ints", "int"])
+    def test_word_needs_a_sequence_of_letters(self, letters):
+        with pytest.raises(InvalidLetter, match=r"^word letters must be a sequence of Letter"):
+            st.BraidWord(SURF112, letters)
+
+    def test_certificate_needs_a_word(self):
+        with pytest.raises(InvalidSurface, match=r"^expected a BraidWord, got NoneType$"):
+            st.FactorCertificate(NULL_RHO, None).verify()
 
 
 class TestFreeReduce:
@@ -462,6 +479,11 @@ class TestFactorize:
     def test_concatenation_needs_a_surface(self, surf):
         with pytest.raises(InvalidSurface):
             st.concatenate_factors(surf, [])
+
+    @pytest.mark.parametrize("certs", [[None], None], ids=["None-factor", "None"])
+    def test_concatenation_needs_certificates(self, certs):
+        with pytest.raises(InvalidSurface, match=r"^factors must be a sequence of FactorCert"):
+            st.concatenate_factors(FLAGSHIP, certs)
 
     def test_kappa_on_peeled_point_becomes_square_transposition(self):
         z = word(FLAGSHIP, st.kappa(13, 14), st.kappa(1, 2, -1))

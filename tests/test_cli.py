@@ -331,6 +331,8 @@ class TestInputTypes:
         "field",
         [
             {"weights": ["1", "1", "1", "1"]},
+            {"weights": ""},
+            {"weights": {}},
             {"genus": 2.5},
             {"punctures": "2"},
             {"stratum_mode": "yes"},

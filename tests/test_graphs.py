@@ -42,6 +42,32 @@ class TestCombinatorialMap:
         with pytest.raises(NotSimple):
             st.build_map(1, [(0, 0)])
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            ("x", []),
+            (2, None),
+            (2, [(0, "a")]),
+            (2, [(0, 1.0)]),
+            (2, [[]]),
+            (2, [(0, 5)]),
+            (2, [(0, -1)]),
+        ],
+        ids=[
+            "str-count",
+            "None-edges",
+            "str-vertex",
+            "float-vertex",
+            "empty-edge",
+            "vertex-too-high",
+            "negative-vertex",
+        ],
+    )
+    def test_edges_must_be_integer_pairs(self, n, edges):
+        # a negative vertex once indexed from the end of the vertex list
+        with pytest.raises(InvalidSpec, match=r"^edges must be pairs of integer vertices"):
+            st.build_map(n, edges)
+
     def test_double_edge_not_simple(self):
         m = st.build_map(2, [(0, 1), (0, 1)])
         assert not m.is_simple()

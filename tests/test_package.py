@@ -2,14 +2,18 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import strata
+from strata.errors import StrataError
 
 EXPORTS = {
     "adjacency": (
@@ -105,3 +109,51 @@ def test_unknown_attribute():
 
 def test_version():
     assert strata.__version__ == "0.1.0"
+
+
+def _value_instances():
+    # one instance of each value class, each valid
+    surf = strata.MarkedSurface(2, (1, 1, 2))
+    word = strata.BraidWord(surf, (strata.sigma(1, 2),))
+    return [
+        strata.StratumSignature(2, (4,)),
+        strata.ConnectivityReport(1, False, "genus-le-1"),
+        strata.DoubleCoverSpec(strata.StratumSignature(0, (-1,) * 4), (0, 1, 2, 3), 1),
+        surf,
+        strata.sigma(1, 2),
+        word,
+        strata.FactorCertificate("transposition", word),
+        strata.build_map(2, [(0, 1)]),
+        strata.EmbeddedGraphReport(2, 1, 1, 0, True),
+    ]
+
+
+# integers stay small: legal_splits and the poset enumerate without bound on
+# a large order, which is a cost, not a boundary check
+GARBLED = hst.one_of(
+    hst.sampled_from([None, True, False, "", "x", "sigma", object()] + _value_instances()),
+    hst.floats(),
+    hst.integers(-50, 50),
+    hst.builds(list),
+    hst.builds(lambda: [[]]),
+    hst.builds(dict),
+)
+
+
+@pytest.mark.parametrize("name", sorted(strata.__all__))
+@given(data=hst.data())
+@settings(max_examples=30, deadline=None)
+def test_public_names_raise_only_strata_errors(name, data):
+    # every public call, classes included, given garbled positional arguments
+    # returns or raises a StrataError: no bare TypeError or AttributeError
+    call = getattr(strata, name)
+    params = [
+        p for p in inspect.signature(call).parameters.values()
+        if p.kind is p.POSITIONAL_OR_KEYWORD
+    ]
+    required = sum(p.default is p.empty for p in params)
+    args = data.draw(hst.lists(GARBLED, min_size=required, max_size=len(params)))
+    try:
+        call(*args)
+    except StrataError:
+        pass
