@@ -17,7 +17,7 @@ rewriting step an identity of the underlying group.
 from __future__ import annotations
 
 from itertools import chain, groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._frozen import Frozen, require, set_field
 from .errors import (
@@ -121,7 +121,11 @@ class MarkedSurface(Frozen):
 class Letter(Frozen):
     """One generator letter.  ``second`` is the homology direction for rho
     letters, the partner point for sigma/kappa, and the puncture index for
-    puncture loops."""
+    puncture loops.
+
+    The public constructor checks nothing: a ``BraidWord`` checks each
+    letter's fields against its surface when it is built.
+    """
 
     __slots__ = ("kind", "i", "second", "exp")
     kind: str
@@ -134,9 +138,6 @@ class Letter(Frozen):
         set_field(self, "i", i)
         set_field(self, "second", second)
         set_field(self, "exp", exp)
-
-    def inverse(self) -> "Letter":
-        return Letter._derived(self.kind, self.i, self.second, -self.exp)
 
     def to_json_dict(self) -> dict:
         try:
@@ -239,22 +240,6 @@ class BraidWord(Frozen):
         set_field(self, "surface", surface)
         set_field(self, "letters", letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.surface != other.surface:
-            raise InvalidSurface("cannot concatenate words over different surfaces")
-        return BraidWord._derived(self.surface, self.letters + other.letters)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord._derived(
-            self.surface, tuple(lt.inverse() for lt in reversed(self.letters))
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "surface": self.surface.to_json_dict(),
@@ -283,6 +268,11 @@ def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
                 continue
         stack.append(lt)
     return stack
+
+
+def _inverse(letters: Sequence[Letter]) -> list[Letter]:
+    # the letters of the inverse word: reversed, each exponent negated
+    return [Letter._derived(lt.kind, lt.i, lt.second, -lt.exp) for lt in reversed(letters)]
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -410,7 +400,7 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
     y_word = BraidWord._derived(z.surface, tuple(y))
     if permutation_image(y_word) != perm:
         raise AssertionError
-    x = _reduce_letters(chain([lt.inverse() for lt in reversed(y)], z.letters))
+    x = _reduce_letters(chain(_inverse(y), z.letters))
     return y_word, BraidWord._derived(z.surface, tuple(x))
 
 
@@ -492,7 +482,7 @@ def _peel_stage(
     kappas = [lt for lt in moving if lt.kind == KAPPA]
     sorted_word = sorted(rhos, key=lambda lt: lt.second) + kappas
     certs: list[FactorCertificate] = []
-    h_inv = _reduce_letters(chain(moving, [lt.inverse() for lt in reversed(sorted_word)]))
+    h_inv = _reduce_letters(chain(moving, _inverse(sorted_word)))
     if h_inv:
         h_word = BraidWord._derived(surf, tuple(h_inv))
         certs.append(FactorCertificate._derived(I_COMMUTATOR, h_word, c))
@@ -625,15 +615,19 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
 
 
 def concatenate_factors(
-    surf: MarkedSurface, certs: Sequence[FactorCertificate]
+    surf: MarkedSurface, certs: Iterable[FactorCertificate]
 ) -> BraidWord:
-    """The product of the factors' words, left to right, built in one pass."""
+    """The product of the factors' words, left to right, built in one pass
+    over ``certs``, which may be any iterable."""
     require(surf, MarkedSurface)
+    letters: list[Letter] = []
     try:
         for cert in certs:
-            other = cert.word.surface
+            word = cert.word
+            other = word.surface
             if other is not surf and other != surf:
                 raise InvalidSurface("cannot concatenate words over different surfaces")
-    except (AttributeError, TypeError):  # not a sequence of certificates
+            letters += word.letters
+    except (AttributeError, TypeError):  # not an iterable of certificates
         raise InvalidSurface("factors must be a sequence of FactorCertificate objects") from None
-    return BraidWord._derived(surf, tuple(chain.from_iterable(c.word.letters for c in certs)))
+    return BraidWord._derived(surf, tuple(letters))

@@ -155,15 +155,6 @@ class CombinatorialMap(Frozen):
     def vertices(self) -> list[list[int]]:
         return _orbits(self.sigma)[0]
 
-    def vertex_of(self) -> dict[int, int]:
-        return dict(enumerate(_orbits(self.sigma)[1]))
-
-    def edges(self) -> list[tuple[int, int]]:
-        return _edges(_orbits(self.sigma)[1])
-
-    def is_simple(self) -> bool:
-        return _is_simple(self.edges())
-
     def report(self) -> "EmbeddedGraphReport":
         return _survey(self)[0]
 
@@ -216,13 +207,6 @@ class EmbeddedGraphReport(Frozen):
         set_field(self, "genus", genus)
         set_field(self, "simple", simple)
 
-    @staticmethod
-    def from_counts(V: int, E: int, F: int, simple: bool) -> "EmbeddedGraphReport":
-        euler = V - E + F
-        if euler % 2 or euler > 2:
-            raise InvalidSpec("Euler count %d is not 2 - 2g for g >= 0" % euler)
-        return EmbeddedGraphReport(V, E, F, (2 - euler) // 2, simple)
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": self.V,
@@ -247,8 +231,13 @@ def _survey(
     vertices, owner = _orbits(m.sigma)
     edges = _edges(owner)
     faces, face_of = _faces(m.sigma)
-    simple = _is_simple(edges)
-    report = EmbeddedGraphReport.from_counts(len(vertices), m.n_edges, len(faces), simple)
+    V, E, F = len(vertices), m.n_edges, len(faces)
+    # a rotation embeds its graph 2-cell on a closed oriented surface, so the
+    # Euler count is 2 - 2g for some g >= 0
+    euler = V - E + F
+    if euler % 2 or euler > 2:
+        raise AssertionError("internal error: Euler count %d is not 2 - 2g" % euler)
+    report = EmbeddedGraphReport(V, E, F, (2 - euler) // 2, _is_simple(edges))
     return report, edges, faces, face_of
 
 

@@ -102,6 +102,14 @@ def random_word(
     )
 
 
+def inverse_word(w: st.BraidWord) -> st.BraidWord:
+    """The inverse of w, through the public constructor: its letters
+    reversed, each exponent negated."""
+    return st.BraidWord(
+        w.surface, tuple(st.Letter(lt.kind, lt.i, lt.second, -lt.exp) for lt in reversed(w.letters))
+    )
+
+
 def random_kernel_word(surf: st.MarkedSurface, rng, length: int = 8) -> st.BraidWord:
     """A random word pushed into the kernel by balancing with weight-1 loops."""
     word = random_word(surf, rng, length)
@@ -145,7 +153,7 @@ def factor_by_permutation_oracle(z: st.BraidWord) -> tuple[st.BraidWord, st.Brai
         for other in cycle[1:]:
             letters.append(st.sigma(min(cycle[0], other), max(cycle[0], other)))
     y = st.BraidWord(z.surface, tuple(letters))
-    return y, st.free_reduce(y.inverse() * z)
+    return y, st.free_reduce(st.BraidWord(z.surface, inverse_word(y).letters + z.letters))
 
 
 def minimal_d_oracle(weights: tuple[int, ...], l: int) -> tuple[int, tuple[int, ...]]:
@@ -376,7 +384,7 @@ def factorize_oracle(z: st.BraidWord) -> list[tuple]:
         rhos = [lt for lt in moving if lt.kind == "rho"]
         kappas = [lt for lt in moving if lt.kind == "kappa"]
         ordered = st.BraidWord(surf, sorted(rhos, key=lambda lt: lt.second) + kappas)
-        h = st.free_reduce(st.BraidWord(surf, moving) * ordered.inverse())
+        h = st.free_reduce(st.BraidWord(surf, tuple(moving) + inverse_word(ordered).letters))
         if h.letters:
             out.append(("i_commutator", c, h.letters))
         d, coeffs = st.minimal_d(weights[:c], c - 1)

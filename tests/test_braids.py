@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import json
-import operator
 import os
 import random
 import subprocess
@@ -29,6 +28,7 @@ from strata.errors import (
 from support import (
     factor_by_permutation_oracle,
     factorize_oracle,
+    inverse_word,
     minimal_d_oracle,
     permutation_image_oracle,
     random_kernel_word,
@@ -97,11 +97,11 @@ class TestSurfaceAndLetters:
             word(SURF112, st.sigma(2, 1))
 
     def test_kappa_any_weights(self):
-        assert len(word(SURF112, st.kappa(1, 3))) == 1
+        assert len(word(SURF112, st.kappa(1, 3)).letters) == 1
 
     def test_puncture_loop_range(self):
         surf = st.MarkedSurface(2, (1, 1), punctures=1)
-        assert len(word(surf, st.puncture_loop(1, 1))) == 1
+        assert len(word(surf, st.puncture_loop(1, 1)).letters) == 1
         with pytest.raises(InvalidLetter):
             word(surf, st.puncture_loop(1, 2))
 
@@ -133,8 +133,10 @@ class TestSurfaceAndLetters:
             word(SURF112, letter)
 
     def test_product_needs_one_surface(self):
-        with pytest.raises(InvalidSurface):
-            word(SURF112) * word(st.MarkedSurface(2, (1, 1, 1, 1)))
+        # a product is built on one surface, which checks the other word's letters
+        other = word(st.MarkedSurface(2, (1, 1, 1, 1)), st.sigma(1, 3))
+        with pytest.raises(InvalidLetter, match=r"^sigma exchanges equal weights only: 1 vs 2$"):
+            st.BraidWord(SURF112, word(SURF112, st.rho(1, 1)).letters + other.letters)
 
     def test_exponent_checked_before_index(self):
         with pytest.raises(InvalidLetter, match=r"^letter exponent must be \+-1, got 2$"):
@@ -465,9 +467,20 @@ class TestFactorize:
             z = random_kernel_word(FLAGSHIP, rng, length)
             certs = st.factorize_kernel_word(z)
             folded = functools.reduce(
-                operator.mul, (c.word for c in certs), st.BraidWord(FLAGSHIP)
+                lambda u, v: st.BraidWord(FLAGSHIP, u.letters + v.letters),
+                (c.word for c in certs),
+                st.BraidWord(FLAGSHIP),
             )
             assert st.concatenate_factors(FLAGSHIP, certs) == folded
+
+    @pytest.mark.parametrize("once", [iter, lambda certs: (c for c in certs)], ids=["iter", "gen"])
+    def test_concatenation_reads_an_iterable_once(self, once):
+        # an iterator can be read once, so the surface check and the letters
+        # must share one pass
+        certs = st.factorize_kernel_word(random_kernel_word(FLAGSHIP, random.Random(37), 40))
+        expected = st.concatenate_factors(FLAGSHIP, certs)
+        assert expected.letters
+        assert st.concatenate_factors(FLAGSHIP, once(certs)) == expected
 
     def test_concatenation_rejects_other_surface(self):
         certs = st.factorize_kernel_word(word(FLAGSHIP, st.rho(1, 1), st.rho(2, 1, -1)))
@@ -511,7 +524,7 @@ class TestSharedFactors:
         rng = random.Random(59)
         z = random_kernel_word(FLAGSHIP, rng, 200)
         first = st.factorize_kernel_word(z)
-        assert any(len(c.word) == 1 for c in first)
+        assert any(len(c.word.letters) == 1 for c in first)
 
         for _ in range(5):
             st.factorize_kernel_word(random_kernel_word(EQUAL8, rng, 40))
@@ -531,7 +544,7 @@ class TestSharedFactors:
     def test_equal_one_letter_factors_share_one_object(self):
         rng = random.Random(67)
         certs = st.factorize_kernel_word(random_kernel_word(FLAGSHIP, rng, 400))
-        one_letter = [c for c in certs if len(c.word) == 1]
+        one_letter = [c for c in certs if len(c.word.letters) == 1]
         by_letter = {}
         for c in one_letter:
             assert by_letter.setdefault(c.word.letters[0], c) is c
@@ -680,7 +693,10 @@ class TestAgainstOracles:
             for length in (0, 1, 30, 300):
                 u = random_word(surf, rng, length, 0.5)
                 v = random_word(surf, rng, length)
-                derived = [*st.factor_by_permutation(u), st.free_reduce(u * v), u.inverse(), u * v]
+                derived = [
+                    *st.factor_by_permutation(u),
+                    st.free_reduce(st.BraidWord(surf, u.letters + v.letters)),
+                ]
                 if surf.stratum_mode:
                     z = random_kernel_word(surf, rng, length)
                     certs = st.factorize_kernel_word(z)
@@ -697,7 +713,7 @@ class TestHomomorphismProperties:
         rng = random.Random(data.draw(hst.integers(0, 10**6)))
         u = random_word(FLAGSHIP, rng, data.draw(hst.integers(0, 10)))
         v = random_word(FLAGSHIP, rng, data.draw(hst.integers(0, 10)))
-        lhs = st.abel_jacobi(u * v)
+        lhs = st.abel_jacobi(st.BraidWord(FLAGSHIP, u.letters + v.letters))
         rhs = tuple(
             a + b for a, b in zip(st.abel_jacobi(u), st.abel_jacobi(v))
         )
@@ -708,8 +724,9 @@ class TestHomomorphismProperties:
     def test_negates_under_inversion(self, data):
         rng = random.Random(data.draw(hst.integers(0, 10**6)))
         u = random_word(FLAGSHIP, rng, data.draw(hst.integers(0, 10)))
-        assert st.abel_jacobi(u.inverse()) == tuple(-a for a in st.abel_jacobi(u))
-        assert st.free_reduce(u * u.inverse()).letters == ()
+        u_inv = inverse_word(u)
+        assert st.abel_jacobi(u_inv) == tuple(-a for a in st.abel_jacobi(u))
+        assert st.free_reduce(st.BraidWord(FLAGSHIP, u.letters + u_inv.letters)).letters == ()
 
     @given(data=hst.data())
     @settings(max_examples=150, deadline=None)
@@ -719,7 +736,7 @@ class TestHomomorphismProperties:
         v = random_word(FLAGSHIP, rng, data.draw(hst.integers(0, 8)))
         pu, pv = st.permutation_image(u), st.permutation_image(v)
         composed = tuple(pv[pu[k - 1] - 1] for k in range(1, FLAGSHIP.n + 1))
-        assert st.permutation_image(u * v) == composed
+        assert st.permutation_image(st.BraidWord(FLAGSHIP, u.letters + v.letters)) == composed
 
     def test_every_exchange_letter_in_kernel(self):
         for i in range(1, FLAGSHIP.n + 1):

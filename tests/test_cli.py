@@ -387,7 +387,7 @@ class TestFactorizeCommand:
             rebuilt = st.BraidWord.from_json_dict(
                 {"surface": surf.to_json_dict(), "letters": factor["letters"]}
             )
-            assert len(rebuilt) == 1
+            assert len(rebuilt.letters) == 1
 
 
 class TestPretty:

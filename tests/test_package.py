@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -140,13 +141,9 @@ GARBLED = hst.one_of(
 )
 
 
-@pytest.mark.parametrize("name", sorted(strata.__all__))
-@given(data=hst.data())
-@settings(max_examples=30, deadline=None)
-def test_public_names_raise_only_strata_errors(name, data):
-    # every public call, classes included, given garbled positional arguments
-    # returns or raises a StrataError: no bare TypeError or AttributeError
-    call = getattr(strata, name)
+def _garbled_call(call, data):
+    # call with garbled positional arguments: the result, or None for a
+    # StrataError; any other exception fails the test
     params = [
         p for p in inspect.signature(call).parameters.values()
         if p.kind is p.POSITIONAL_OR_KEYWORD
@@ -154,6 +151,58 @@ def test_public_names_raise_only_strata_errors(name, data):
     required = sum(p.default is p.empty for p in params)
     args = data.draw(hst.lists(GARBLED, min_size=required, max_size=len(params)))
     try:
-        call(*args)
+        return call(*args)
     except StrataError:
-        pass
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(strata.__all__))
+@given(data=hst.data())
+@settings(max_examples=30, deadline=None)
+def test_public_names_raise_only_strata_errors(name, data):
+    # every public call, classes included, given garbled positional arguments
+    # returns or raises a StrataError: no bare TypeError or AttributeError
+    _garbled_call(getattr(strata, name), data)
+
+
+# the public methods and static constructors of each value class; properties
+# and fields are not listed
+VALUE_METHODS = {
+    "BraidWord": ("from_json_dict", "to_json_dict"),
+    "CombinatorialMap": ("from_json_dict", "report", "to_json_dict", "vertices"),
+    "ConnectivityReport": (),
+    "DoubleCoverSpec": (),
+    "EmbeddedGraphReport": ("to_json_dict",),
+    "FactorCertificate": ("to_json_dict", "verify"),
+    "Letter": ("from_json_dict", "to_json_dict"),
+    "MarkedSurface": ("from_json_dict", "to_json_dict"),
+    "StratumSignature": ("to_json_dict",),
+}
+INSTANCES = {type(v).__name__: v for v in _value_instances()}
+
+
+def test_value_classes_list_their_methods():
+    assert {
+        name: tuple(sorted(
+            attr for attr, raw in vars(type(v)).items()
+            if not attr.startswith("_") and isinstance(raw, (FunctionType, staticmethod))
+        ))
+        for name, v in INSTANCES.items()
+    } == VALUE_METHODS
+
+
+@pytest.mark.parametrize(
+    "method", ["%s.%s" % (cls, name) for cls, names in VALUE_METHODS.items() for name in names]
+)
+@given(data=hst.data())
+@settings(max_examples=30, deadline=None)
+def test_value_methods_raise_only_strata_errors(method, data):
+    # each method runs on the valid instance of its class, or on one its
+    # public constructor builds from garbled fields where it lets them
+    # through; a static constructor takes garbled arguments.  Every call
+    # returns or raises a StrataError
+    cls_name, name = method.split(".")
+    receiver = INSTANCES[cls_name]
+    if data.draw(hst.booleans()):
+        receiver = _garbled_call(type(receiver), data) or receiver
+    _garbled_call(getattr(receiver, name), data)
