@@ -23,6 +23,23 @@ For |P| >= 5, split k into (k - a - b, a, b) with a <= b the two smallest
 entries of P.  The rest has at least 3 entries, each at least b, and sums
 to k - a - b >= 3 (if a = b = -1 it sums to k + 2; otherwise its entries
 are positive), so k - a - b is a zero that reaches the rest.
+
+``is_adjacent`` decides the grouping in closed form wherever it is forced.
+With one zero z left, every positive entry and spare pole joins z's group.
+The sums make that group sum to z, so only its size and parity are checked.
+Otherwise the positives above 1 go largest first to the groups by a
+depth-first search, and the r ones left finish the groups in closed form.
+Group j, with c_j positives and l_j left (its zero minus their sum), takes
+x_j >= max(l_j, 0) ones and then x_j - l_j poles, and these pole counts sum
+to the spare poles by the sums alone.  At x_j = max(l_j, 0) it has
+c_j + |l_j| parts, and each further one adds a one and a pole, so only that
+least fill can leave two parts.  If its zero cannot reach them, one more
+one gives four parts.  So the ones finish the groups exactly when r is at
+least the sum of the max(l_j, 0) plus one per group whose least fill is
+such a pair.  What the search still decides is a real choice: 3-PARTITION
+(Garey-Johnson 1979, SP15) with B a multiple of 4 and parts a_i in
+(B/4, B/2) is the pair Q(a_1, ..., a_3m) over Q(B^m), since a group summing
+to B has exactly three parts.  So it is NP-complete even in unary.
 """
 
 from __future__ import annotations
@@ -105,14 +122,17 @@ def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
     """Whether ``positives`` plus ``spare`` poles split into one reachable
     group per zero.
 
-    Entries go largest first, each to one group, by a depth-first search.  A group's future depends only on its state (zero minus positive
-    sum, positive count capped at 3, whether a positive part is odd, whether
-    the zero is odd; the last two matter below 3 parts only).  Its pole count
-    is its positive sum minus its zero, and the excess over all groups is
-    bounded by ``spare``.  Groups in equal states are tried once, and states
-    that failed are kept for the length of the call.
+    Entries above 1 go largest first, each to one group, by a depth-first
+    search; the ones and poles then finish the groups in closed form
+    (``_fill``).  A group's future depends only on its state (zero minus
+    positive sum, positive count capped at 3, whether a positive part is
+    odd, whether the zero is odd; the last two matter below 3 parts only).
+    Its pole count is its positive sum minus its zero, and the excess over
+    all groups is bounded by ``spare``.  Groups in equal states are tried
+    once, and states that failed are kept for the length of the call.
     """
     last = len(positives)
+    cut = last - positives.count(1)  # positives descend: the ones are last
 
     def children(i: int, groups: tuple, excess: int) -> Iterator[tuple]:
         if sum(1 for g in groups if g[1] == 0) > last - i:
@@ -131,14 +151,9 @@ def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
             state = (left - p, count, count < 3 and (odd or p % 2 == 1), count < 3 and zero_odd)
             yield tuple(sorted(groups[:j] + (state,) + groups[j + 1 :])), grown
 
-    def complete(groups: tuple) -> bool:
-        # no group has left > 0 here: the excess bound forces it at the end
-        return all(
-            _reaches(count - left, zero_odd, left == 0 and not odd)
-            for left, count, odd, zero_odd in groups
-        )
-
     start = tuple(sorted((z, 0, False, z % 2 == 1) for z in zeros))
+    if cut == 0:
+        return _fill(start, last)
     failed: set[tuple[int, tuple]] = set()
     stack = [(0, start, children(0, start, 0))]
     while stack:
@@ -147,12 +162,22 @@ def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
         if nxt is None:
             failed.add((i, groups))
             stack.pop()
-        elif i + 1 == last:
-            if complete(nxt):
+        elif i + 1 == cut:
+            if _fill(nxt, last - cut):
                 return True
         elif (i + 1, nxt) not in failed:
             stack.append((i + 1, nxt, children(i + 1, nxt, excess)))
     return False
+
+
+def _fill(groups: tuple, ones: int) -> bool:
+    # whether ``ones`` parts equal to 1, then the spare poles, finish the
+    # groups; the rule and its proof are in the module docstring
+    for left, count, odd, zero_odd in groups:
+        ones -= max(left, 0)
+        if not _reaches(count + abs(left), zero_odd, left == 0 and not odd):
+            ones -= 1
+    return ones >= 0
 
 
 def _cancel(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -185,8 +210,10 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
     three or more, a legal two-part split, or the zero itself).  A zero
     reaches any three or more parts summing to it by induction: split off
     the two smallest parts in one three-part split, and the part left over
-    is a zero that reaches the rest.  No intermediate signature is built;
-    the grouping is a depth-first search over the entries of ``higher``.
+    is a zero that reaches the rest.  No intermediate signature is built.
+    One zero left, and the ones and spare poles at the end, are decided in
+    closed form; only the entries above 1 among two or more zeros are
+    grouped by a depth-first search, which is exponential in the worst case.
     """
     require(higher, StratumSignature)
     require(lower, StratumSignature)
@@ -215,4 +242,10 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
     if not zeros:
         # what is left sums to 0 with the spare poles and joins a lone zero
         return lower.n > lower_poles
+    if len(zeros) == 1:
+        # One zero takes every entry left and every spare pole.  The sums
+        # make the group sum to it, so only the group's size and parity
+        # matter.
+        all_even = spare == 0 and all(p % 2 == 0 for p in positives)
+        return _reaches(len(positives) + spare, zeros[0] % 2 == 1, all_even)
     return _groupable(zeros, positives, spare)

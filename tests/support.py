@@ -267,6 +267,44 @@ def bfs_refinements(lower: st.StratumSignature, max_poles: int) -> set[tuple[int
     return seen
 
 
+def partition_oracle(higher: st.StratumSignature, lower: st.StratumSignature) -> bool:
+    """Oracle for ``is_adjacent`` by brute force over set partitions: every
+    entry of ``higher`` goes to one entry of ``lower``, each pole of
+    ``lower`` must end with a lone -1, and each zero with a group that
+    ``splits_into`` accepts.
+
+    A state is the sorted tuple of (entry of ``lower``, its group so far),
+    so equal groups are tried once, and states that failed are kept.  A
+    state is cut off once the zeros' groups, summed as they stand, exceed
+    their zeros by more than the poles ``higher`` has to spare."""
+    entries = higher.orders
+    spare = entries.count(-1) - lower.orders.count(-1)
+    failed: set[tuple[int, tuple]] = set()
+
+    def place(i: int, groups: tuple) -> bool:
+        if i == len(entries):
+            return all(
+                group == (-1,) if k == -1 else st.splits_into(k, group) for k, group in groups
+            )
+        if (i, groups) in failed:
+            return False
+        e = entries[i]
+        for j, (k, group) in enumerate(groups):
+            if j and groups[j - 1] == groups[j]:
+                continue
+            if k == -1 and (e != -1 or group):
+                continue
+            grown = groups[:j] + ((k, group + (e,)),) + groups[j + 1 :]
+            if sum(max(0, sum(g) - z) for z, g in grown if z > 0) > spare:
+                continue
+            if place(i + 1, tuple(sorted(grown))):
+                return True
+        failed.add((i, groups))
+        return False
+
+    return place(0, tuple((k, ()) for k in sorted(lower.orders)))
+
+
 def argparse_oracle():
     """Oracle for ``cli.parse_args``: the argparse parser ``strata`` used to
     build, made from the same table, ``cli.COMMANDS``."""

@@ -8,6 +8,7 @@ from support import (
     bfs_refinements,
     enumerate_signatures,
     legal_splits_oracle,
+    partition_oracle,
     positive_partitions,
 )
 from strata.errors import GenusMismatch, InvalidMove, InvalidSignature
@@ -265,6 +266,67 @@ class TestIsAdjacent:
                     )
                     pairs += 1
         assert pairs > 51000
+
+    @pytest.mark.parametrize(
+        "higher,answer",
+        [((3, 1), False), ((2, 1, 1), True), ((5, -1), False), ((3, 2, -1), True)],
+    )
+    def test_one_zero_parity_edge(self, higher, answer):
+        # two parts of an even zero must both be even; three are always reached
+        assert st.is_adjacent(sig(2, higher), sig(2, (4,))) is answer
+
+    @pytest.mark.parametrize("k,g", [(5, 6), (6, 8), (7, 10), (8, 12), (9, 15)])
+    def test_principal_stratum_against_distinct_zeros(self, k, g):
+        # the zero of order 2 cannot take two simple zeros without a pole;
+        # a search over groupings took 216 s at k = 9
+        zeros = list(range(2, k + 2))
+        if sum(zeros) < 4 * g - 4:
+            zeros.append(4 * g - 4 - sum(zeros))
+        lower = sig(g, sorted(zeros, reverse=True))
+        assert not st.is_adjacent(sig(g, (1,) * (4 * g - 4)), lower)
+
+    @pytest.mark.parametrize("m,B", [(3, 20), (4, 24), (5, 28), (6, 32)])
+    def test_three_partition_with_planted_solution(self, m, B):
+        # parts strictly between B/4 and B/2, so a group summing to B has
+        # exactly three of them: adjacent exactly when the triples exist
+        rng = random.Random(m * B)
+        parts = []
+        while len(parts) < 3 * m:
+            a, b = rng.randrange(B // 4 + 1, B // 2), rng.randrange(B // 4 + 1, B // 2)
+            if B // 4 < B - a - b < B // 2:
+                parts += [a, b, B - a - b]
+        g = m * B // 4 + 1
+        assert st.is_adjacent(sig(g, sorted(parts, reverse=True)), sig(g, (B,) * m))
+
+    def test_matches_partition_oracle(self):
+        # seeded random pairs at g <= 8 with at most 12 entries, half of them
+        # without poles, against a brute-force grouping through splits_into
+        rng = random.Random(27)
+        answers = []
+        while len(answers) < 4000:
+            g = rng.randint(1, 8)
+            with_poles = len(answers) % 2
+            lower_poles = rng.randint(0, 2) * with_poles
+            higher_poles = lower_poles + rng.choice((0, 1, 2, 4)) * with_poles
+            lower = random_signature(rng, g, lower_poles, rng.randint(1, 6))
+            higher = random_signature(rng, g, higher_poles, rng.randint(2, 12 - higher_poles))
+            if lower is None or higher is None or higher.n <= lower.n:
+                continue
+            answer = st.is_adjacent(higher, lower)
+            assert answer == partition_oracle(higher, lower), (higher.orders, lower.orders)
+            answers.append(answer)
+        assert 1000 < sum(answers) < 3000
+
+
+def random_signature(rng, g, poles, zeros):
+    """A random signature of genus g with the given numbers of poles and
+    zeros, or None when no positive orders sum as they must."""
+    total = 4 * g - 4 + poles
+    if zeros > total:
+        return None
+    cuts = sorted(rng.sample(range(1, total), zeros - 1))
+    orders = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return sig(g, sorted(orders, reverse=True) + [-1] * poles)
 
 
 def multiset_refinements(order, max_len):
