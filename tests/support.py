@@ -8,7 +8,7 @@ import random
 from typing import Iterator
 
 import strata as st
-from strata import cli
+from strata import cli, graphs
 from strata.signatures import _G2_TWO_COMPONENT, REASON_FAMILY, REASON_G2
 
 
@@ -201,6 +201,21 @@ def subdivide_edge_oracle(m: st.CombinatorialMap, e: int) -> st.CombinatorialMap
     return st.CombinatorialMap.from_json_dict(
         {"darts": m.n_darts + 2, "sigma": cycles, "alpha_convention": "pairs"}
     )
+
+
+def raised_rotation_oracle(n: int, g: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Oracle for the embedding of K_n at genus g, one chain per call: the
+    tabled minimum-genus rotation with freshly traced face labels and dart ->
+    vertex index, then one ``_raise_genus`` move per unit of genus above the
+    minimum.  Returns the rotation as dart cycles, the labels and sigma."""
+    rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
+    n_darts = n * (n - 1)
+    label = graphs._face_labels(rot, n_darts)
+    owner = graphs._orbits(graphs._sigma_of(rot, n_darts))[1]
+    gamma, _ = st.complete_graph_genus_range(n)
+    for _ in range(g - gamma):
+        graphs._raise_genus(rot, label, owner)
+    return rot, label, graphs._sigma_of(rot, n_darts)
 
 
 def construct_graph_oracle(g: int, f: int, extra: int) -> list[st.CombinatorialMap]:

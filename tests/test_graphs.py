@@ -8,7 +8,7 @@ import pytest
 
 import strata as st
 from strata import graphs
-from support import construct_graph_oracle, subdivide_edge_oracle
+from support import construct_graph_oracle, raised_rotation_oracle, subdivide_edge_oracle
 from strata.errors import (
     BoundViolation,
     IndexOutOfRange,
@@ -257,6 +257,11 @@ def _owner(rot):
     return {d: v for v, cyc in enumerate(rot) for d in cyc}
 
 
+def _vertex_index(rot):
+    # per dart the index of its vertex cycle, from a fresh walk of the rotation
+    return graphs._orbits(graphs._sigma_of(rot, sum(map(len, rot))))[1]
+
+
 def _edge_multiset(rot):
     vertex_of = _owner(rot)
     return sorted(
@@ -284,7 +289,7 @@ class TestRaiseMove:
             edges = _edge_multiset(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
             label = graphs._face_labels(rot, n_darts)
-            owner = graphs._STARTS[n][2]
+            owner = _vertex_index(rot)
             before = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
             assert before.genus == gamma
             for _ in range(gamma, gamma_max):
@@ -299,7 +304,7 @@ class TestRaiseMove:
         n = 5
         rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
         label = graphs._face_labels(rot, n * (n - 1))
-        owner = graphs._STARTS[n][2]
+        owner = _vertex_index(rot)
         for _ in range(2):
             graphs._raise_genus(rot, label, owner)
         with pytest.raises(OutOfRange):
@@ -312,17 +317,19 @@ class TestRaiseMove:
             n_darts = n * (n - 1)
             rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
             label = graphs._face_labels(rot, n_darts)
-            owner = graphs._STARTS[n][2]
+            owner = _vertex_index(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for _ in range(gamma, gamma_max):
                 graphs._raise_genus(rot, label, owner)
                 assert _same_partition(label, graphs._face_labels(rot, n_darts)), n
 
     def test_darts_stay_at_their_vertex(self):
-        # one tabled dart -> vertex index serves every raise in a chain: after
+        # one dart -> vertex index serves every raise in a chain: after
         # every raise move over the whole genus range, a fresh index is the same
-        for n, (rot_start, label_start, owner) in graphs._STARTS.items():
-            rot, label = list(map(list, rot_start)), list(label_start)
+        for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
+            rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
+            label = graphs._face_labels(rot, n * (n - 1))
+            owner = _vertex_index(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for _ in range(gamma, gamma_max):
                 graphs._raise_genus(rot, label, owner)
@@ -682,32 +689,46 @@ class TestDerivedMaps:
 
 class TestStartTable:
     def test_labels_are_a_fresh_trace(self):
-        assert sorted(graphs._STARTS) == sorted(graphs._MIN_GENUS_ROTATIONS)
-        for n, (rot, label, _) in graphs._STARTS.items():
-            assert type(rot) is tuple and all(type(cyc) is tuple for cyc in rot)
-            assert type(label) is tuple
-            fresh = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
-            assert rot == tuple(map(tuple, fresh))
-            assert list(label) == graphs._face_labels(list(map(list, rot)), n * (n - 1))
+        # every (n, g) in range, against the per-call raise chain
+        assert sorted(graphs._EMBEDDINGS) == sorted(graphs._MIN_GENUS_ROTATIONS)
+        for n, ladder in graphs._EMBEDDINGS.items():
+            gamma, gamma_max = st.complete_graph_genus_range(n)
+            assert type(ladder) is tuple and len(ladder) == gamma_max - gamma + 1
+            E = n * (n - 1) // 2
+            for g, entry in enumerate(ladder, gamma):
+                rot, label, sigma = entry
+                assert type(entry) is tuple and type(rot) is tuple
+                assert all(type(cyc) is tuple for cyc in rot)
+                assert type(label) is tuple and type(sigma) is tuple
+                rot_oracle, label_oracle, sigma_oracle = raised_rotation_oracle(n, g)
+                assert rot == tuple(map(tuple, rot_oracle)), (n, g)
+                assert sigma == tuple(sigma_oracle), (n, g)
+                assert label == tuple(label_oracle), (n, g)
+                fresh = graphs._face_labels(list(map(list, rot)), 2 * E)
+                assert _same_partition(label, fresh), (n, g)
+                r = st.embed_complete(n, g).report()
+                assert (r.V, r.E, r.F, r.genus, r.simple) == (n, E, E - n + 2 - 2 * g, g, True)
 
     def test_vertex_index_is_a_fresh_walk(self):
-        for n, (rot, _, owner) in graphs._STARTS.items():
+        # the table is built with one dart -> vertex index per n, from a walk
+        # of the start's sigma; at every genus it names each dart's vertex cycle
+        for n, ladder in graphs._EMBEDDINGS.items():
             n_darts = n * (n - 1)
-            assert type(owner) is tuple and len(owner) == n_darts
-            assert all(d in rot[owner[d]] for d in range(n_darts))
-            sigma = graphs._sigma_of(list(map(list, rot)), n_darts)
-            assert list(owner) == graphs._orbits(sigma)[1]
+            owner = graphs._orbits(ladder[0][2])[1]
+            for rot, _, sigma in ladder:
+                assert all(d in rot[owner[d]] for d in range(n_darts))
+                assert graphs._orbits(sigma)[1] == owner
 
     def test_unchanged_by_builds(self):
         # builds edit the lists _complete_rotation returns in place, and so
         # does the deletion test: each must get fresh copies of the table's
-        before = copy.deepcopy(graphs._STARTS)
+        before = copy.deepcopy(graphs._EMBEDDINGS)
         for _ in _complete_maps():
             pass
         for _ in _constructed_maps((0, 3)):
             pass
         TestDeleteEdge().test_merged_labels_match_a_fresh_trace()
-        assert graphs._STARTS == before
+        assert graphs._EMBEDDINGS == before
 
 
 @pytest.mark.parametrize(
