@@ -11,12 +11,12 @@ the exchange generators) walks the vertex orbits once and the face orbits
 once.  On top of the raw encoding the module builds complete-graph
 embeddings of prescribed genus, walks them down to a target face count,
 subdivides up to a target vertex count, and reads off the exchange
-generators living on the edges.  Every such edit is an in-place
-move on one rotation list (one dart cycle per vertex), and each public call
-builds one map, from its final rotation.  Faces are traced once per build,
-into one label per dart; a move then merges the labels it changes, since
-deleting or inserting an edge across two different faces merges those two
-and leaves every other face as it was.
+generators living on the edges.  Each deletion and subdivision edits a
+list copy of sigma in place, relinking the dart before each dart it moves,
+and each public call builds one map, from its final sigma.  Faces are
+traced once per build, into one label per dart; a move then merges the
+labels it changes, since deleting or inserting an edge across two different
+faces merges those two and leaves every other face as it was.
 
 Every map is a connected rotation on a positive even number of darts.  The
 public ``CombinatorialMap`` constructor, ``from_json_dict`` and
@@ -31,9 +31,11 @@ two different faces, so the face count drops by two and the genus rises by
 one on the same graph (Duke's interpolation theorem made constructive, Canad.
 J. Math. 18, 1966; the face rule is Gross & Tucker, Topological Graph
 Theory).  That path runs once, at import: every genus of K_3..K_8, 27
-embeddings, is tabled as its rotation, face labels and vertex rotation, all
-tuples, so no call replays a raise.  Building the table takes about 0.3 ms
-(Python 3.11, 2-core x86-64 host).
+embeddings, is tabled as its face labels and vertex rotation, both tuples,
+so no call replays a raise.  Only this chain lists each vertex's darts as a
+cycle: a raise tries corners in the order its cycle lists them, and that
+order, which the moves before it set, fixes the embedding it returns.
+Building the table takes about 0.3 ms (Python 3.11, 2-core x86-64 host).
 """
 
 from __future__ import annotations
@@ -350,11 +352,6 @@ _MIN_GENUS_ROTATIONS = {
 MAX_COMPLETE_VERTICES = max(_MIN_GENUS_ROTATIONS)
 
 
-def _face_labels(rot: list[list[int]], n_darts: int) -> list[int]:
-    # label[d] names the face holding dart d: its index among the face cycles
-    return _faces(_sigma_of(rot, n_darts))[1]
-
-
 def _merged(label: list[int], a: int, b: int) -> list[int]:
     # the labels after faces a and b become one face, named a
     return [a if f == b else f for f in label]
@@ -401,31 +398,31 @@ def _raise_genus(rot: list[list[int]], label: list[int], owner: Sequence[int]) -
     raise OutOfRange("no edge admits a raise move on this map")
 
 
-# one tabled embedding: the rotation as dart cycles, the face label of every
-# dart, and the vertex rotation sigma
-_Entry = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
+# one tabled embedding: the face label of every dart, and the vertex rotation
+_Entry = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _ladder(n: int) -> tuple[_Entry, ...]:
     # K_n at every genus from the tabled minimum up, one raise move apart,
-    # indexed by g - gamma(K_n).  _orbits lists the vertex cycles by least
-    # dart, and the least dart at vertex v grows with v, so its owner index
-    # counts vertices in the table's order, and holds for the whole chain
+    # indexed by g - gamma(K_n).  The chain edits dart cycles, since a raise
+    # reads corners in listed order (module docstring); each entry keeps only
+    # the sigma they spell.  _orbits lists the vertex cycles by least dart,
+    # and the least dart at vertex v grows with v, so its owner index counts
+    # vertices in the table's order, and holds for the whole chain
     rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
-    n_darts = n * (n - 1)
-    sigma = _sigma_of(rot, n_darts)
+    sigma = _sigma_of(rot, n * (n - 1))
     owner = _orbits(sigma)[1]
-    label = _face_labels(rot, n_darts)
+    label = _faces(sigma)[1]
     gamma, gamma_max = complete_graph_genus_range(n)
-    entries = [(tuple(map(tuple, rot)), tuple(label), tuple(sigma))]
+    entries = [(tuple(label), tuple(sigma))]
     for _ in range(gamma, gamma_max):
         _raise_genus(rot, label, owner)
-        entries.append((tuple(map(tuple, rot)), tuple(label), tuple(_sigma_of(rot, n_darts))))
+        entries.append((tuple(label), tuple(_sigma_of(rot, len(sigma)))))
     return tuple(entries)
 
 
 # every embedding the module makes of K_3..K_8, keyed by n and indexed by
-# g - gamma(K_n): 27 entries, built once at import and all tuples
+# g - gamma(K_n): 27 (label, sigma) entries, built once at import, all tuples
 _EMBEDDINGS = {n: _ladder(n) for n in _MIN_GENUS_ROTATIONS}
 
 
@@ -444,29 +441,31 @@ def _complete_entry(n: int, g: int) -> _Entry:
     return _EMBEDDINGS[n][g - gamma]
 
 
-def _complete_rotation(n: int, g: int) -> tuple[list[list[int]], list[int]]:
-    # the tabled rotation of K_n at genus g and its face labels, in fresh
-    # lists the caller may edit
-    rot, label, _ = _complete_entry(n, g)
-    return list(map(list, rot)), list(label)
-
-
 def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
     """A rotation system for the complete graph K_n with the requested genus.
 
     Covers 3 <= n <= MAX_COMPLETE_VERTICES and every genus in
-    complete_graph_genus_range(n), each read from a table built at import:
-    the tabled minimum-genus rotation of K_n, then one raise move per unit
-    of genus above the minimum.  The result is deterministic; ``seed`` is
-    accepted for compatibility and ignored.
+    complete_graph_genus_range(n), each the vertex rotation of one entry of
+    the table built at import: the tabled minimum-genus rotation of K_n,
+    then one raise move per unit of genus above the minimum.  The result is
+    deterministic; ``seed`` is accepted for compatibility and ignored.
     """
-    return CombinatorialMap._derived(_complete_entry(n, g)[2])
+    return CombinatorialMap._derived(_complete_entry(n, g)[1])
 
 
-def _delete_edge(rot: list[list[int]], label: list[int]) -> None:
-    """Delete one edge from the rotation and its face labels: F - 1, same genus.
+def _pred(sigma: list[int], d: int) -> int:
+    # the dart before d in its vertex cycle: d itself when d is alone there
+    p = d
+    while sigma[p] != d:
+        p = sigma[p]
+    return p
 
-    Drops the lowest-index edge whose two darts lie on different faces and
+
+def _delete_edge(sigma: list[int], label: list[int]) -> None:
+    """Delete one edge from sigma and its face labels: F - 1, same genus.
+
+    Drops the lowest-index edge whose two darts lie on different faces,
+    relinking the dart before each of them to the dart after it, and
     renumbers the darts above it down by two.  Such an edge is never a
     bridge, so its two faces merge into one disk and no other face changes;
     deleting the edge's two labels renumbers the rest.
@@ -476,10 +475,12 @@ def _delete_edge(rot: list[list[int]], label: list[int]) -> None:
         raise NoRemovableEdge("map has a single face; nothing can be removed")
     label[:] = _merged(label, label[2 * e], label[2 * e + 1])
     del label[2 * e : 2 * e + 2]
-    for cyc in rot:
-        cyc[:] = [d - 2 if d > 2 * e + 1 else d for d in cyc if d // 2 != e]
-        if not cyc:
+    for d in (2 * e, 2 * e + 1):
+        p = _pred(sigma, d)
+        if p == d:  # d was the last dart at its vertex
             raise NoRemovableEdge("removing edge %d would isolate a vertex" % e)
+        sigma[p] = sigma[d]
+    sigma[:] = [d - 2 if d > 2 * e + 1 else d for d in sigma[: 2 * e] + sigma[2 * e + 2 :]]
 
 
 def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
@@ -489,24 +490,23 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     the result is again 2-cell with one face fewer and the same genus.
     """
     require(m, CombinatorialMap)
-    rot = m.vertices()
-    label = _faces(m.sigma)[1]
-    _delete_edge(rot, label)
-    return CombinatorialMap._derived(tuple(_sigma_of(rot, len(label))))
+    sigma = list(m.sigma)
+    _delete_edge(sigma, _faces(sigma)[1])
+    return CombinatorialMap._derived(tuple(sigma))
 
 
-def _subdivide_edge(rot: list[list[int]], n_darts: int, e: int) -> None:
-    """Subdivide edge e of the rotation, in place: V + 1, E + 1, same faces.
+def _subdivide_edge(sigma: list[int], e: int) -> None:
+    """Subdivide edge e of sigma, in place: V + 1, E + 1, same faces.
 
-    Dart 2e+1 moves to a new degree-2 vertex beside the new dart n_darts,
-    and its old slot takes the new edge's other dart n_darts + 1.  Vertices
-    are searched newest first: after a subdivision of e, dart 2e+1 sits at
-    the vertex that subdivision added.
+    With n darts before the move, dart 2e+1 moves to a new degree-2 vertex
+    beside the new dart n, and its old place in its vertex cycle goes to the
+    new edge's other dart n + 1.
     """
-    d = 2 * e + 1
-    cyc = next(cyc for cyc in reversed(rot) if d in cyc)
-    cyc[cyc.index(d)] = n_darts + 1
-    rot.append([d, n_darts])
+    d, n = 2 * e + 1, len(sigma)
+    p = _pred(sigma, d)
+    sigma += [d, d]
+    sigma[p] = n + 1  # sets sigma[d] when d is alone, so read it only now
+    sigma[n + 1], sigma[d] = sigma[d], n
 
 
 def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
@@ -518,19 +518,19 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
     # type() rather than isinstance: a bool is an int, and a float can equal one
     if type(e) is not int or not 0 <= e < m.n_edges:
         raise IndexOutOfRange("edge index %r out of range" % (e,))
-    rot = m.vertices()
-    _subdivide_edge(rot, m.n_darts, e)
-    return CombinatorialMap._derived(tuple(_sigma_of(rot, m.n_darts + 2)))
+    sigma = list(m.sigma)
+    _subdivide_edge(sigma, e)
+    return CombinatorialMap._derived(tuple(sigma))
 
 
 def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMap:
     """A simple connected map with n vertices, f faces and the given genus.
 
-    Every step edits one rotation in place: a copy of the embedding of K_n
-    at genus g on the fewest possible vertices, tabled at import for every
-    genus of K_3..K_8, then edge deletions down to f faces and subdivisions
-    of edge 0 up to n vertices.  The map is built once, from the final
-    rotation.  The result is deterministic; ``seed`` is accepted for
+    Every step edits one vertex rotation in place: a copy of the sigma of
+    K_n at genus g on the fewest possible vertices, tabled at import for
+    every genus of K_3..K_8, then edge deletions down to f faces and
+    subdivisions of edge 0 up to n vertices.  The map is built once, from
+    the final sigma.  The result is deterministic; ``seed`` is accepted for
     compatibility and ignored.
     """
     # imported at the call, so that copeland runs never load criteria
@@ -549,15 +549,13 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
             "need at least %d vertices for genus %d with %d faces, got %d"
             % (n_base, g, f, n)
         )
-    rot, label = _complete_rotation(n_base, g)
+    label, sigma = map(list, _complete_entry(n_base, g))
     # K_n at genus g has E - n + 2 - 2g faces (Euler); a deletion merges two faces
     for _ in range(len(label) // 2 - n_base + 2 - 2 * g - f):
-        _delete_edge(rot, label)
-    n_darts = len(label)
+        _delete_edge(sigma, label)
     for _ in range(n - n_base):
-        _subdivide_edge(rot, n_darts, 0)
-        n_darts += 2
-    return CombinatorialMap._derived(tuple(_sigma_of(rot, n_darts)))
+        _subdivide_edge(sigma, 0)
+    return CombinatorialMap._derived(tuple(sigma))
 
 
 def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:

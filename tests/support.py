@@ -9,6 +9,7 @@ from typing import Iterator
 
 import strata as st
 from strata import cli, graphs
+from strata.errors import NoRemovableEdge
 from strata.signatures import _G2_TWO_COMPONENT, REASON_FAMILY, REASON_G2
 
 
@@ -203,19 +204,70 @@ def subdivide_edge_oracle(m: st.CombinatorialMap, e: int) -> st.CombinatorialMap
     )
 
 
-def raised_rotation_oracle(n: int, g: int) -> tuple[list[list[int]], list[int], list[int]]:
+def raised_rotation_oracle(n: int, g: int) -> tuple[list[list[int]], list[int]]:
     """Oracle for the embedding of K_n at genus g, one chain per call: the
     tabled minimum-genus rotation with freshly traced face labels and dart ->
     vertex index, then one ``_raise_genus`` move per unit of genus above the
-    minimum.  Returns the rotation as dart cycles, the labels and sigma."""
+    minimum.  Returns the rotation as dart cycles and the labels."""
     rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
     n_darts = n * (n - 1)
-    label = graphs._face_labels(rot, n_darts)
-    owner = graphs._orbits(graphs._sigma_of(rot, n_darts))[1]
+    sigma = graphs._sigma_of(rot, n_darts)
+    label = graphs._faces(sigma)[1]
+    owner = graphs._orbits(sigma)[1]
     gamma, _ = st.complete_graph_genus_range(n)
     for _ in range(g - gamma):
         graphs._raise_genus(rot, label, owner)
-    return rot, label, graphs._sigma_of(rot, n_darts)
+    return rot, label
+
+
+def delete_edge_in_cycles(rot: list[list[int]], label: list[int]) -> None:
+    """Oracle for the deletion move, on the rotation as dart cycles and its
+    face labels: drop the lowest-index edge whose two darts lie on different
+    faces from every cycle, renumber the darts above it down by two, and
+    merge and drop its labels."""
+    e = next((e for e in range(len(label) // 2) if label[2 * e] != label[2 * e + 1]), None)
+    if e is None:
+        raise NoRemovableEdge("map has a single face; nothing can be removed")
+    a, b = label[2 * e], label[2 * e + 1]
+    label[:] = [a if f == b else f for f in label]
+    del label[2 * e : 2 * e + 2]
+    for cyc in rot:
+        cyc[:] = [d - 2 if d > 2 * e + 1 else d for d in cyc if d // 2 != e]
+        if not cyc:
+            raise NoRemovableEdge("removing edge %d would isolate a vertex" % e)
+
+
+def subdivide_edge_in_cycles(rot: list[list[int]], n_darts: int, e: int) -> None:
+    """Oracle for the subdivision move, on the rotation as dart cycles: dart
+    2e+1 moves to a new cycle beside the new dart n_darts, and its old slot
+    takes the new edge's other dart n_darts + 1.  Cycles are searched newest
+    first: after a subdivision of e, dart 2e+1 sits in the cycle it added."""
+    d = 2 * e + 1
+    cyc = next(cyc for cyc in reversed(rot) if d in cyc)
+    cyc[cyc.index(d)] = n_darts + 1
+    rot.append([d, n_darts])
+
+
+def delete_edge_oracle(m: st.CombinatorialMap) -> st.CombinatorialMap:
+    """Oracle for ``delete_edge_preserving``: the cycle-list deletion on the
+    map's vertex cycles and traced face labels, checked as a fresh map."""
+    rot, label = m.vertices(), graphs._faces(m.sigma)[1]
+    delete_edge_in_cycles(rot, label)
+    return st.CombinatorialMap(graphs._sigma_of(rot, len(label)))
+
+
+def construct_graph_cycles_oracle(g: int, f: int, n: int) -> tuple[int, ...]:
+    """Oracle for the sigma of ``construct_graph(g, f, n)``: the raise chain
+    of ``raised_rotation_oracle`` on bound = ``point_bound(g, f)`` vertices,
+    then cycle-list deletions while it has more than f faces and cycle-list
+    subdivisions of edge 0 up to n vertices."""
+    bound = st.point_bound(g, f)
+    rot, label = raised_rotation_oracle(bound, g)
+    while len(set(label)) > f:
+        delete_edge_in_cycles(rot, label)
+    for k in range(n - bound):
+        subdivide_edge_in_cycles(rot, len(label) + 2 * k, 0)
+    return tuple(graphs._sigma_of(rot, sum(map(len, rot))))
 
 
 def construct_graph_oracle(g: int, f: int, extra: int) -> list[st.CombinatorialMap]:

@@ -5,10 +5,18 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import strata as st
 from strata import graphs
-from support import construct_graph_oracle, raised_rotation_oracle, subdivide_edge_oracle
+from support import (
+    construct_graph_cycles_oracle,
+    construct_graph_oracle,
+    delete_edge_oracle,
+    raised_rotation_oracle,
+    subdivide_edge_oracle,
+)
 from strata.errors import (
     BoundViolation,
     IndexOutOfRange,
@@ -17,6 +25,7 @@ from strata.errors import (
     NotSimple,
     OutOfRange,
     PreconditionUnmet,
+    StrataError,
 )
 
 TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
@@ -262,6 +271,11 @@ def _vertex_index(rot):
     return graphs._orbits(graphs._sigma_of(rot, sum(map(len, rot))))[1]
 
 
+def _traced_labels(rot):
+    # per dart the index of its face, from a fresh trace of the rotation
+    return graphs._faces(graphs._sigma_of(rot, sum(map(len, rot))))[1]
+
+
 def _edge_multiset(rot):
     vertex_of = _owner(rot)
     return sorted(
@@ -288,7 +302,7 @@ class TestRaiseMove:
             rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
             edges = _edge_multiset(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
-            label = graphs._face_labels(rot, n_darts)
+            label = _traced_labels(rot)
             owner = _vertex_index(rot)
             before = st.CombinatorialMap(tuple(graphs._sigma_of(rot, n_darts))).report()
             assert before.genus == gamma
@@ -303,7 +317,7 @@ class TestRaiseMove:
     def test_no_move_from_one_face(self):
         n = 5
         rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
-        label = graphs._face_labels(rot, n * (n - 1))
+        label = _traced_labels(rot)
         owner = _vertex_index(rot)
         for _ in range(2):
             graphs._raise_genus(rot, label, owner)
@@ -314,21 +328,20 @@ class TestRaiseMove:
         # each move merges labels instead of re-tracing faces; after every
         # raise move over the whole genus range the partition is the traced one
         for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
-            n_darts = n * (n - 1)
             rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
-            label = graphs._face_labels(rot, n_darts)
+            label = _traced_labels(rot)
             owner = _vertex_index(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for _ in range(gamma, gamma_max):
                 graphs._raise_genus(rot, label, owner)
-                assert _same_partition(label, graphs._face_labels(rot, n_darts)), n
+                assert _same_partition(label, _traced_labels(rot)), n
 
     def test_darts_stay_at_their_vertex(self):
         # one dart -> vertex index serves every raise in a chain: after
         # every raise move over the whole genus range, a fresh index is the same
         for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
             rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
-            label = graphs._face_labels(rot, n * (n - 1))
+            label = _traced_labels(rot)
             owner = _vertex_index(rot)
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for _ in range(gamma, gamma_max):
@@ -344,11 +357,11 @@ class TestDeleteEdge:
         for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for g in range(gamma, gamma_max + 1):
-                rot, label = graphs._complete_rotation(n, g)
-                assert _same_partition(label, graphs._face_labels(rot, len(label)))
+                label, sigma = map(list, graphs._complete_entry(n, g))
+                assert _same_partition(label, graphs._faces(sigma)[1])
                 while len(set(label)) > 1:
-                    graphs._delete_edge(rot, label)
-                    assert _same_partition(label, graphs._face_labels(rot, len(label))), (n, g)
+                    graphs._delete_edge(sigma, label)
+                    assert _same_partition(label, graphs._faces(sigma)[1]), (n, g)
 
     def test_k5_torus_loses_one_face(self):
         m = st.delete_edge_preserving(st.embed_complete(5, 1))
@@ -421,6 +434,67 @@ class TestSubdivide:
             m = st.embed_complete(n, g)
             for e in range(m.n_edges):
                 assert st.subdivide_edge(m, e) == subdivide_edge_oracle(m, e)
+
+
+def _connected(sigma):
+    try:
+        st.CombinatorialMap(sigma)
+    except InvalidSpec:
+        return False
+    return True
+
+
+# every connected map on 1..8 edges: loops, multi-edges and degree-1 vertices
+# included, since sigma is any permutation of the darts
+_any_sigma = hst.integers(1, 8).flatmap(lambda E: hst.permutations(range(2 * E)))
+
+
+def _edge_first(m, e):
+    # the same map with edges 0 and e swapped, so that a deletion tries e first
+    swap = list(range(m.n_darts))
+    swap[0], swap[1], swap[2 * e], swap[2 * e + 1] = 2 * e, 2 * e + 1, 0, 1
+    sigma = [0] * m.n_darts
+    for d, nxt in enumerate(m.sigma):
+        sigma[swap[d]] = swap[nxt]
+    return st.CombinatorialMap(sigma)
+
+
+def _outcome(move, *args):
+    # the sigma of the map a move returns, or the class and message it raises
+    try:
+        return move(*args).sigma
+    except StrataError as exc:
+        return type(exc), str(exc)
+
+
+class TestMovesMatchCycleOracle:
+    @given(sigma=_any_sigma.filter(_connected))
+    @example(sigma=(1, 0))  # one loop on two faces: deleting it isolates its vertex
+    @example(sigma=(0, 1))  # one edge on a single face
+    @settings(max_examples=300, deadline=None)
+    def test_every_edge(self, sigma):
+        # both public moves return the cycle-list oracles' sigma, or raise
+        # the same error class with the same message, at every edge index
+        m = st.CombinatorialMap(sigma)
+        for e in range(m.n_edges):
+            first = _edge_first(m, e)
+            want = _outcome(delete_edge_oracle, first)
+            assert _outcome(st.delete_edge_preserving, first) == want, (sigma, e)
+            want = _outcome(subdivide_edge_oracle, m, e)
+            assert _outcome(st.subdivide_edge, m, e) == want, (sigma, e)
+
+    def test_construct_graph_far_past_the_bound(self):
+        # every (g, f) the embedding table reaches, 3, 17 and 200 vertices
+        # past its point bound, against the cycle-list chain from the raises on
+        for g in range(2, 11):
+            for f in range(1, 4 * g - 3):
+                bound = st.point_bound(g, f)
+                if bound > graphs.MAX_COMPLETE_VERTICES:
+                    continue
+                for n in (bound + 3, bound + 17, bound + 200):
+                    assert st.construct_graph(g, f, n).sigma == construct_graph_cycles_oracle(
+                        g, f, n
+                    ), (g, f, n)
 
 
 class TestConstructGraph:
@@ -696,32 +770,32 @@ class TestStartTable:
             assert type(ladder) is tuple and len(ladder) == gamma_max - gamma + 1
             E = n * (n - 1) // 2
             for g, entry in enumerate(ladder, gamma):
-                rot, label, sigma = entry
-                assert type(entry) is tuple and type(rot) is tuple
-                assert all(type(cyc) is tuple for cyc in rot)
-                assert type(label) is tuple and type(sigma) is tuple
-                rot_oracle, label_oracle, sigma_oracle = raised_rotation_oracle(n, g)
-                assert rot == tuple(map(tuple, rot_oracle)), (n, g)
-                assert sigma == tuple(sigma_oracle), (n, g)
+                label, sigma = entry
+                assert type(entry) is tuple and type(label) is tuple and type(sigma) is tuple
+                rot_oracle, label_oracle = raised_rotation_oracle(n, g)
+                assert sigma == tuple(graphs._sigma_of(rot_oracle, 2 * E)), (n, g)
                 assert label == tuple(label_oracle), (n, g)
-                fresh = graphs._face_labels(list(map(list, rot)), 2 * E)
-                assert _same_partition(label, fresh), (n, g)
+                assert _same_partition(label, graphs._faces(sigma)[1]), (n, g)
                 r = st.embed_complete(n, g).report()
                 assert (r.V, r.E, r.F, r.genus, r.simple) == (n, E, E - n + 2 - 2 * g, g, True)
 
     def test_vertex_index_is_a_fresh_walk(self):
         # the table is built with one dart -> vertex index per n, from a walk
-        # of the start's sigma; at every genus it names each dart's vertex cycle
+        # of the start's sigma; at every genus it names each dart's vertex
+        # cycle in the raise chain's rotation
         for n, ladder in graphs._EMBEDDINGS.items():
             n_darts = n * (n - 1)
-            owner = graphs._orbits(ladder[0][2])[1]
-            for rot, _, sigma in ladder:
+            gamma, _ = st.complete_graph_genus_range(n)
+            (_, start), *_ = ladder
+            owner = graphs._orbits(start)[1]
+            for g, (_, sigma) in enumerate(ladder, gamma):
+                rot, _ = raised_rotation_oracle(n, g)
                 assert all(d in rot[owner[d]] for d in range(n_darts))
                 assert graphs._orbits(sigma)[1] == owner
 
     def test_unchanged_by_builds(self):
-        # builds edit the lists _complete_rotation returns in place, and so
-        # does the deletion test: each must get fresh copies of the table's
+        # builds edit list copies of an entry's labels and sigma in place, and
+        # so does the deletion test: none may reach the table's tuples
         before = copy.deepcopy(graphs._EMBEDDINGS)
         for _ in _complete_maps():
             pass
