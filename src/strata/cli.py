@@ -70,14 +70,14 @@ def cmd_info(args) -> tuple[dict, list[str]]:
     from . import signatures
 
     s = _signature(args)
+    report = signatures.classify_connectivity(s)
     payload: dict = {
         "genus": s.genus,
         "orders": list(s.orders),
-        "empty": signatures.is_empty(s),
+        "empty": report.is_empty,
+        "components": report.component_count,
+        "reason": report.reason,
     }
-    report = signatures.classify_connectivity(s)
-    payload["components"] = report.component_count
-    payload["reason"] = report.reason
     if not report.is_empty:
         payload["dimension"] = signatures.dimension(s)
     return payload, []

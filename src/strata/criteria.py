@@ -104,7 +104,7 @@ def _balance(weights: Sequence[int], steps: list, m: int) -> tuple[int, list[int
         if not later:
             break
     g, target = steps[m - 1][0], weights[m]
-    d = g // _egcd(g, target)[0]
+    d = g // math.gcd(g, target)
     scale = -(d * target) // g
     coeffs = [scale * c for c in coeffs]
     coeffs[m] = d

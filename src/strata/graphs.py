@@ -14,9 +14,9 @@ subdivides up to a target vertex count, and reads off the exchange
 generators living on the edges.  Each deletion and subdivision edits a
 list copy of sigma in place, relinking the dart before each dart it moves,
 and each public call builds one map, from its final sigma.  Faces are
-traced once per build, into one label per dart; a move then merges the
-labels it changes, since deleting or inserting an edge across two different
-faces merges those two and leaves every other face as it was.
+traced once per build, into one label per dart; a deletion then merges the
+labels it changes, since deleting an edge across two different faces
+merges those two and leaves every other face as it was.
 
 Every map is a connected rotation on a positive even number of darts.  The
 public ``CombinatorialMap`` constructor, ``from_json_dict`` and
@@ -34,8 +34,10 @@ Theory).  That path runs once, at import: every genus of K_3..K_8, 27
 embeddings, is tabled as its face labels and vertex rotation, both tuples,
 so no call replays a raise.  Only this chain lists each vertex's darts as a
 cycle: a raise tries corners in the order its cycle lists them, and that
-order, which the moves before it set, fixes the embedding it returns.
-Building the table takes about 0.3 ms (Python 3.11, 2-core x86-64 host).
+order, which the moves before it set, fixes the embedding it returns.  A
+raise reads the faces traced before it and edits only the dart cycles; the
+faces of its result are traced afresh.  Building the table takes about
+0.33 ms (Python 3.11, 2-core x86-64 host).
 """
 
 from __future__ import annotations
@@ -357,30 +359,26 @@ def _merged(label: list[int], a: int, b: int) -> list[int]:
     return [a if f == b else f for f in label]
 
 
-def _raise_genus(rot: list[list[int]], label: list[int], owner: Sequence[int]) -> None:
-    """One raise move on the rotation and its face labels: F - 2, genus + 1.
+def _raise_genus(rot: list[list[int]], label: Sequence[int]) -> None:
+    """One raise move on the rotation, given its face labels: F - 2, genus + 1.
 
     Lifts out the lowest-index edge whose two darts lie on different faces,
     which merges those faces (F - 1, same genus), and re-inserts it at the
     first corner pair (ra, rb) of its endpoints whose faces differ, which
-    merges two faces through a handle (F - 1, genus + 1).  No other face
-    changes, so both steps merge labels.  The corner after dart d lies on
-    the face of sigma(d).  Every dart keeps its edge and endpoints, so the
-    graph, and its simplicity, are unchanged.  An edge with no such corner
-    pair is skipped, and rot is edited only once the pair is found.
-
-    ``owner[d]`` is the index in rot of the vertex cycle holding dart d.  A
-    raise keeps every dart at its vertex, so the index of the start holds
-    for every raise in a chain.  The corner faces are read through the
-    pending lift (face b of the lifted edge reads as face a), and the labels
-    are rewritten in one pass per raise, once the corner pair is found.
+    merges two faces through a handle (F - 1, genus + 1).  The corner after
+    dart d lies on the face of sigma(d), read through the pending lift: face
+    b of the lifted edge reads as face a.  Every dart keeps its edge and
+    endpoints, so the graph, and its simplicity, are unchanged.  An edge
+    with no such corner pair is skipped, and rot is edited only once the
+    pair is found.  The labels are read, never rewritten.
     """
     for e in range(len(label) // 2):
         du, dv = 2 * e, 2 * e + 1
         a, b = label[du], label[dv]
         if a == b:
             continue
-        cu, cv = rot[owner[du]], rot[owner[dv]]
+        cu = next(cyc for cyc in rot if du in cyc)
+        cv = next(cyc for cyc in rot if dv in cyc)
         ru = [d for d in cu if d != du]
         rv = [d for d in cv if d != dv]
         faces_u = [a if label[d] == b else label[d] for d in ru[1:] + ru[:1]]
@@ -390,12 +388,8 @@ def _raise_genus(rot: list[list[int]], label: list[int], owner: Sequence[int]) -
                 if fu != fv:
                     cu[:] = ru[: ra + 1] + [du] + ru[ra + 1 :]
                     cv[:] = rv[: rb + 1] + [dv] + rv[rb + 1 :]
-                    # lift (b -> a), then the handle (fv -> fu); fu, fv != b
-                    b_to = fu if a == fv else a
-                    label[:] = [fu if f == fv else b_to if f == b else f for f in label]
-                    label[du] = label[dv] = fu
                     return
-    raise OutOfRange("no edge admits a raise move on this map")
+    raise AssertionError("internal error: no edge admits a raise move on this map")
 
 
 # one tabled embedding: the face label of every dart, and the vertex rotation
@@ -405,19 +399,16 @@ _Entry = tuple[tuple[int, ...], tuple[int, ...]]
 def _ladder(n: int) -> tuple[_Entry, ...]:
     # K_n at every genus from the tabled minimum up, one raise move apart,
     # indexed by g - gamma(K_n).  The chain edits dart cycles, since a raise
-    # reads corners in listed order (module docstring); each entry keeps only
-    # the sigma they spell.  _orbits lists the vertex cycles by least dart,
-    # and the least dart at vertex v grows with v, so its owner index counts
-    # vertices in the table's order, and holds for the whole chain
+    # reads corners in listed order (module docstring); each entry keeps the
+    # sigma they spell and its faces, traced afresh
     rot = _kn_rotation(n, _MIN_GENUS_ROTATIONS[n])
-    sigma = _sigma_of(rot, n * (n - 1))
-    owner = _orbits(sigma)[1]
-    label = _faces(sigma)[1]
     gamma, gamma_max = complete_graph_genus_range(n)
-    entries = [(tuple(label), tuple(sigma))]
-    for _ in range(gamma, gamma_max):
-        _raise_genus(rot, label, owner)
-        entries.append((tuple(label), tuple(_sigma_of(rot, len(sigma)))))
+    entries: list[_Entry] = []
+    for _ in range(gamma, gamma_max + 1):
+        if entries:
+            _raise_genus(rot, entries[-1][0])
+        sigma = _sigma_of(rot, n * (n - 1))
+        entries.append((tuple(_faces(sigma)[1]), tuple(sigma)))
     return tuple(entries)
 
 

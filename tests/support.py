@@ -204,19 +204,54 @@ def subdivide_edge_oracle(m: st.CombinatorialMap, e: int) -> st.CombinatorialMap
     )
 
 
+def raise_genus_indexed(rot: list[list[int]], label: list[int], owner: list[int]) -> None:
+    """Oracle for one raise move, on the rotation as dart cycles and its face
+    labels, both edited in place.  ``owner[d]`` is the index in rot of the
+    cycle holding dart d; a raise keeps every dart at its vertex, so one index
+    serves a whole chain.  The lowest-index edge whose darts lie on different
+    faces a and b is lifted (b merges into a) and re-inserted at the first
+    corner pair of its endpoints on different faces fu and fv, each corner
+    read as the face of the dart after it through the lift (fv merges into
+    fu); the labels are rewritten in one pass once the pair is found."""
+    for e in range(len(label) // 2):
+        du, dv = 2 * e, 2 * e + 1
+        a, b = label[du], label[dv]
+        if a == b:
+            continue
+        cu, cv = rot[owner[du]], rot[owner[dv]]
+        ru = [d for d in cu if d != du]
+        rv = [d for d in cv if d != dv]
+        faces_u = [a if label[d] == b else label[d] for d in ru[1:] + ru[:1]]
+        faces_v = [a if label[d] == b else label[d] for d in rv[1:] + rv[:1]]
+        for ra, fu in enumerate(faces_u):
+            for rb, fv in enumerate(faces_v):
+                if fu != fv:
+                    cu[:] = ru[: ra + 1] + [du] + ru[ra + 1 :]
+                    cv[:] = rv[: rb + 1] + [dv] + rv[rb + 1 :]
+                    # lift (b -> a), then the handle (fv -> fu); fu, fv != b
+                    b_to = fu if a == fv else a
+                    label[:] = [fu if f == fv else b_to if f == b else f for f in label]
+                    label[du] = label[dv] = fu
+                    return
+    raise AssertionError("no edge admits a raise move on this map")
+
+
 def raised_rotation_oracle(n: int, g: int) -> tuple[list[list[int]], list[int]]:
     """Oracle for the embedding of K_n at genus g, one chain per call: the
     tabled minimum-genus rotation with freshly traced face labels and dart ->
-    vertex index, then one ``_raise_genus`` move per unit of genus above the
-    minimum.  Returns the rotation as dart cycles and the labels."""
+    vertex index, then one ``raise_genus_indexed`` move per unit of genus
+    above the minimum, its labels merged rather than traced.  Returns the
+    rotation as dart cycles and the labels."""
     rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
     n_darts = n * (n - 1)
-    sigma = graphs._sigma_of(rot, n_darts)
-    label = graphs._faces(sigma)[1]
-    owner = graphs._orbits(sigma)[1]
+    label = graphs._faces(graphs._sigma_of(rot, n_darts))[1]
+    owner = [0] * n_darts
+    for v, cyc in enumerate(rot):
+        for d in cyc:
+            owner[d] = v
     gamma, _ = st.complete_graph_genus_range(n)
     for _ in range(g - gamma):
-        graphs._raise_genus(rot, label, owner)
+        raise_genus_indexed(rot, label, owner)
     return rot, label
 
 
