@@ -16,6 +16,7 @@ rewriting step an identity of the underlying group.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, groupby
 from typing import Iterable, Sequence
 
@@ -384,19 +385,15 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
     y: list[Letter] = []
     seen: set[int] = set()
     for start in range(1, z.surface.n + 1):
-        if start in seen or perm[start - 1] == start:
-            seen.add(start)
+        if start in seen:
             continue
-        cycle = [start]
+        # points are read in ascending order, so start is the least point of
+        # its cycle, which stays in one weight class
         cur = perm[start - 1]
         while cur != start:
-            cycle.append(cur)
+            y.append(Letter._derived(SIGMA, start, cur, 1))
+            seen.add(cur)
             cur = perm[cur - 1]
-        seen.update(cycle)
-        anchor = cycle[0]
-        for other in cycle[1:]:
-            # a cycle stays in one weight class, and its anchor is its least point
-            y.append(Letter._derived(SIGMA, anchor, other, 1))
     y_word = BraidWord._derived(z.surface, tuple(y))
     if permutation_image(y_word) != perm:
         raise AssertionError
@@ -445,6 +442,14 @@ class FactorCertificate(Frozen):
         }
 
 
+def _certified(tag: str, word: BraidWord, param: int | None) -> FactorCertificate:
+    """The certificate of word as a tag factor, verified as it is made."""
+    cert = FactorCertificate._derived(tag, word, param)
+    if not cert.verify():
+        raise AssertionError("internal error: emitted an uncertifiable factor")
+    return cert
+
+
 def _one_letter_factors(
     surf: MarkedSurface, entries: dict[tuple, FactorCertificate], letters, out: list
 ) -> None:
@@ -457,15 +462,12 @@ def _one_letter_factors(
         cert = entries.get(key)
         if cert is None:
             tag = TRANSPOSITION if lt.kind == SIGMA else SQUARE_TRANSPOSITION
-            cert = FactorCertificate._derived(tag, BraidWord._derived(surf, (lt,)), None)
-            if not cert.verify():
-                raise AssertionError("internal error: emitted an uncertifiable factor")
-            entries[key] = cert
+            cert = entries[key] = _certified(tag, BraidWord._derived(surf, (lt,)), None)
         out.append(cert)
 
 
 def _peel_stage(
-    surf: MarkedSurface, c: int, moving: list[Letter], balance: tuple[int, list[int]], a: int
+    surf: MarkedSurface, c: int, moving: Sequence[Letter], balance: tuple[int, list[int]], a: int
 ) -> tuple[list[FactorCertificate], list[Letter], dict[int, list[Letter]]]:
     """Certify the letters moving point c; return the certificates, the kappa
     letters (each a square transposition factor, emitted after the
@@ -484,8 +486,7 @@ def _peel_stage(
     certs: list[FactorCertificate] = []
     h_inv = _reduce_letters(chain(moving, _inverse(sorted_word)))
     if h_inv:
-        h_word = BraidWord._derived(surf, tuple(h_inv))
-        certs.append(FactorCertificate._derived(I_COMMUTATOR, h_word, c))
+        certs.append(_certified(I_COMMUTATOR, BraidWord._derived(surf, tuple(h_inv)), c))
     d, coeffs = balance
     lenders = [(p, cf) for p, cf in enumerate(coeffs[:-1], 1) if cf]
     debt: dict[int, list[Letter]] = {}
@@ -507,8 +508,7 @@ def _peel_stage(
             debt.setdefault(p if p > a else 0, []).extend(
                 [Letter._derived(RHO, p, r, -sign)] * abs(cnt)
             )
-        block_word = BraidWord._derived(surf, tuple(block))
-        certs.append(FactorCertificate._derived(NULL_RHO, block_word, r))
+        certs.append(_certified(NULL_RHO, BraidWord._derived(surf, tuple(block)), r))
     return certs, kappas, debt
 
 
@@ -526,12 +526,14 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     shared within one call: each distinct letter's certificate is built and
     verified once, and the same immutable object is returned at every later
     occurrence in that call.  Every factor's word is on z's surface object.
+    Every certificate is verified where it is made, so there is one
+    verification per distinct one-letter factor and per multi-letter factor.
     Cost: a few linear passes over the word and one over the balancing debt:
-    one pass puts each letter in the bucket of the stage that peels it, and a
-    stage reads only its bucket and the debt owed to it.  One gcd chain over
-    the weights gives every stage's balancing witness.  One verification per
-    distinct one-letter factor and per multi-letter factor.  No factor's
-    letters are validated again: they come from z, or are made valid.
+    one pass puts each letter in the bucket of the stage that peels it, each
+    stage's debt goes straight to the front of the bucket it is owed to, and
+    a stage reads only its bucket.  One gcd chain over the weights gives
+    every stage's balancing witness.  No factor's letters are validated
+    again: they come from z, or are made valid.
     """
     # imported at the call, so that aj and copeland runs never load criteria
     from . import criteria
@@ -562,12 +564,10 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     certs: list[FactorCertificate] = []
     sigmas = list(y.letters)
     # bucket c > a holds the letters stage c peels; the points up to a share
-    # the low list, which no stage peels.  heads[c] (heads[0] for the low
-    # list) holds the debt owed to bucket c, one list per stage, in the order
-    # the stages ran; each goes in front of those before it.
-    low: list[Letter] = []
-    buckets = [low] * (a + 1) + [[] for _ in range(b)]
-    heads: dict[int, list[list[Letter]]] = {}
+    # the low bucket, which no stage peels.  The debt a stage owes a bucket
+    # goes in front of it, ahead of the debt of earlier stages.
+    low: deque[Letter] = deque()
+    buckets = [low] * (a + 1) + [deque() for _ in range(b)]
     # no puncture letter is valid without punctures, so the buckets hold only
     # rho and kappa letters
     for lt in x.letters:
@@ -583,7 +583,6 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     steps = criteria._gcd_chain(weights[: surf.n - 1]) if b else []
     for c in range(surf.n, a, -1):
         moving = buckets[c]
-        moving[:0] = chain.from_iterable(reversed(heads.get(c, ())))
         if moving:
             stage_certs, stage_kappas, debt = _peel_stage(
                 surf, c, moving, criteria._balance(weights, steps, c - 1), a
@@ -591,9 +590,8 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
             certs.extend(stage_certs)
             _one_letter_factors(surf, one_letter, stage_kappas, certs)
             for slot, letters in debt.items():
-                heads.setdefault(slot, []).append(letters)
+                buckets[slot].extendleft(reversed(letters))
 
-    low[:0] = chain.from_iterable(reversed(heads.get(0, ())))
     groups: list[list[Letter]] = [[] for _ in range(2 * surf.genus)]
     kappas: list[Letter] = []
     for lt in low:
@@ -603,14 +601,8 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
             kappas.append(lt)
     for r, group in enumerate(groups, 1):
         if group:
-            group_word = BraidWord._derived(surf, tuple(group))
-            certs.append(FactorCertificate._derived(NULL_RHO, group_word, r))
+            certs.append(_certified(NULL_RHO, BraidWord._derived(surf, tuple(group)), r))
     _one_letter_factors(surf, one_letter, kappas, certs)
-
-    for cert in certs:
-        # the one-letter factors were verified when they were made
-        if (cert.tag == NULL_RHO or cert.tag == I_COMMUTATOR) and not cert.verify():
-            raise AssertionError("internal error: emitted an uncertifiable factor")
     return certs
 
 

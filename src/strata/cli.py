@@ -97,16 +97,17 @@ def cmd_poset(args) -> tuple[dict, list[str]]:
     for _ in range(args.depth):
         fresh: list[signatures.StratumSignature] = []
         for s in frontier:
+            source = list(s.orders)
             for succ in sorted(
                 adjacency.poset_successors(s, include_poles=include_poles),
                 key=lambda t: t.orders,
             ):
-                edges.append({"from": list(s.orders), "to": list(succ.orders)})
-                if succ.orders not in nodes:
-                    nodes[succ.orders] = succ
+                edges.append({"from": source, "to": list(succ.orders)})
+                if nodes.setdefault(succ.orders, succ) is succ:
                     fresh.append(succ)
         frontier = fresh
-    for orders in sorted(nodes):
+    ordered = sorted(nodes)
+    for orders in ordered:
         report = signatures.classify_connectivity(nodes[orders])
         if report.component_count == 2:
             notes.append(
@@ -117,7 +118,7 @@ def cmd_poset(args) -> tuple[dict, list[str]]:
         "genus": args.genus,
         "root": list(root.orders),
         "depth": args.depth,
-        "nodes": [list(o) for o in sorted(nodes)],
+        "nodes": [list(o) for o in ordered],
         "edges": edges,
     }
     return payload, notes
@@ -185,15 +186,18 @@ def cmd_check(args) -> tuple[dict, list[str]]:
     else:  # gen2: cascaded bounds on the secondary class sizes
         classes = sorted(Counter(s.orders).items(), key=lambda kv: (-kv[1], kv[0]))
         b_list = [count for _, count in classes[1:]]
-        a = classes[0][1] if classes else 0
-        bound = criteria.a_min(s.genus, sum(b_list))
-        cascade = criteria.gen2_cascade_ok(s.genus, b_list)
-        ok = cascade and a >= bound
-        clause = (
-            "leading class %d vs bound %d; cascade %s"
-            % (a, bound, "holds" if cascade else "fails")
-        )
         payload["b_list"] = b_list
+        if s.genus < 2:  # the bounds are stated from genus 2 on
+            ok, clause = False, "needs genus at least 2"
+        else:
+            a = classes[0][1] if classes else 0
+            bound = criteria.a_min(s.genus, sum(b_list))
+            cascade = criteria.gen2_cascade_ok(s.genus, b_list)
+            ok = cascade and a >= bound
+            clause = (
+                "leading class %d vs bound %d; cascade %s"
+                % (a, bound, "holds" if cascade else "fails")
+            )
     payload["satisfied"] = ok
     payload["clause"] = clause
     return payload, []

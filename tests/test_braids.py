@@ -850,11 +850,31 @@ def factorize(surf, *letters):
     return lambda: braids.factorize_kernel_word(st.BraidWord(surf, letters))
 
 
+def refusing(tag, point=None):
+    # refuse the factors of one tag, only those moving point if it is given
+    return lambda self: self.tag != tag or (
+        point is not None and all(lt.i != point for lt in self.word.letters)
+    )
+
+
 never = lambda self: False
 print(__debug__)
 print(raises_assertion(braids.FactorCertificate, "verify", never, factorize(EQUAL8, st.sigma(1, 2))))
 print(raises_assertion(
     braids.FactorCertificate, "verify", never, factorize(FLAGSHIP, st.rho(1, 1), st.rho(2, 1, -1))
+))
+# a peeled stage's block: the final groups are null_rho too, but never move point 14
+print(raises_assertion(
+    braids.FactorCertificate,
+    "verify",
+    refusing(braids.NULL_RHO, 14),
+    factorize(FLAGSHIP, st.rho(14, 1), st.rho(1, 1, -1), st.rho(2, 1, -1)),
+))
+print(raises_assertion(
+    braids.FactorCertificate,
+    "verify",
+    refusing(braids.I_COMMUTATOR),
+    factorize(FLAGSHIP, st.rho(14, 1), st.rho(14, 2), st.rho(14, 1, -1), st.rho(14, 2, -1)),
 ))
 print(raises_assertion(braids, "permutation_image", image_then_identity, factorize(EQUAL8, st.sigma(1, 2))))
 print(raises_assertion(
@@ -868,8 +888,9 @@ print(raises_assertion(criteria, "_egcd", lambda a, b: (1, 0, 0), lambda: criter
 
 
 def test_certificate_checks_survive_optimize():
-    # one-letter factor, final verify loop, permutation split, winding step,
-    # balancing witness: none may vanish with the asserts under -O
+    # one-letter factor, final null_rho group, peeled null_rho block,
+    # commutator, permutation split, winding step, balancing witness: none
+    # may vanish with the asserts under -O
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
@@ -877,4 +898,4 @@ def test_certificate_checks_survive_optimize():
         text=True,
         check=True,
     )
-    assert proc.stdout.split() == ["False"] + ["True"] * 5
+    assert proc.stdout.split() == ["False"] + ["True"] * 7

@@ -147,6 +147,18 @@ class TestCheckAndBounds:
         assert code == 0
         assert doc["payload"]["b_list"] == [2]
 
+    @pytest.mark.parametrize("genus, orders", [(0, "1,-1,-1,-1,-1,-1"), (1, "1,-1")])
+    def test_gen2_below_genus_two(self, capsys, genus, orders):
+        # the bounds start at genus 2: a verdict, like the other criteria, not
+        # an error from a bound the user never asked for
+        code, doc = run(
+            capsys, "check", "--genus", str(genus), "--orders=" + orders, "--criterion", "gen2"
+        )
+        assert code == 0 and doc["status"] == "ok"
+        assert doc["payload"]["satisfied"] is False
+        assert doc["payload"]["clause"] == "needs genus at least 2"
+        assert doc["payload"]["b_list"] == [1]
+
     def test_dmin_payload(self, capsys):
         code, doc = run(capsys, "dmin", "--weights", "4,6", "--index", "0")
         assert code == 0
