@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, groupby
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from ._frozen import Frozen, require, set_field
+from ._frozen import Frozen, require
 from .errors import (
     IndexOutOfRange,
     InvalidLetter,
@@ -58,8 +59,8 @@ class MarkedSurface(Frozen):
     punctures: int
     stratum_mode: bool
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         genus: int,
         weights: Sequence[int],
         punctures: int = 0,
@@ -87,10 +88,7 @@ class MarkedSurface(Frozen):
                 "stratum mode requires weights summing to %d, got %d"
                 % (4 * genus - 4, sum(weights))
             )
-        set_field(self, "genus", genus)
-        set_field(self, "weights", weights)
-        set_field(self, "punctures", punctures)
-        set_field(self, "stratum_mode", stratum_mode)
+        return cls._derived(genus, weights, punctures, stratum_mode)
 
     @property
     def n(self) -> int:
@@ -134,11 +132,8 @@ class Letter(Frozen):
     second: int
     exp: int
 
-    def __init__(self, kind: str, i: int, second: int, exp: int = 1):
-        set_field(self, "kind", kind)
-        set_field(self, "i", i)
-        set_field(self, "second", second)
-        set_field(self, "exp", exp)
+    def __new__(cls, kind: str, i: int, second: int, exp: int = 1):
+        return cls._derived(kind, i, second, exp)
 
     def to_json_dict(self) -> dict:
         try:
@@ -231,15 +226,14 @@ class BraidWord(Frozen):
     surface: MarkedSurface
     letters: tuple[Letter, ...]
 
-    def __init__(self, surface: MarkedSurface, letters: Sequence[Letter] = ()):
+    def __new__(cls, surface: MarkedSurface, letters: Sequence[Letter] = ()):
         require(surface, MarkedSurface)
         try:
             letters = tuple(letters)
             _validate_letters(letters, surface)
         except (AttributeError, TypeError):  # not a sequence of letters
             raise InvalidLetter("word letters must be a sequence of Letter objects") from None
-        set_field(self, "surface", surface)
-        set_field(self, "letters", letters)
+        return cls._derived(surface, letters)
 
     def to_json_dict(self) -> dict:
         return {
@@ -415,11 +409,9 @@ class FactorCertificate(Frozen):
     word: BraidWord
     param: int | None
 
-    def __init__(self, tag: str, word: BraidWord, param: int | None = None):
+    def __new__(cls, tag: str, word: BraidWord, param: int | None = None):
         require(word, BraidWord)
-        set_field(self, "tag", tag)
-        set_field(self, "word", word)
-        set_field(self, "param", param)
+        return cls._derived(tag, word, param)
 
     def verify(self) -> bool:
         letters = self.word.letters
@@ -482,7 +474,7 @@ def _peel_stage(
     """
     rhos = [lt for lt in moving if lt.kind == RHO]
     kappas = [lt for lt in moving if lt.kind == KAPPA]
-    sorted_word = sorted(rhos, key=lambda lt: lt.second) + kappas
+    sorted_word = sorted(rhos, key=attrgetter("second")) + kappas
     certs: list[FactorCertificate] = []
     h_inv = _reduce_letters(chain(moving, _inverse(sorted_word)))
     if h_inv:

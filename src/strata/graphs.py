@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Sequence
 
-from ._frozen import Frozen, require, set_field
+from ._frozen import Frozen, require
 from .errors import (
     BoundViolation,
     IndexOutOfRange,
@@ -123,12 +123,11 @@ class CombinatorialMap(Frozen):
     _error = InvalidSpec
     sigma: tuple[int, ...]
 
-    def __init__(self, sigma: Sequence[int]):
+    def __new__(cls, sigma: Sequence[int]):
         try:
             sigma = tuple(sigma)
         except TypeError:
             raise InvalidSpec("vertex rotation must be a sequence of darts") from None
-        set_field(self, "sigma", sigma)
         n = len(sigma)
         if n == 0 or n % 2:
             raise InvalidSpec("a map needs a positive even number of darts")
@@ -149,6 +148,7 @@ class CombinatorialMap(Frozen):
                     stack.append(nxt)
         if not all(seen):
             raise InvalidSpec("map is not connected")
+        return cls._derived(sigma)
 
     @property
     def n_darts(self) -> int:
@@ -206,12 +206,8 @@ class EmbeddedGraphReport(Frozen):
     genus: int
     simple: bool
 
-    def __init__(self, V: int, E: int, F: int, genus: int, simple: bool):
-        set_field(self, "V", V)
-        set_field(self, "E", E)
-        set_field(self, "F", F)
-        set_field(self, "genus", genus)
-        set_field(self, "simple", simple)
+    def __new__(cls, V: int, E: int, F: int, genus: int, simple: bool):
+        return cls._derived(V, E, F, genus, simple)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ exceptional strata of genus 3 and 4 and counts of three are not yet known.
 
 from __future__ import annotations
 
-from ._frozen import Frozen, require, set_field
+from ._frozen import Frozen, require
 from .errors import EmptyStratum, InvalidSignature, InvalidSpec
 
 # The four exceptional signatures whose strata contain no half-translation
@@ -51,7 +51,7 @@ class StratumSignature(Frozen):
     genus: int
     orders: tuple[int, ...]
 
-    def __init__(self, genus: int, orders: tuple[int, ...]):
+    def __new__(cls, genus: int, orders: tuple[int, ...]):
         failed = []
         # type() rather than isinstance: a bool is an int
         if type(genus) is not int or genus < 0:
@@ -72,8 +72,7 @@ class StratumSignature(Frozen):
                 % (genus, orders, ", ".join(failed)),
                 failed=tuple(failed),
             )
-        set_field(self, "genus", genus)
-        set_field(self, "orders", orders)
+        return cls._derived(genus, orders)
 
     @property
     def n(self) -> int:
@@ -89,10 +88,8 @@ class ConnectivityReport(Frozen):
     is_empty: bool
     reason: str
 
-    def __init__(self, component_count: int, is_empty: bool, reason: str):
-        set_field(self, "component_count", component_count)
-        set_field(self, "is_empty", is_empty)
-        set_field(self, "reason", reason)
+    def __new__(cls, component_count: int, is_empty: bool, reason: str):
+        return cls._derived(component_count, is_empty, reason)
 
 
 class DoubleCoverSpec(Frozen):
@@ -105,7 +102,7 @@ class DoubleCoverSpec(Frozen):
     ramified_indices: frozenset[int]
     target_genus: int
 
-    def __init__(self, base: StratumSignature, ramified_indices, target_genus: int):
+    def __new__(cls, base: StratumSignature, ramified_indices, target_genus: int):
         require(base, StratumSignature)
         try:
             listed = list(ramified_indices)
@@ -114,11 +111,10 @@ class DoubleCoverSpec(Frozen):
         # type() rather than isinstance: a bool is an int
         if listed is None or any(type(i) is not int for i in listed + [target_genus]):
             raise InvalidSpec("ramified indices and target genus must be integers")
-        set_field(self, "base", base)
-        set_field(self, "ramified_indices", frozenset(listed))
-        set_field(self, "target_genus", target_genus)
-        if len(self.ramified_indices) != len(listed):
+        ramified = frozenset(listed)
+        if len(ramified) != len(listed):
             raise InvalidSpec("ramified indices name an index more than once: %r" % (listed,))
+        return cls._derived(base, ramified, target_genus)
 
 
 def is_empty(s: StratumSignature) -> bool:

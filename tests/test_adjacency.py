@@ -148,15 +148,18 @@ class TestPosetSuccessors:
         s = sig(5, (8, 4, 2, 1, 1))
         want = st.poset_successors(s)
         checked = []
-        init = st.StratumSignature.__init__
+        new = st.StratumSignature.__new__
 
-        def counting_init(self, genus, orders):
+        def counting_new(cls, genus, orders):
             checked.append(orders)
-            init(self, genus, orders)
+            return new(cls, genus, orders)
 
-        monkeypatch.setattr(st.StratumSignature, "__init__", counting_init)
+        monkeypatch.setattr(st.StratumSignature, "__new__", counting_new)
         assert st.poset_successors(s) == want
         assert checked == []
+        # the patch sees a pass through the checking constructor
+        st.StratumSignature(2, (4,))
+        assert checked == [(4,)]
 
     @pytest.mark.parametrize("s", ["x", None, (2, (4,))], ids=["str", "None", "tuple"])
     def test_non_signature_rejected(self, s):

@@ -507,23 +507,26 @@ class TestConstructGraph:
         # one derived map per build, and no pass through the checking constructor
         built, checked = [], []
         derived = graphs.CombinatorialMap._derived
-        init = graphs.CombinatorialMap.__init__
+        new = graphs.CombinatorialMap.__new__
 
         def counting_derived(cls, sigma):
             built.append(len(sigma))
             return derived(sigma)
 
-        def counting_init(self, sigma):
+        def counting_new(cls, sigma):
             checked.append(len(sigma))
-            init(self, sigma)
+            return new(cls, sigma)
 
         monkeypatch.setattr(graphs.CombinatorialMap, "_derived", classmethod(counting_derived))
-        monkeypatch.setattr(graphs.CombinatorialMap, "__init__", counting_init)
+        monkeypatch.setattr(graphs.CombinatorialMap, "__new__", counting_new)
         for g, f, n in ((2, 1, 5), (2, 1, 60), (3, 4, 9), (4, 12, 8), (10, 2, 20)):
             built.clear()
             m = st.construct_graph(g, f, n)
             assert built == [m.n_darts]
             assert checked == []
+        # the patch sees a pass through the checking constructor
+        graphs.CombinatorialMap((0, 1))
+        assert checked == [2]
 
     def test_canonical_cycles(self):
         # every vertex and face cycle starts at its least dart, and the

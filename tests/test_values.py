@@ -85,6 +85,16 @@ CASES = {
 NAMES = sorted(CASES)
 
 
+def assert_frozen_value(value, cls):
+    # exactly the value class over Frozen: no build path hands out its twin
+    assert type(value).__mro__ == (cls, Frozen, object)
+    for field in cls.__slots__:
+        with pytest.raises(AttributeError, match="cannot assign to field %r" % field):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError, match="cannot delete field %r" % field):
+            delattr(value, field)
+
+
 def test_every_exported_class_is_covered():
     assert {name for name in st.__all__ if isinstance(getattr(st, name), type)} == set(CASES)
     assert len(CASES) == 9
@@ -125,14 +135,18 @@ def test_same_fields_in_another_class_are_not_equal():
     move, grouping = Move((0,), (1,)), Grouping((0,), (1,))
     assert move != grouping and not move == grouping and grouping != move
     assert hash(move) == hash(grouping)
+    # a subclass that fills its fields in __init__ is refused like the exported ones
+    assert_frozen_value(move, Move)
+    assert_frozen_value(Grouping._derived((0,), (1,)), Grouping)
+    assert move == Move((0,), (1,))
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_derived_sets_the_fields_in_order(name):
-    # _derived skips __init__, so it stores exactly what it is given
+    # _derived skips the checking constructor, so it stores exactly what it is given
     build, _, text, fields = CASES[name]
     value = getattr(st, name)._derived(*fields.values())
-    assert type(value) is getattr(st, name)
+    assert_frozen_value(value, getattr(st, name))
     assert value == build() and repr(value) == text
 
 
@@ -152,13 +166,9 @@ def test_repr(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_assignment_and_deletion_refused(name):
-    build, _, _, fields = CASES[name]
+    build = CASES[name][0]
     value = build()
-    for field in fields:
-        with pytest.raises(AttributeError):
-            setattr(value, field, 0)
-        with pytest.raises(AttributeError):
-            delattr(value, field)
+    assert_frozen_value(value, getattr(st, name))
     with pytest.raises(AttributeError):
         value.not_a_field = 1
     assert value == build()
@@ -174,7 +184,7 @@ def test_copy_and_pickle_round_trip(name):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
     ]
     for dup in copies:
-        assert type(dup) is type(value)
+        assert_frozen_value(dup, getattr(st, name))
         assert dup == value and hash(dup) == hash(value) and repr(dup) == text
 
 
