@@ -22,7 +22,6 @@ class that overrides ``__setattr__`` makes CPython call it, and so
 filling the fields on a private twin class, built once per value class with
 the same slots and no override, where a store is a plain slot write.  It then
 gives the filled object its real class.  The twin never leaves ``_derived``.
-A subclass may instead fill its fields in ``__init__`` through ``set_field``.
 
 ``require(value, cls)`` is the boundary check of every public call that takes
 a value: it raises the error class that ``cls._error`` names unless ``value``
@@ -30,8 +29,6 @@ is a ``cls``.
 """
 
 from operator import attrgetter
-
-set_field = object.__setattr__
 
 
 def require(value, cls) -> None:

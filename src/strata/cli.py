@@ -3,7 +3,9 @@
 Every invocation prints a single JSON document shaped as
 ``{"status": ..., "payload": ..., "diagnostics": [...]}`` and exits with
 0 on success, 1 on a domain error, 2 on a usage error.  Output is
-byte-identical across runs.
+byte-identical across runs.  Payloads hold the library's tuples as it
+returns them: json writes a tuple as an array, so no handler copies one
+into a list.
 
 Start-up dominates a one-shot run, so each handler imports the library
 modules it uses and a run loads only those.  For the same reason the
@@ -71,13 +73,8 @@ def cmd_info(args) -> tuple[dict, list[str]]:
 
     s = _signature(args)
     report = signatures.classify_connectivity(s)
-    payload: dict = {
-        "genus": s.genus,
-        "orders": list(s.orders),
-        "empty": report.is_empty,
-        "components": report.component_count,
-        "reason": report.reason,
-    }
+    payload = s.to_json_dict()
+    payload.update(empty=report.is_empty, components=report.component_count, reason=report.reason)
     if not report.is_empty:
         payload["dimension"] = signatures.dimension(s)
     return payload, []
@@ -90,35 +87,32 @@ def cmd_poset(args) -> tuple[dict, list[str]]:
         raise OutOfRange("--depth must be non-negative, got %d" % args.depth)
     root = signatures.StratumSignature(args.genus, _parse_int_list(args.root))
     include_poles = not args.no_poles
-    notes: list[str] = []
     edges: list[dict] = []
     nodes = {root.orders: root}
     frontier = [root]
     for _ in range(args.depth):
         fresh: list[signatures.StratumSignature] = []
         for s in frontier:
-            source = list(s.orders)
             for succ in sorted(
                 adjacency.poset_successors(s, include_poles=include_poles),
                 key=lambda t: t.orders,
             ):
-                edges.append({"from": source, "to": list(succ.orders)})
+                edges.append({"from": s.orders, "to": succ.orders})
                 if nodes.setdefault(succ.orders, succ) is succ:
                     fresh.append(succ)
         frontier = fresh
     ordered = sorted(nodes)
-    for orders in ordered:
-        report = signatures.classify_connectivity(nodes[orders])
-        if report.component_count == 2:
-            notes.append(
-                "stratum %s has two connected components; adjacency is stratum-level"
-                % (list(orders),)
-            )
+    # list() for the text alone: %s of a tuple prints parentheses
+    notes = [
+        "stratum %s has two connected components; adjacency is stratum-level" % (list(orders),)
+        for orders in ordered
+        if signatures.classify_connectivity(nodes[orders]).component_count == 2
+    ]
     payload = {
         "genus": args.genus,
-        "root": list(root.orders),
+        "root": root.orders,
         "depth": args.depth,
-        "nodes": [list(o) for o in ordered],
+        "nodes": ordered,
         "edges": edges,
     }
     return payload, notes
@@ -128,11 +122,11 @@ def cmd_aj(args) -> tuple[dict, list[str]]:
     from . import braids
 
     word = braids.BraidWord.from_json_dict(_load_json(args.word))
-    vector = list(braids.abel_jacobi(word))
+    vector = braids.abel_jacobi(word)
     return {
         "vector": vector,
         "in_kernel": not any(vector),
-        "permutation": list(braids.permutation_image(word)),
+        "permutation": braids.permutation_image(word),
     }, []
 
 
@@ -142,10 +136,9 @@ def cmd_factorize(args) -> tuple[dict, list[str]]:
     word = braids.BraidWord.from_json_dict(_load_json(args.word))
     certs = braids.factorize_kernel_word(word)
     combined = braids.concatenate_factors(word.surface, certs)
-    counts = Counter(cert.tag for cert in certs)
     payload = {
         "factors": [cert.to_json_dict() for cert in certs],
-        "counts": dict(sorted(counts.items())),
+        "counts": Counter(cert.tag for cert in certs),
         "permutation_match": braids.permutation_image(combined)
         == braids.permutation_image(word),
         "aj_zero": braids.in_kernel(combined),
@@ -172,11 +165,8 @@ def cmd_check(args) -> tuple[dict, list[str]]:
     from . import criteria
 
     s = _signature(args)
-    payload: dict = {
-        "genus": s.genus,
-        "orders": list(s.orders),
-        "criterion": args.criterion,
-    }
+    payload = s.to_json_dict()
+    payload["criterion"] = args.criterion
     if args.criterion == "main":
         ok, clause = criteria.main_theorem_verdict(s)
     elif args.criterion == "hy2":
@@ -216,7 +206,7 @@ def cmd_dmin(args) -> tuple[dict, list[str]]:
     from . import criteria
 
     d, coeffs = criteria.minimal_d(_parse_int_list(args.weights), args.index)
-    return {"d": d, "coeffs": list(coeffs)}, []
+    return {"d": d, "coeffs": coeffs}, []
 
 
 DESCRIPTION = "exact combinatorics of half-translation surface strata"
@@ -435,7 +425,7 @@ def _emit(doc: dict, pretty: bool) -> None:
         text = json.dumps(doc, sort_keys=True, indent=2)
     else:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write(text + "\n")
+    print(text)  # the text, then the newline: no second copy of the document
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -181,8 +181,6 @@ def double_cover(spec: DoubleCoverSpec) -> tuple[StratumSignature, bool]:
     base, g = spec.base, spec.target_genus
     if base.genus != 0:
         raise InvalidSpec("double cover base must have genus 0, got %d" % base.genus)
-    if sum(base.orders) != -4:
-        raise InvalidSpec("double cover base orders must sum to -4")
     idx = spec.ramified_indices
     if any(i < 0 or i >= base.n for i in idx):
         raise InvalidSpec("ramified index out of range")

@@ -99,6 +99,12 @@ class TestSurfaceAndLetters:
     def test_kappa_any_weights(self):
         assert len(word(SURF112, st.kappa(1, 3)).letters) == 1
 
+    @pytest.mark.parametrize("i, j", [(2, 2), (3, 2), (1, 5)])
+    def test_kappa_needs_increasing_indices_in_range(self, i, j):
+        surf = st.MarkedSurface(2, (1, 1, 1, 1))
+        with pytest.raises(InvalidLetter, match=r"^kappa needs i < j <= n, got \(%d, %d\)$" % (i, j)):
+            word(surf, st.kappa(i, j))
+
     def test_puncture_loop_range(self):
         surf = st.MarkedSurface(2, (1, 1), punctures=1)
         assert len(word(surf, st.puncture_loop(1, 1)).letters) == 1
@@ -422,6 +428,11 @@ class TestFactorize:
     def test_rejects_small_leading_class(self):
         surf = st.MarkedSurface(2, (1, 1, 1, 1), stratum_mode=True)
         with pytest.raises(PreconditionUnmet):
+            st.factorize_kernel_word(st.BraidWord(surf))
+
+    def test_rejects_punctured_surface(self):
+        surf = st.MarkedSurface(2, (1, 1, 1, 1), 1, True)
+        with pytest.raises(PreconditionUnmet, match="^factorization needs a surface without punctures$"):
             st.factorize_kernel_word(st.BraidWord(surf))
 
     def test_rejects_non_stratum_surface(self):

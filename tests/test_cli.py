@@ -332,6 +332,7 @@ class TestInputTypes:
         [
             [{"kind": "rho", "i": "x", "r": 1}],
             [{"kind": "rho", "i": 1, "r": 1, "exp": 1.0}],
+            [{"kind": "kappa", "i": 3, "j": 2}],
             7,
         ],
     )
@@ -470,6 +471,71 @@ def _file_argv(command, tmp_path):
     return [arg.replace("{file}", str(path)) for arg in SUBCOMMANDS[command]]
 
 
+# runs whose bytes are pinned beside those of SUBCOMMANDS: an error envelope and a note
+PINNED_RUNS = {
+    "dmin-error": ("dmin", "--weights", "4", "--index", "0"),
+    "poset-note": ("poset", "--genus", "3", "--root", "6,2", "--depth", "0"),
+}
+# the sha256 of stdout of each run, compact and with --pretty
+OUTPUT_DIGESTS = {
+    "aj": (
+        "d2f62963f3255d3f9816ec0ff3c6b52b37828525f9cdf00c9f29a052e2eca60d",
+        "ad694785d98234043f95ab2cf565c20a3b3241bd239071cf385fafb58c3107df",
+    ),
+    "check": (
+        "a1d3708bba56660eb5c3c709d64de9e221de76a8ab9d2a14ff07a349d045f606",
+        "0d6574f919687c73161f3e527b8863da18fdeeccee472d37b89871e1d134f846",
+    ),
+    "copeland": (
+        "91177361ca500176fce4c5cd11dedd718b84764582df87e0074e092617493f5f",
+        "118a29f8dcdb7195ef97cdc22b6e31ab4b912b2e09705525064844e165ed883b",
+    ),
+    "cover": (
+        "4f5fd3e74d8c514f12095023c88a86c470253e93e5fcff12e6c15e88871862c0",
+        "f0c2428cc9e9a13701f178b11329eeb6a0fa5a4095ea34cca89cd2b8d8f122c1",
+    ),
+    "dmin": (
+        "7fe3ff844d6add7530400c22bcba2521c0ac6ed9760893a96aa1dd00268be9dc",
+        "3c995b9f32c63921505294b5af221e69cd8ef0c5426b254bd1c19036076a3d85",
+    ),
+    "dmin-error": (
+        "fe0838f9443ea3401322420a7c36f4fb92712c766e155d09b22f94e86b4ba570",
+        "15f30cee3e6e2ffa6b5bc5e8aee8064927f252eb538f3a3efc32d859db5db49b",
+    ),
+    "factorize": (
+        "1c9364de5ad557fbadd68f421f110cc5d02f1ac4ade5700c416d27280c2adf80",
+        "8040a68820d26d477cdcc79c3e71fda1946229b3f9f32328df784aa6106f4fd8",
+    ),
+    "graph": (
+        "1a4519733c75bbe6380d393771a849eb67f413ffb5aa86914213f4598dec6451",
+        "b71806a2ac2edc2edb415f53564029cf0d5839f4df55076adbd5df079c668d15",
+    ),
+    "info": (
+        "31b979eb27a6650aa2c5c6cbde73c30a81f04200a104156e223d0b737c5f5ace",
+        "52606b2dc3d123ac62dd03597b032f943ad6e49a2b14ebf0238c90779f19b7f6",
+    ),
+    "poset": (
+        "13ffca5cb1d6bf4a9dd8d098531aae2bd9e7ffecf0ab4eaf20f33c8566ed9377",
+        "484221a4659bfa99967a26aed4c923a945e92473065664d6b758d9fe32d2f1a6",
+    ),
+    "poset-note": (
+        "c857958dcf44ac28b45bb871e93a00dbc0681deef71b68c68dcbb9a72fb744a4",
+        "cea6a358dc4f28c6320e6c6afc2dfd89df24e9a365665631d091963cd60749bc",
+    ),
+}
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_pinned(capsys, tmp_path, name, pretty):
+    # most tests parse the JSON, which hides a change of bytes that these digests see
+    argv = list(PINNED_RUNS[name]) if name in PINNED_RUNS else [name] + _file_argv(name, tmp_path)
+    code = main(argv + ["--pretty"] * pretty)
+    out = capsys.readouterr().out
+    assert code == (name == "dmin-error")
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[name][pretty]
+
+
 class TestImportFootprint:
     def test_import_loads_no_library_module(self):
         assert not _footprint()[0] & LIBRARY
@@ -575,6 +641,16 @@ def _agrees_with_argparse(argv):
 @settings(max_examples=500, deadline=None)
 def test_parser_agrees_with_argparse(rng):
     _agrees_with_argparse(random_argv(rng))
+
+
+@pytest.mark.parametrize("argv", [[], ["--pretty"], ["--bogus"]])
+def test_no_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith("the following arguments are required: command\n")
+    _agrees_with_argparse(argv)
 
 
 def test_fixed_corpus_agrees_with_argparse():
