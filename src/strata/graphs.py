@@ -5,18 +5,17 @@ so the edge involution is "xor 1" and never stored.  A map is determined by
 the vertex rotation alone; faces are the orbits of sigma∘alpha, and the genus
 falls out of the Euler count.  Every view of a map is read from one orbit
 walker, which returns a permutation's canonical cycles and, per dart, the
-index of its cycle: vertex cycles and owners, the edge list, face cycles and
-face labels.  A call that needs several views (the report, the face pairs,
-the exchange generators) walks the vertex orbits once and the face orbits
-once.  On top of the raw encoding the module builds complete-graph
-embeddings of prescribed genus, walks them down to a target face count,
-subdivides up to a target vertex count, and reads off the exchange
-generators living on the edges.  Each deletion and subdivision edits a
-list copy of sigma in place, relinking the dart before each dart it moves,
-and each public call builds one map, from its final sigma.  Faces are
-traced once per build, into one label per dart; a deletion then merges the
-labels it changes, since deleting an edge across two different faces
-merges those two and leaves every other face as it was.
+index of its cycle: vertex cycles and owners, the edge list (lower vertex
+first), face cycles and face labels; a call that needs several views walks
+each kind of orbit once.  On top of the raw encoding the module builds
+complete-graph embeddings of prescribed genus, walks them down to a target
+face count, subdivides up to a target vertex count, and reads off the
+exchange generators living on the edges.  Deleting an edge across two
+different faces merges those two and no other face, so the faces are traced
+once per build, into one label per dart, and any number of deletions is one
+forward scan over the edges that merges labels by union-find: one pass,
+however many faces are dropped.  Each public call builds one map, from its
+final sigma.
 
 Every map is a connected rotation on a positive even number of darts.  The
 public ``CombinatorialMap`` constructor, ``from_json_dict`` and
@@ -85,18 +84,15 @@ def _orbits(perm: Sequence[int]) -> tuple[list[list[int]], list[int]]:
 
 
 def _faces(sigma: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    # the orbits of sigma∘alpha, alpha being "xor 1"
-    return _orbits([sigma[d ^ 1] for d in range(len(sigma))])
+    # the orbits of sigma∘alpha, alpha being "xor 1": phi[d] = sigma[d ^ 1]
+    phi = list(sigma)
+    phi[0::2], phi[1::2] = sigma[1::2], sigma[0::2]
+    return _orbits(phi)
 
 
 def _edges(owner: list[int]) -> list[tuple[int, int]]:
-    # the endpoints of each edge, from the vertex that holds each of its darts
-    return list(zip(owner[::2], owner[1::2]))
-
-
-def _is_simple(edges: list[tuple[int, int]]) -> bool:
-    pairs = [(u, v) if u < v else (v, u) for u, v in edges]
-    return all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
+    # the endpoints of each edge, from the vertex holding each dart, lower first
+    return [(u, v) if u < v else (v, u) for u, v in zip(owner[::2], owner[1::2])]
 
 
 def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
@@ -186,6 +182,8 @@ class CombinatorialMap(Frozen):
             for cyc in cycles
         ):
             raise InvalidSpec("map 'sigma' must be a list of integer lists")
+        if [] in cycles:
+            raise InvalidSpec("isolated vertex: rotation cycle %d is empty" % cycles.index([]))
         total = sum(map(len, cycles))
         if total != n:
             raise InvalidSpec("rotation cycles hold %d darts, expected %d" % (total, n))
@@ -239,7 +237,8 @@ def _survey(
     euler = V - E + F
     if euler % 2 or euler > 2:
         raise AssertionError("internal error: Euler count %d is not 2 - 2g" % euler)
-    report = EmbeddedGraphReport(V, E, F, (2 - euler) // 2, _is_simple(edges))
+    simple = all(u != v for u, v in edges) and len(set(edges)) == len(edges)
+    report = EmbeddedGraphReport(V, E, F, (2 - euler) // 2, simple)
     return report, edges, faces, face_of
 
 
@@ -300,14 +299,10 @@ def complete_graph_genus_range(n: int) -> tuple[int, int]:
     return gamma, gamma_max
 
 
-def _kn_edges(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
-
-
 def _kn_rotation(n: int, neighbor_orders) -> list[list[int]]:
-    # the dart cycle at each vertex, edges of K_n numbered as in _kn_edges
+    # the dart cycle at each vertex, the edges of K_n numbered in lexicographic order
     dart_of: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(_kn_edges(n)):
+    for e, (u, v) in enumerate(itertools.combinations(range(n), 2)):
         dart_of[(u, v)] = 2 * e
         dart_of[(v, u)] = 2 * e + 1
     return [[dart_of[(v, u)] for u in order] for v, order in enumerate(neighbor_orders)]
@@ -348,11 +343,6 @@ _MIN_GENUS_ROTATIONS = {
 # at import (_EMBEDDINGS, below); minimum-genus starts for K_9 and up (or a
 # genus-lowering move in construct_graph) would raise it
 MAX_COMPLETE_VERTICES = max(_MIN_GENUS_ROTATIONS)
-
-
-def _merged(label: list[int], a: int, b: int) -> list[int]:
-    # the labels after faces a and b become one face, named a
-    return [a if f == b else f for f in label]
 
 
 def _raise_genus(rot: list[list[int]], label: Sequence[int]) -> None:
@@ -440,34 +430,48 @@ def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
     return CombinatorialMap._derived(_complete_entry(n, g)[1])
 
 
-def _pred(sigma: list[int], d: int) -> int:
-    # the dart before d in its vertex cycle: d itself when d is alone there
-    p = d
-    while sigma[p] != d:
-        p = sigma[p]
-    return p
+def _delete_edges(sigma: Sequence[int], label: Sequence[int], k: int) -> list[int]:
+    """The sigma left by k deletions, given its face labels: F - k, same genus.
 
-
-def _delete_edge(sigma: list[int], label: list[int]) -> None:
-    """Delete one edge from sigma and its face labels: F - 1, same genus.
-
-    Drops the lowest-index edge whose two darts lie on different faces,
-    relinking the dart before each of them to the dart after it, and
-    renumbers the darts above it down by two.  Such an edge is never a
-    bridge, so its two faces merge into one disk and no other face changes;
-    deleting the edge's two labels renumbers the rest.
+    Each deletion drops the lowest-index edge whose darts lie on two faces;
+    it is never a bridge, so those faces merge into one disk and no other
+    face changes.  One forward scan makes all k, merging labels by
+    union-find: a deletion only merges faces, so every edge below it still
+    has one face on both sides, and the next deletion is at a higher index.
+    Deleted darts are unlinked through one inverse of sigma; one pass renumbers.
     """
-    e = next((e for e in range(len(label) // 2) if label[2 * e] != label[2 * e + 1]), None)
-    if e is None:
+    n = len(sigma)
+    nxt, prev = list(sigma), [0] * n
+    for d, s in enumerate(sigma):  # prev, the inverse of sigma
+        prev[s] = d
+    root = list(range(n))  # each face label's parent; labels are below n
+    dropped = 0
+    for e in range(n // 2):
+        if dropped == k:
+            break
+        a, b = label[2 * e], label[2 * e + 1]
+        while root[a] != a:  # path halving: root[a] is set first, then a
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a == b:
+            continue
+        root[b] = a
+        for d in (2 * e, 2 * e + 1):
+            p = prev[d]
+            if p == d:  # d was the last dart at its vertex
+                raise NoRemovableEdge("removing edge %d would isolate a vertex" % (e - dropped))
+            nxt[p] = s = nxt[d]
+            prev[s] = p
+            nxt[d] = -1
+        dropped += 1
+    if dropped < k:
         raise NoRemovableEdge("map has a single face; nothing can be removed")
-    label[:] = _merged(label, label[2 * e], label[2 * e + 1])
-    del label[2 * e : 2 * e + 2]
-    for d in (2 * e, 2 * e + 1):
-        p = _pred(sigma, d)
-        if p == d:  # d was the last dart at its vertex
-            raise NoRemovableEdge("removing edge %d would isolate a vertex" % e)
-        sigma[p] = sigma[d]
-    sigma[:] = [d - 2 if d > 2 * e + 1 else d for d in sigma[: 2 * e] + sigma[2 * e + 2 :]]
+    kept = [d for d in range(n) if nxt[d] >= 0]
+    number = [0] * n  # the new index of each kept dart
+    for i, d in enumerate(kept):
+        number[d] = i
+    return [number[nxt[d]] for d in kept]
 
 
 def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
@@ -477,9 +481,7 @@ def delete_edge_preserving(m: CombinatorialMap) -> CombinatorialMap:
     the result is again 2-cell with one face fewer and the same genus.
     """
     require(m, CombinatorialMap)
-    sigma = list(m.sigma)
-    _delete_edge(sigma, _faces(sigma)[1])
-    return CombinatorialMap._derived(tuple(sigma))
+    return CombinatorialMap._derived(tuple(_delete_edges(m.sigma, _faces(m.sigma)[1], 1)))
 
 
 def _subdivide_edge(sigma: list[int], e: int) -> None:
@@ -489,8 +491,10 @@ def _subdivide_edge(sigma: list[int], e: int) -> None:
     beside the new dart n, and its old place in its vertex cycle goes to the
     new edge's other dart n + 1.
     """
-    d, n = 2 * e + 1, len(sigma)
-    p = _pred(sigma, d)
+    d = p = 2 * e + 1
+    n = len(sigma)
+    while sigma[p] != d:  # p ends as the dart before d: d itself when d is alone
+        p = sigma[p]
     sigma += [d, d]
     sigma[p] = n + 1  # sets sigma[d] when d is alone, so read it only now
     sigma[n + 1], sigma[d] = sigma[d], n
@@ -513,12 +517,11 @@ def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
 def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMap:
     """A simple connected map with n vertices, f faces and the given genus.
 
-    Every step edits one vertex rotation in place: a copy of the sigma of
-    K_n at genus g on the fewest possible vertices, tabled at import for
-    every genus of K_3..K_8, then edge deletions down to f faces and
-    subdivisions of edge 0 up to n vertices.  The map is built once, from
-    the final sigma.  The result is deterministic; ``seed`` is accepted for
-    compatibility and ignored.
+    Starts from the sigma of K_n at genus g on the fewest possible vertices,
+    tabled at import for every genus of K_3..K_8, makes every deletion down
+    to f faces in one scan over its edges (one pass, however many faces are
+    dropped), subdivides edge 0 up to n vertices and builds the map once.
+    The result is deterministic; ``seed`` is accepted for compatibility and ignored.
     """
     # imported at the call, so that copeland runs never load criteria
     from . import criteria
@@ -536,10 +539,9 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
             "need at least %d vertices for genus %d with %d faces, got %d"
             % (n_base, g, f, n)
         )
-    label, sigma = map(list, _complete_entry(n_base, g))
+    label, sigma = _complete_entry(n_base, g)
     # K_n at genus g has E - n + 2 - 2g faces (Euler); a deletion merges two faces
-    for _ in range(len(label) // 2 - n_base + 2 - 2 * g - f):
-        _delete_edge(sigma, label)
+    sigma = _delete_edges(sigma, label, len(label) // 2 - n_base + 2 - 2 * g - f)
     for _ in range(n - n_base):
         _subdivide_edge(sigma, 0)
     return CombinatorialMap._derived(tuple(sigma))
@@ -581,7 +583,7 @@ def assign_face_pairs(m: CombinatorialMap) -> dict[int, tuple[int, int]]:
                 cur = other
             else:
                 break
-    return {face: tuple(sorted(edges[e])) for face, e in assigned.items()}
+    return {face: edges[e] for face, e in assigned.items()}
 
 
 def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
@@ -597,10 +599,8 @@ def copeland_generators(m: CombinatorialMap) -> list[braids.BraidWord]:
     report, edges, _, _ = _survey(m)
     if not report.simple:
         raise NotSimple("generator extraction needs a loopless simple map")
-    surface = braids.MarkedSurface(
-        genus=report.genus, weights=(1,) * report.V, punctures=report.F
-    )
-    pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    # an edge joins two distinct vertices, and every vertex has weight 1
+    # valid by construction: genus >= 0 by the Euler check, weights 1, F >= 1
+    surface = braids.MarkedSurface._derived(report.genus, (1,) * report.V, report.F, False)
+    # an edge joins two distinct vertices, lower first, and every vertex has weight 1
     word, letter = braids.BraidWord._derived, braids.Letter._derived
-    return [word(surface, (letter(braids.SIGMA, u + 1, v + 1, 1),)) for u, v in pairs]
+    return [word(surface, (letter(braids.SIGMA, u + 1, v + 1, 1),)) for u, v in sorted(edges)]

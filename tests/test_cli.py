@@ -375,6 +375,11 @@ class TestInputTypes:
         data = {"darts": 2, "sigma": sigma, "alpha_convention": "pairs"}
         assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
 
+    def test_map_empty_cycle(self, capsys, tmp_path):
+        # an empty vertex cycle is an isolated vertex, refused as build_map refuses one
+        data = {"darts": 4, "sigma": [[0, 2], [1], [3], []], "alpha_convention": "pairs"}
+        assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
+
 
 class TestFactorizeCommand:
     def test_null_rho_word(self, capsys, tmp_path):

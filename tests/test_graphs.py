@@ -13,6 +13,7 @@ from strata import graphs
 from support import (
     construct_graph_cycles_oracle,
     construct_graph_oracle,
+    delete_edge_in_cycles,
     delete_edge_oracle,
     raised_rotation_oracle,
     subdivide_edge_oracle,
@@ -128,6 +129,17 @@ class TestCombinatorialMap:
     def test_malformed_input_rejected(self, call):
         with pytest.raises(InvalidSpec):
             call()
+
+    @pytest.mark.parametrize(
+        "darts, cycles", [(4, [[0, 2], [1], [3], []]), (2, [[], [0, 1]]), (2, [[0, 1], [], []])]
+    )
+    def test_json_refuses_an_empty_cycle(self, darts, cycles):
+        # an empty cycle is an isolated vertex, which build_map refuses too
+        data = {"darts": darts, "sigma": cycles, "alpha_convention": "pairs"}
+        with pytest.raises(InvalidSpec, match="^isolated vertex: rotation cycle [0-9]+ is empty$"):
+            st.CombinatorialMap.from_json_dict(data)
+        with pytest.raises(InvalidSpec, match="^isolated vertex"):
+            st.build_map(3, [(0, 1)])
 
     def test_json_requires_pair_convention(self):
         with pytest.raises(InvalidSpec):
@@ -320,17 +332,25 @@ class TestRaiseMove:
 
 
 class TestDeleteEdge:
-    def test_merged_labels_match_a_fresh_trace(self):
-        # every deletion chain construct_graph can start: K_n at each genus,
-        # walked down to one face, with labels checked after every step
+    def test_one_scan_matches_single_deletions(self):
+        # every deletion chain construct_graph can start: each of the 27
+        # tabled K_n entries, k deletions in one scan against k single
+        # deletions of the cycle-list oracle, for every k in 0..F-1
         for n in range(3, graphs.MAX_COMPLETE_VERTICES + 1):
             gamma, gamma_max = st.complete_graph_genus_range(n)
             for g in range(gamma, gamma_max + 1):
-                label, sigma = map(list, graphs._complete_entry(n, g))
-                assert _same_partition(label, graphs._faces(sigma)[1])
-                while len(set(label)) > 1:
-                    graphs._delete_edge(sigma, label)
-                    assert _same_partition(label, graphs._faces(sigma)[1]), (n, g)
+                label, sigma = graphs._complete_entry(n, g)
+                rot, oracle_label = st.CombinatorialMap(sigma).vertices(), list(label)
+                F = len(set(label))
+                for k in range(F):
+                    if k:
+                        delete_edge_in_cycles(rot, oracle_label)
+                    want = graphs._sigma_of(rot, len(oracle_label))
+                    assert graphs._delete_edges(sigma, label, k) == want, (n, g, k)
+                with pytest.raises(
+                    NoRemovableEdge, match="^map has a single face; nothing can be removed$"
+                ):
+                    graphs._delete_edges(sigma, label, F)
 
     def test_k5_torus_loses_one_face(self):
         m = st.delete_edge_preserving(st.embed_complete(5, 1))
@@ -659,6 +679,82 @@ class TestCopeland:
                 assert rebuilt == w
 
 
+def _listed_pairs(m):
+    # each edge's endpoints as its darts list them, read off the map's own
+    # vertex cycles
+    owner = _owner(m.vertices())
+    return [(owner[d], owner[d + 1]) for d in range(0, m.n_darts, 2)]
+
+
+def _vertex_pairs(m):
+    return [tuple(sorted(pair)) for pair in _listed_pairs(m)]
+
+
+def _with_edges_reversed(m, flip):
+    # the same embedded graph with each edge in flip listed the other way
+    # round: its darts 2e and 2e + 1 trade places
+    swap = [d ^ 1 if d // 2 in flip else d for d in range(m.n_darts)]
+    sigma = [0] * m.n_darts
+    for d, nxt in enumerate(m.sigma):
+        sigma[swap[d]] = swap[nxt]
+    return st.CombinatorialMap(sigma)
+
+
+def _check_views_read_edges_lower_first(m):
+    pairs = _vertex_pairs(m)
+    report = m.report()
+    assert report.simple == (len(set(pairs)) == len(pairs))
+    if not report.simple:
+        return
+    letters = [(lt.i, lt.second) for w in st.copeland_generators(m) for lt in w.letters]
+    assert letters == sorted((u + 1, v + 1) for u, v in pairs)
+    if report.genus == 0:
+        owner = _owner(m.vertices())
+        faces = st.trace_faces(m)
+        assigned = st.assign_face_pairs(m)
+        assert sorted(assigned) == list(range(len(faces)))
+        for face, pair in assigned.items():
+            assert pair in {tuple(sorted((owner[d], owner[d ^ 1]))) for d in faces[face]}
+
+
+class TestEdgeOrientation:
+    # maps whose edges are listed higher vertex first: every view reads an
+    # edge lower vertex first, against pairs taken from m.vertices()
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(1, 0), (2, 1), (2, 0)]),
+            (3, [(0, 1), (1, 2), (2, 0)]),
+            (4, [(1, 0), (2, 1), (3, 2)]),
+            (4, [(1, 0), (2, 1), (3, 2), (3, 0), (2, 0)]),
+        ],
+    )
+    def test_edges_listed_higher_vertex_first(self, n, edges):
+        m = st.build_map(n, edges)
+        assert m.report().simple
+        assert any(u > v for u, v in _listed_pairs(m))
+        _check_views_read_edges_lower_first(m)
+
+    def test_double_edge_given_once_each_way(self):
+        m = st.build_map(2, [(0, 1), (1, 0)])
+        assert _listed_pairs(m) == [(0, 1), (1, 0)]
+        assert not m.report().simple
+        with pytest.raises(NotSimple):
+            st.copeland_generators(m)
+        with pytest.raises(NotSimple):
+            st.assign_face_pairs(m)
+
+    def test_random_orientations(self):
+        # ladder maps and random simple maps, each with a random set of
+        # edges turned round; the pairs are read off each turned map itself
+        rng = random.Random(34)
+        maps = [st.construct_graph(g, f, n) for g, f, n in _ladder_plan()]
+        maps += [_random_simple_map(rng, rng.randint(2, 7)) for _ in range(100)]
+        for m in maps:
+            flip = {e for e in range(m.n_edges) if rng.random() < 0.5}
+            _check_views_read_edges_lower_first(_with_edges_reversed(m, flip))
+
+
 def _ladder_plan():
     # every (g, f, n) the graph-embed benchmark ladder can ask for: f in
     # {1, 2g, 4g - 4} with point bound at most 8, and n up to 2 above it
@@ -753,14 +849,14 @@ class TestStartTable:
                 assert (r.V, r.E, r.F, r.genus, r.simple) == (n, E, E - n + 2 - 2 * g, g, True)
 
     def test_unchanged_by_builds(self):
-        # builds edit list copies of an entry's labels and sigma in place, and
-        # so does the deletion test: none may reach the table's tuples
+        # builds and the deletion test read an entry's labels and sigma and
+        # edit only list copies: none may reach the table's tuples
         before = copy.deepcopy(graphs._EMBEDDINGS)
         for _ in _complete_maps():
             pass
         for _ in _constructed_maps((0, 3)):
             pass
-        TestDeleteEdge().test_merged_labels_match_a_fresh_trace()
+        TestDeleteEdge().test_one_scan_matches_single_deletions()
         assert graphs._EMBEDDINGS == before
 
 
