@@ -36,7 +36,23 @@ c_j + |l_j| parts, and each further one adds a one and a pole, so only that
 least fill can leave two parts.  If its zero cannot reach them, one more
 one gives four parts.  So the ones finish the groups exactly when r is at
 least the sum of the max(l_j, 0) plus one per group whose least fill is
-such a pair.  What the search still decides is a real choice: 3-PARTITION
+such a pair.
+
+Two cheap facts frame the search.  After equal entries cancel, no entry
+left equals a zero left, so a one-entry group would be a lone -1 (sum -1)
+or the zero itself (cancelled): each zero left takes at least two entries.
+So fewer entries and spare poles than twice the zeros left is False at
+once; as the entries left minus the zeros left is ``higher.n - lower.n``,
+that decides every pair with fewer extra entries than zeros left.  Inside
+the search each entry tries the groups with the most room first.  A False
+answer visits every state reachable from the start, each once by the memo,
+whatever the order, so the order changes no answer and no state a False
+answer visits; it only changes which grouping a True answer finds first.
+Putting large entries where there is room tends to find one early when the
+parts are many and of middling size, but it is a heuristic and leaves the
+worst case as it was.  The pole excess an entry adds never falls as the
+room falls, so the first group that overdraws the spare poles ends the
+walk.  What the search still decides is a real choice: 3-PARTITION
 (Garey-Johnson 1979, SP15) with B a multiple of 4 and parts a_i in
 (B/4, B/2) is the pair Q(a_1, ..., a_3m) over Q(B^m), since a group summing
 to B has exactly three parts.  So it is NP-complete even in unary.
@@ -64,11 +80,19 @@ def _part_multisets(total: int, count: int, lo: int) -> Iterator[tuple[int, ...]
             yield (v,) + rest
 
 
+def _require_flag(include_poles: bool) -> None:
+    # type() rather than truthiness: "no" and 1 are not a choice of poles
+    if type(include_poles) is not bool:
+        raise InvalidMove("include_poles must be true or false, got %r" % (include_poles,))
+
+
 def legal_splits(order: int, include_poles: bool = True) -> list[tuple[int, ...]]:
-    """All part multisets a zero of the given order can split into."""
+    """All part multisets a zero of the given order can split into, with
+    parts -1 allowed when ``include_poles`` is True (it must be a bool)."""
     # type() rather than isinstance: a bool is an int
     if type(order) is not int:
         raise InvalidMove("a zero's order must be an integer, got %r" % (order,))
+    _require_flag(include_poles)
     if order < 1:
         return []
     lo = -1 if include_poles else 1
@@ -87,6 +111,7 @@ def poset_successors(
     Each successor is built unchecked: a legal split keeps the sum and gives
     parts that are -1 or positive, so only the order needs sorting."""
     require(s, StratumSignature)
+    _require_flag(include_poles)
     out: set[StratumSignature] = set()
     for idx, order in enumerate(s.orders):
         if idx and s.orders[idx - 1] == order:  # orders descend: tried already
@@ -123,13 +148,16 @@ def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
     group per zero.
 
     Entries above 1 go largest first, each to one group, by a depth-first
-    search; the ones and poles then finish the groups in closed form
-    (``_fill``).  A group's future depends only on its state (zero minus
-    positive sum, positive count capped at 3, whether a positive part is
-    odd, whether the zero is odd; the last two matter below 3 parts only).
-    Its pole count is its positive sum minus its zero, and the excess over
-    all groups is bounded by ``spare``.  Groups in equal states are tried
-    once, and states that failed are kept for the length of the call.
+    search that tries the group with the most room left first; the ones and
+    poles then finish the groups in closed form (``_fill``).  A group's
+    future depends only on its state (zero minus positive sum, positive
+    count capped at 3, whether a positive part is odd, whether the zero is
+    odd; the last two matter below 3 parts only).  Its pole count is its
+    positive sum minus its zero, and the excess over all groups is bounded
+    by ``spare``.  Groups in equal states are tried once, and states that
+    failed are kept for the length of the call.  The child order changes
+    only which grouping a True answer finds (module docstring); the worst
+    case stays exponential.
     """
     last = len(positives)
     cut = last - positives.count(1)  # positives descend: the ones are last
@@ -138,15 +166,16 @@ def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
         if sum(1 for g in groups if g[1] == 0) > last - i:
             return
         p = positives[i]
-        tried = set()
-        for j, state in enumerate(groups):
-            if state in tried:
+        prev = None
+        for j in range(len(groups) - 1, -1, -1):  # the most room left first
+            state = groups[j]
+            if state == prev:  # groups are sorted: equal states are neighbours
                 continue
-            tried.add(state)
+            prev = state
             left, count, odd, zero_odd = state
             grown = excess - max(0, -left) + max(0, p - left)
-            if grown > spare:
-                continue
+            if grown > spare:  # grown never falls as left falls
+                break
             count = min(count + 1, 3)
             state = (left - p, count, count < 3 and (odd or p % 2 == 1), count < 3 and zero_odd)
             yield tuple(sorted(groups[:j] + (state,) + groups[j + 1 :])), grown
@@ -212,8 +241,10 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
     the two smallest parts in one three-part split, and the part left over
     is a zero that reaches the rest.  No intermediate signature is built.
     One zero left, and the ones and spare poles at the end, are decided in
-    closed form; only the entries above 1 among two or more zeros are
-    grouped by a depth-first search, which is exponential in the worst case.
+    closed form.  Fewer entries left than twice the zeros left is False
+    before any search, since each zero left needs two entries.  Only the
+    entries above 1 among two or more zeros are grouped by a depth-first
+    search, roomiest group first, which is exponential in the worst case.
     """
     require(higher, StratumSignature)
     require(lower, StratumSignature)
@@ -248,4 +279,6 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
         # matter.
         all_even = spare == 0 and all(p % 2 == 0 for p in positives)
         return _reaches(len(positives) + spare, zeros[0] % 2 == 1, all_even)
+    if len(positives) + spare < 2 * len(zeros):
+        return False  # each zero left needs two entries (module docstring)
     return _groupable(zeros, positives, spare)

@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import strata as st
+from strata import adjacency
 from support import (
     bfs_refinements,
     enumerate_signatures,
@@ -83,6 +85,18 @@ class TestLegalSplits:
     def test_order_must_be_an_integer(self, order):
         with pytest.raises(InvalidMove):
             st.legal_splits(order)
+
+    @pytest.mark.parametrize("flag", ["no", "", 0, 1, None, [True]])
+    def test_include_poles_must_be_a_bool(self, flag):
+        # a truthy "no" used to list splits with poles
+        for call in (
+            lambda: st.legal_splits(4, include_poles=flag),
+            lambda: st.legal_splits(-1, flag),
+            lambda: st.poset_successors(sig(2, (4,)), include_poles=flag),
+            lambda: st.poset_successors(sig(1, ()), flag),  # no zero to split
+        ):
+            with pytest.raises(InvalidMove, match="include_poles"):
+                call()
 
     @pytest.mark.parametrize("include_poles", [True, False])
     def test_matches_loose_enumeration(self, include_poles):
@@ -288,7 +302,7 @@ class TestIsAdjacent:
         lower = sig(g, sorted(zeros, reverse=True))
         assert not st.is_adjacent(sig(g, (1,) * (4 * g - 4)), lower)
 
-    @pytest.mark.parametrize("m,B", [(3, 20), (4, 24), (5, 28), (6, 32)])
+    @pytest.mark.parametrize("m,B", [(3, 20), (4, 24), (5, 28), (6, 32), (8, 40)])
     def test_three_partition_with_planted_solution(self, m, B):
         # parts strictly between B/4 and B/2, so a group summing to B has
         # exactly three of them: adjacent exactly when the triples exist
@@ -300,6 +314,115 @@ class TestIsAdjacent:
                 parts += [a, b, B - a - b]
         g = m * B // 4 + 1
         assert st.is_adjacent(sig(g, sorted(parts, reverse=True)), sig(g, (B,) * m))
+
+    @pytest.mark.parametrize(
+        "g,groups",
+        [
+            (
+                38,
+                (
+                    (9, 7, 6, 4, 3),
+                    (9, 7, 6, 4, 2),
+                    (9, 7, 5, 4, 2),
+                    (8, 6, 4, 3),
+                    (7, 4, 3, 1),
+                    (5, 3, 2),
+                    (5, 3, 1),
+                    (4, 2, 1),
+                    (2,),
+                ),
+            ),
+            (
+                48,
+                (
+                    (10, 8, 5, 4, 3),
+                    (9, 7, 6, 3, 2, 2),
+                    (9, 7, 4, 3, 2, 2),
+                    (9, 6, 4, 3, 2, 2),
+                    (8, 6, 4, 3, 2, 2),
+                    (8, 6, 4, 3, 3),
+                    (7, 6, 3, 2, 2),
+                    (3, 2, 2),
+                ),
+            ),
+            (
+                36,
+                (
+                    (9, 8, 5, 4, 2, 2),
+                    (9, 6, 5, 4, 3, 2),
+                    (7, 5, 4, 3, 2),
+                    (6, 5, 3, 3, 2),
+                    (6, 5, 3, 2),
+                    (5, 5, 2, 2, 1),
+                    (4, 2, 2, 2),
+                ),
+            ),
+        ],
+        ids=["roadmap-g38", "hunt-g48", "hunt-g36"],
+    )
+    def test_many_mid_size_parts(self, g, groups):
+        # higher is every group's parts and lower their sums, so the groups
+        # are a witness.  With the least roomy group tried first the search
+        # took 5.1 s on the first pair and over 10 s on the other two.
+        assert all(st.splits_into(sum(parts), parts) for parts in groups)
+        higher = sig(g, sorted(itertools.chain(*groups), reverse=True))
+        lower = sig(g, sorted(map(sum, groups), reverse=True))
+        assert st.is_adjacent(higher, lower)
+
+    @pytest.mark.parametrize(
+        "g,higher,lower",
+        [
+            (4, (7, 4, 1), (6, 6)),
+            (3, (5, 2, 1), (4, 4)),
+            (5, (8, 5, 2, 1), (8, 4, 4)),
+            (5, (8, 5, 3, 1, -1), (6, 6, 4)),
+        ],
+    )
+    def test_too_few_entries_skip_the_search(self, monkeypatch, g, higher, lower):
+        # each zero left after cancelling needs two entries of its own
+        def search(*args):
+            raise AssertionError("the grouping search ran")
+
+        higher, lower = sig(g, higher), sig(g, lower)
+        assert not partition_oracle(higher, lower)
+        monkeypatch.setattr(adjacency, "_groupable", search)
+        assert not st.is_adjacent(higher, lower)
+
+    def test_entry_count_bound_against_partition_oracle(self, monkeypatch):
+        # pairs one or two entries apart at g <= 8 with at most 12 entries:
+        # the bound decides some of them, the search others
+        searches = []
+        groupable = adjacency._groupable
+        monkeypatch.setattr(
+            adjacency, "_groupable", lambda *args: searches.append(args) or groupable(*args)
+        )
+        rng = random.Random(35)
+        decided = Counter()
+        while sum(decided.values()) < 1500:
+            g = rng.randint(2, 8)
+            with_poles = sum(decided.values()) % 2
+            lower_poles = rng.randint(0, 2) * with_poles
+            higher_poles = lower_poles + rng.randint(0, 2) * with_poles
+            lower = random_signature(rng, g, lower_poles, rng.randint(2, 6))
+            if lower is None:
+                continue
+            zeros = lower.n + rng.randint(1, 2) - higher_poles
+            higher = random_signature(rng, g, higher_poles, zeros) if zeros > 0 else None
+            if higher is None or higher.n > 12:
+                continue
+            left = Counter(p for p in lower.orders if p > 0)
+            entries = Counter(p for p in higher.orders if p > 0)
+            zeros_left = sum((left - entries).values())
+            entries_left = sum((entries - left).values()) + higher_poles - lower_poles
+            ran = len(searches)
+            answer = st.is_adjacent(higher, lower)
+            assert answer == partition_oracle(higher, lower), (higher.orders, lower.orders)
+            if zeros_left >= 2 and entries_left < 2 * zeros_left:
+                assert not answer and len(searches) == ran, (higher.orders, lower.orders)
+                decided["bound"] += 1
+            else:
+                decided["search" if len(searches) > ran else "closed form"] += 1
+        assert decided["bound"] > 100 and decided["search"] > 100, decided
 
     def test_matches_partition_oracle(self):
         # seeded random pairs at g <= 8 with at most 12 entries, half of them
