@@ -9,7 +9,7 @@ first access and then cached here, so ``import strata`` loads nothing else
 and each CLI subcommand loads only the modules it uses.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -80,9 +80,9 @@ __all__ = list(_ORIGIN)
 
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        value = importlib.import_module("." + name, __name__)
+        value = _import_module("." + name, __name__)
     elif name in _ORIGIN:
-        value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+        value = getattr(_import_module("." + _ORIGIN[name], __name__), name)
     else:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     globals()[name] = value

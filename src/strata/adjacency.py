@@ -5,8 +5,8 @@ sum to k.  Two-part splits of an even order must produce two even parts;
 three- and four-part splits carry no parity constraint.  Simple poles
 (order -1) may appear among the parts but can never themselves be split.
 Iterating splits refines signatures and orders the partitions of 4g - 4.
-``legal_splits`` tries no first of m parts above k // m, so no branch is empty,
-and ``poset_successors`` builds each successor once, from a legal tuple.
+``legal_splits`` tries no first of m parts above k // m, so no branch is empty;
+one generator splices each into the orders, and ``strata poset`` keeps tuples.
 
 Reachability is decided without a search over signatures.  A split acts on
 one entry, so ``higher`` refines ``lower`` exactly when the entries of
@@ -103,6 +103,16 @@ def legal_splits(order: int, include_poles: bool = True) -> list[tuple[int, ...]
     return out
 
 
+def _successor_orders(orders: tuple[int, ...], include_poles: bool) -> Iterator[tuple[int, ...]]:
+    # descending orders after each legal split; splits of two orders may meet
+    for idx, order in enumerate(orders):
+        if idx and orders[idx - 1] == order:  # orders descend: tried already
+            continue
+        head, tail = orders[:idx], orders[idx + 1 :]
+        for parts in legal_splits(order, include_poles):
+            yield tuple(sorted(head + parts + tail, reverse=True))
+
+
 def poset_successors(
     s: StratumSignature, include_poles: bool = True
 ) -> set[StratumSignature]:
@@ -112,15 +122,8 @@ def poset_successors(
     parts that are -1 or positive, so only the order needs sorting."""
     require(s, StratumSignature)
     _require_flag(include_poles)
-    out: set[StratumSignature] = set()
-    for idx, order in enumerate(s.orders):
-        if idx and s.orders[idx - 1] == order:  # orders descend: tried already
-            continue
-        head, tail = s.orders[:idx], s.orders[idx + 1 :]
-        for parts in legal_splits(order, include_poles):
-            orders = tuple(sorted(head + parts + tail, reverse=True))
-            out.add(StratumSignature._derived(s.genus, orders))
-    return out
+    successors = _successor_orders(s.orders, include_poles)
+    return {StratumSignature._derived(s.genus, o) for o in successors}
 
 
 def splits_into(order: int, parts: Sequence[int]) -> bool:

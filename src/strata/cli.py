@@ -86,27 +86,25 @@ def cmd_poset(args) -> tuple[dict, list[str]]:
     if args.depth < 0:
         raise OutOfRange("--depth must be non-negative, got %d" % args.depth)
     root = signatures.StratumSignature(args.genus, _parse_int_list(args.root))
-    include_poles = not args.no_poles
     edges: list[dict] = []
-    nodes = {root.orders: root}
-    frontier = [root]
+    nodes = {root.orders}
+    frontier = [root.orders]
     for _ in range(args.depth):
-        fresh: list[signatures.StratumSignature] = []
-        for s in frontier:
-            for succ in sorted(
-                adjacency.poset_successors(s, include_poles=include_poles),
-                key=lambda t: t.orders,
-            ):
-                edges.append({"from": s.orders, "to": succ.orders})
-                if nodes.setdefault(succ.orders, succ) is succ:
+        fresh: list[tuple[int, ...]] = []
+        for orders in frontier:
+            for succ in sorted(set(adjacency._successor_orders(orders, not args.no_poles))):
+                edges.append({"from": orders, "to": succ})
+                if succ not in nodes:
+                    nodes.add(succ)
                     fresh.append(succ)
         frontier = fresh
     ordered = sorted(nodes)
+    # no empty signature has a reason, so this is component_count == 2;
     # list() for the text alone: %s of a tuple prints parentheses
     notes = [
         "stratum %s has two connected components; adjacency is stratum-level" % (list(orders),)
         for orders in ordered
-        if signatures.classify_connectivity(nodes[orders]).component_count == 2
+        if signatures._two_component_reason(args.genus, orders) is not None
     ]
     payload = {
         "genus": args.genus,

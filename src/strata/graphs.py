@@ -344,6 +344,11 @@ _MIN_GENUS_ROTATIONS = {
 # genus-lowering move in construct_graph) would raise it
 MAX_COMPLETE_VERTICES = max(_MIN_GENUS_ROTATIONS)
 
+# construct_graph refuses more vertices than this before it allocates: a
+# million already peak near 0.6 GB in a strata graph run, and far more end
+# in a MemoryError instead of an error envelope
+_MAX_VERTICES = 10**6
+
 
 def _raise_genus(rot: list[list[int]], label: Sequence[int]) -> None:
     """One raise move on the rotation, given its face labels: F - 2, genus + 1.
@@ -522,6 +527,7 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
     to f faces in one scan over its edges (one pass, however many faces are
     dropped), subdivides edge 0 up to n vertices and builds the map once.
     The result is deterministic; ``seed`` is accepted for compatibility and ignored.
+    More than a million vertices is refused as out of range.
     """
     # imported at the call, so that copeland runs never load criteria
     from . import criteria
@@ -539,6 +545,8 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
             "need at least %d vertices for genus %d with %d faces, got %d"
             % (n_base, g, f, n)
         )
+    if n > _MAX_VERTICES:
+        raise OutOfRange("vertex count %d above the cap of %d" % (n, _MAX_VERTICES))
     label, sigma = _complete_entry(n_base, g)
     # K_n at genus g has E - n + 2 - 2g faces (Euler); a deletion merges two faces
     sigma = _delete_edges(sigma, label, len(label) // 2 - n_base + 2 - 2 * g - f)

@@ -130,8 +130,7 @@ def dimension(s: StratumSignature) -> int:
     return 2 * s.genus - 2 + s.n
 
 
-def _two_component_reason(s: StratumSignature) -> str | None:
-    g, o = s.genus, s.orders
+def _two_component_reason(g: int, o: tuple[int, ...]) -> str | None:
     if g == 2:
         return REASON_G2 if o in _G2_TWO_COMPONENT else None
     if g < 3:
@@ -157,7 +156,7 @@ def classify_connectivity(s: StratumSignature) -> ConnectivityReport:
     require(s, StratumSignature)
     if (s.genus, s.orders) in EMPTY_SIGNATURES:
         return ConnectivityReport(0, True, REASON_EMPTY)
-    reason = _two_component_reason(s)
+    reason = _two_component_reason(s.genus, s.orders)
     if reason is not None:
         return ConnectivityReport(2, False, reason)
     if s.genus <= 1:

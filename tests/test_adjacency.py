@@ -180,6 +180,15 @@ class TestPosetSuccessors:
         with pytest.raises(InvalidSignature):
             st.poset_successors(s)
 
+    def test_successor_orders_are_the_successors(self):
+        # the tuples strata poset sorts are the orders of the library's set
+        for g in range(6):
+            for s in enumerate_signatures(g, max_poles=3):
+                for include_poles in (True, False):
+                    got = sorted(set(adjacency._successor_orders(s.orders, include_poles)))
+                    want = sorted(t.orders for t in st.poset_successors(s, include_poles))
+                    assert got == want, (s.orders, include_poles)
+
     def test_length_growth_bounds(self):
         s = sig(3, (6, 2))
         for t in st.poset_successors(s):

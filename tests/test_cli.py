@@ -118,6 +118,26 @@ class TestPoset:
         assert code == 0
         assert any("two connected components" in note for note in doc["diagnostics"])
 
+    def test_builds_only_the_root(self, capsys, monkeypatch):
+        # the nodes are order tuples: one signature, the root's, and no
+        # ConnectivityReport, though the poset of Q(12) holds Q(6, 6)
+        built = []
+        derived = st.StratumSignature._derived
+
+        def counting_derived(cls, genus, orders):
+            built.append(orders)
+            return derived(genus, orders)
+
+        def no_report(s):
+            raise AssertionError("classify_connectivity called on %r" % (s,))
+
+        monkeypatch.setattr(st.StratumSignature, "_derived", classmethod(counting_derived))
+        monkeypatch.setattr(st.signatures, "classify_connectivity", no_report)
+        code, doc = run(capsys, "poset", "--genus", "4", "--root", "12", "--depth", "2")
+        assert code == 0 and built == [(12,)]
+        assert [6, 6] in doc["payload"]["nodes"]
+        assert any(note.startswith("stratum [6, 6] has two") for note in doc["diagnostics"])
+
     def test_two_component_diagnostic_at_huge_genus(self, capsys):
         g = 10**12
         root = _csv((2 * g - 1, 2 * g - 1, -1, -1))
@@ -260,6 +280,29 @@ class TestGraphPipeline:
             main(["graph", "--genus", "2", "--faces", "1", "--vertices", "5", "--budget", "9"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_vertex_cap_keeps_the_envelope(self):
+        # past the cap the build is refused before anything is allocated, so
+        # the child's limited address space is never reached: one envelope
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["graph", "--genus", "3", "--faces", "6", "--vertices", "99999999"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "strata.cli"] + argv,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            preexec_fn=limit,
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["status"] == "error" and doc["payload"]["code"] == "out-of-range"
+        assert "99999999" in doc["payload"]["message"]
 
     def test_graph_to_copeland_to_aj(self, capsys, tmp_path):
         code, doc = run(

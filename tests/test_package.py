@@ -100,6 +100,9 @@ def test_dir_lists_every_public_name():
     assert set(NAMES) <= listed
     assert set(SUBMODULES) <= listed
     assert len(set(NAMES) | set(SUBMODULES)) == 52
+    # nothing else public: an import at module level would show up here
+    public = {name for name in listed if not name.startswith("_")}
+    assert public <= set(strata.__all__) | set(strata._SUBMODULES)
 
 
 def test_unknown_attribute():

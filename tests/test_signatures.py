@@ -181,9 +181,21 @@ class TestFamilyRules:
         # classification with each family scanned member by member
         sigs = [s for g in range(2, 9) for s in enumerate_signatures(g, max_poles=4)]
         got = [st.classify_connectivity(s) for s in sigs]
-        monkeypatch.setattr(signatures, "_two_component_reason", two_component_reason_oracle)
+        monkeypatch.setattr(
+            signatures,
+            "_two_component_reason",
+            lambda g, o: two_component_reason_oracle(st.StratumSignature(g, o)),
+        )
         for s, report in zip(sigs, got):
             assert report == st.classify_connectivity(s), s
+
+    def test_reason_is_two_components(self):
+        # strata poset notes the orders with a reason: exactly the two-component
+        # strata, since none of the four empty signatures has a reason
+        for g in range(9):
+            for s in enumerate_signatures(g, max_poles=4):
+                two = st.classify_connectivity(s).component_count == 2
+                assert (signatures._two_component_reason(g, s.orders) is not None) == two, s
 
     def test_every_family_member(self):
         for g in range(3, 61):
