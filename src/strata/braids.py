@@ -144,16 +144,22 @@ class Letter(Frozen):
 
     @staticmethod
     def from_json_dict(data: dict) -> "Letter":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InvalidLetter("letter JSON needs 'kind'")
-        kind = data["kind"]
-        if not isinstance(kind, str) or kind not in _SECOND_KEY:
-            raise InvalidLetter("unknown letter kind %r" % (kind,))
-        second = _SECOND_KEY[kind]
-        if "i" not in data or second not in data:
-            raise InvalidLetter("%s letter JSON needs 'i' and %r" % (kind, second))
-        # the field types are checked with the rest by the BraidWord constructor
-        return Letter(kind, data["i"], data[second], data.get("exp", 1))
+        return Letter(*_letter_fields(data))
+
+
+def _letter_fields(data: dict) -> tuple:
+    """The (kind, i, second, exp) of a letter's JSON object, after checking
+    its shape: a known ``kind`` and the keys that kind needs.  The field
+    types are checked with the rest by the BraidWord constructor."""
+    if not isinstance(data, dict) or "kind" not in data:
+        raise InvalidLetter("letter JSON needs 'kind'")
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _SECOND_KEY:
+        raise InvalidLetter("unknown letter kind %r" % (kind,))
+    second = _SECOND_KEY[kind]
+    if "i" not in data or second not in data:
+        raise InvalidLetter("%s letter JSON needs 'i' and %r" % (kind, second))
+    return kind, data["i"], data[second], data.get("exp", 1)
 
 
 def rho(i: int, r: int, exp: int = 1) -> Letter:
@@ -172,11 +178,22 @@ def puncture_loop(i: int, l: int, exp: int = 1) -> Letter:
     return Letter(PUNCTURE, i, l, exp)
 
 
-def _validate_letters(letters: Sequence[Letter], surf: MarkedSurface) -> None:
-    """Raise InvalidLetter for the first letter, in word order, not valid on surf."""
+def _validate_letters(letters: Iterable[Letter], surf: MarkedSurface) -> tuple[Letter, ...]:
+    """The letters as a tuple in which equal letters are one object; raise
+    InvalidLetter for the first letter, in word order, not valid on surf, and
+    TypeError for an element that is not a Letter.
+
+    A letter with integer fields and a str kind is looked up by its class and
+    fields in a dict local to the call: a repeat is replaced by the first
+    equal letter, which passed the checks, and is not checked again.
+    """
     weights, m = surf.weights, surf.punctures
     n, dirs = len(weights), 2 * surf.genus
+    shared: dict[tuple, Letter] = {}
+    out: list[Letter] = []
     for lt in letters:
+        if not isinstance(lt, Letter):
+            raise TypeError("expected a Letter, got %s" % type(lt).__name__)
         kind, i, second, exp = lt.kind, lt.i, lt.second, lt.exp
         # type() rather than isinstance: a bool is an int
         if type(i) is not int or type(second) is not int or type(exp) is not int:
@@ -185,6 +202,14 @@ def _validate_letters(letters: Sequence[Letter], surf: MarkedSurface) -> None:
             raise InvalidLetter(
                 "%s letter fields 'i', %r and 'exp' must be integers" % (kind, _SECOND_KEY[kind])
             )
+        if type(kind) is str:
+            # stored before its checks: if they fail, the call raises and the
+            # dict goes with it
+            first = shared.setdefault((lt.__class__, kind, i, second, exp), lt)
+            if first is not lt:
+                out.append(first)
+                continue
+        out.append(lt)
         if exp not in (1, -1):
             raise InvalidLetter("letter exponent must be +-1, got %r" % (exp,))
         if not 1 <= i <= n:
@@ -210,6 +235,7 @@ def _validate_letters(letters: Sequence[Letter], surf: MarkedSurface) -> None:
                 raise InvalidLetter("puncture index %d out of range 1..%d" % (second, m))
         else:
             raise InvalidLetter("unknown letter kind %r" % (kind,))
+    return tuple(out)
 
 
 class BraidWord(Frozen):
@@ -219,6 +245,14 @@ class BraidWord(Frozen):
     checks this, and the words ``braids`` derives with ``_derived`` keep it
     by construction: each of their letters comes from a valid word on an
     equal surface, is such a letter's inverse, or is valid by how it was made.
+
+    Each element given to the constructor must be a ``Letter``.  Equal
+    letters of one word are one shared object: the constructor keeps the
+    first of each class and fields and checks its types and ranges once.
+    ``Letter(...)`` itself still makes a new object on each call.  Errors
+    come in this order: from ``from_json_dict``, every letter's shape
+    (``kind`` and its keys) first; then each letter's field types and ranges
+    in word order, so the first invalid letter is the one reported.
     """
 
     __slots__ = ("surface", "letters")
@@ -229,8 +263,7 @@ class BraidWord(Frozen):
     def __new__(cls, surface: MarkedSurface, letters: Sequence[Letter] = ()):
         require(surface, MarkedSurface)
         try:
-            letters = tuple(letters)
-            _validate_letters(letters, surface)
+            letters = _validate_letters(letters, surface)
         except (AttributeError, TypeError):  # not a sequence of letters
             raise InvalidLetter("word letters must be a sequence of Letter objects") from None
         return cls._derived(surface, letters)
@@ -249,7 +282,22 @@ class BraidWord(Frozen):
         letters = data.get("letters", [])
         if not isinstance(letters, list):
             raise InvalidLetter("braid-word 'letters' must be a list")
-        return BraidWord(surf, tuple(Letter.from_json_dict(d) for d in letters))
+        # every letter's shape is checked here, before the constructor checks
+        # any field's type or range; each distinct letter with integer fields
+        # is made once
+        made: dict[tuple, Letter] = {}
+        word: list[Letter] = []
+        for d in letters:
+            fields = _letter_fields(d)
+            _kind, i, second, exp = fields
+            if type(i) is int and type(second) is int and type(exp) is int:
+                lt = made.get(fields)
+                if lt is None:
+                    lt = made[fields] = Letter._derived(*fields)
+            else:  # a bool would hash as an int, a list not at all
+                lt = Letter._derived(*fields)
+            word.append(lt)
+        return BraidWord(surf, word)
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:

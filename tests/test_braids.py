@@ -5,7 +5,8 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+import types
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,23 @@ EQUAL8 = st.MarkedSurface(3, (1,) * 8, stratum_mode=True)
 
 def word(surf, *letters):
     return st.BraidWord(surf, tuple(letters))
+
+
+def _parsed(surf, letters):
+    """The word read back from the JSON of its surface and letters."""
+    data = {"surface": surf.to_json_dict(), "letters": [lt.to_json_dict() for lt in letters]}
+    return st.BraidWord.from_json_dict(json.loads(json.dumps(data)))
+
+
+class _Marked(st.Letter):
+    """A Letter subclass; _derived cannot build one, so _marked_letter does."""
+
+
+def _marked_letter(lt):
+    marked = object.__new__(_Marked)
+    for name in st.Letter.__slots__:
+        object.__setattr__(marked, name, getattr(lt, name))
+    return marked
 
 
 class TestSurfaceAndLetters:
@@ -121,22 +139,45 @@ class TestSurfaceAndLetters:
             word(SURF112, st.rho(1, 1), bad_direction, bad_weights)
         with pytest.raises(InvalidLetter, match=r"^sigma exchanges equal weights only: 1 vs 2$"):
             word(SURF112, bad_weights, bad_direction)
+        # repeats of a valid letter, and of both bad ones, around the first fault
+        with pytest.raises(InvalidLetter, match=r"^sigma exchanges equal weights only: 1 vs 2$"):
+            word(
+                SURF112, st.rho(1, 1), st.rho(1, 1), st.sigma(1, 3), st.rho(1, 1),
+                st.rho(1, 5), bad_weights, st.rho(1, 5),
+            )
 
     @pytest.mark.parametrize(
-        "letter, message",
+        "letters, message",
         [
-            (st.rho(1.0, 1), "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
-            (st.rho(1, 1, 1.0), "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
-            (st.rho(1, 1, True), "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
-            (st.kappa(True, 2), "^kappa letter fields 'i', 'j' and 'exp' must be integers$"),
-            (st.Letter([], 1.0, 1), r"^unknown letter kind \[\]$"),
+            ([st.rho(1.0, 1)], "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
+            ([st.rho(1, 1, 1.0)], "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
+            ([st.rho(1, 1, True)], "^rho letter fields 'i', 'r' and 'exp' must be integers$"),
+            ([st.kappa(True, 2)], "^kappa letter fields 'i', 'j' and 'exp' must be integers$"),
+            ([st.Letter([], 1.0, 1)], r"^unknown letter kind \[\]$"),
+            # equal, and of equal hash, to the valid letter before them
+            (
+                [st.rho(1, 1), st.rho(1, 1, True)],
+                "^rho letter fields 'i', 'r' and 'exp' must be integers$",
+            ),
+            (
+                [st.kappa(1, 2), st.kappa(1.0, 2)],
+                "^kappa letter fields 'i', 'j' and 'exp' must be integers$",
+            ),
         ],
-        ids=["float-index", "float-exp", "bool-exp", "bool-index", "unhashable-kind"],
+        ids=[
+            "float-index",
+            "float-exp",
+            "bool-exp",
+            "bool-index",
+            "unhashable-kind",
+            "bool-exp-after-int",
+            "float-index-after-int",
+        ],
     )
-    def test_letter_field_types_checked(self, letter, message):
-        # the first four are in range when read as numbers: only the type is wrong
+    def test_letter_field_types_checked(self, letters, message):
+        # each faulty letter is in range when read as numbers: only the type is wrong
         with pytest.raises(InvalidLetter, match=message):
-            word(SURF112, letter)
+            word(SURF112, *letters)
 
     def test_product_needs_one_surface(self):
         # a product is built on one surface, which checks the other word's letters
@@ -156,10 +197,35 @@ class TestSurfaceAndLetters:
         with pytest.raises(InvalidSurface, match=r"^expected a MarkedSurface, got NoneType$"):
             st.BraidWord(None)
 
-    @pytest.mark.parametrize("letters", [(1, 2), 5], ids=["ints", "int"])
+    @pytest.mark.parametrize(
+        "letters",
+        [
+            (1, 2),
+            5,
+            # duck-typed letters: each has the four fields, none is a Letter
+            [types.SimpleNamespace(kind="rho", i=1, second=1, exp=1)],
+            [st.rho(1, 1), namedtuple("Fields", "kind i second exp")("rho", 1, 1, 1)],
+        ],
+        ids=["ints", "int", "namespace", "namedtuple"],
+    )
     def test_word_needs_a_sequence_of_letters(self, letters):
         with pytest.raises(InvalidLetter, match=r"^word letters must be a sequence of Letter"):
             st.BraidWord(SURF112, letters)
+
+    @pytest.mark.parametrize("build", [st.BraidWord, _parsed], ids=["constructor", "json"])
+    def test_equal_letters_are_one_object(self, build):
+        letters = [st.rho(1, 1), st.sigma(1, 2), st.rho(1, 1), st.rho(1, 1, -1), st.sigma(1, 2)]
+        w = build(SURF112, letters)
+        assert w.letters == tuple(letters)
+        assert len({id(lt) for lt in w.letters}) == len(set(letters)) == 3
+        assert letters[0] is not letters[2]  # each Letter call is still a new object
+
+    def test_letter_subclass_is_kept(self):
+        plain, marked = st.rho(1, 1), _marked_letter(st.rho(1, 1))
+        assert marked != plain  # equal fields, another class
+        w = word(SURF112, plain, marked, st.rho(1, 1), _marked_letter(plain))
+        assert [type(lt) for lt in w.letters] == [st.Letter, _Marked, st.Letter, _Marked]
+        assert w.letters[0] is w.letters[2] is plain and w.letters[1] is w.letters[3] is marked
 
     def test_certificate_needs_a_word(self):
         with pytest.raises(InvalidSurface, match=r"^expected a BraidWord, got NoneType$"):
@@ -824,6 +890,27 @@ class TestJson:
     )
     def test_missing_keys_rejected(self, data, error):
         with pytest.raises(error):
+            st.BraidWord.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "faulty",
+        [
+            {"kind": "rho", "i": 9, "r": 1},
+            {"kind": "rho", "i": 1.0, "r": 1},
+            {"kind": "rho", "i": [1], "r": 1},
+        ],
+        ids=["range", "float", "list"],
+    )
+    def test_shape_fault_reported_before_an_earlier_field_fault(self, faulty):
+        valid = st.rho(1, 1).to_json_dict()
+        data = {
+            "surface": SURF112.to_json_dict(),
+            "letters": [valid, faulty, valid, {"kind": "sigma", "i": 1}, faulty],
+        }
+        with pytest.raises(InvalidLetter, match=r"^sigma letter JSON needs 'i' and 'j'$"):
+            st.BraidWord.from_json_dict(data)
+        del data["letters"][3]  # then the field fault is the one reported
+        with pytest.raises(InvalidLetter, match=r"^(point index|rho letter fields)"):
             st.BraidWord.from_json_dict(data)
 
 

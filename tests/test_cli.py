@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import strata as st
@@ -718,6 +718,7 @@ GARBAGE = hs.tuples(
     hs.text(alphabet="0123456789,-x. ", max_size=3),
 ).map("".join)
 SECOND = {"rho": "r", "sigma": "j", "kappa": "j", "kappa_puncture": "l"}
+VERTEX_CAP = 10**6  # the most vertices construct_graph builds
 KEYS = (
     "surface", "letters", "genus", "weights", "punctures", "stratum_mode", "kind", "i", "r",
     "j", "l", "exp", "darts", "sigma", "alpha_convention",
@@ -827,10 +828,13 @@ def _options(draw, command):
         index = draw(hs.integers(-1, len(weights)))
         return ["--weights=" + _csv(weights), "--index=%d" % index], None
     if command == "graph":
+        # above the cap of 10**6 only: a run at the cap takes seconds and
+        # hundreds of MB, where one above it is refused before allocating
+        vertices = draw(hs.sampled_from([6, 7, 8, 5, 9, 0, 3, VERTEX_CAP + 1, 10**18]))
         return [
             "--genus=%d" % genus,
             "--faces=%d" % draw(hs.integers(-1, max(1, 4 * genus - 4))),
-            "--vertices=%d" % draw(hs.sampled_from([6, 7, 8, 5, 9, 0, 3])),
+            "--vertices=%d" % vertices,
             "--seed=%d" % draw(hs.integers(0, 3)),
         ], None
     if command == "copeland":
@@ -860,6 +864,9 @@ def _invocation(draw):
 
 
 @given(_invocation())
+# past the vertex cap on valid genus and faces, whatever the draws reach
+@example((["graph", "--genus=3", "--faces=6", "--vertices=%d" % (VERTEX_CAP + 1)], None))
+@example((["graph", "--genus=5", "--faces=16", "--vertices=%d" % 10**18], None))
 @settings(max_examples=300, deadline=None)
 def test_every_invocation_keeps_the_envelope_contract(tmp_path_factory, invocation):
     argv, text = invocation
@@ -884,3 +891,10 @@ def test_every_invocation_keeps_the_envelope_contract(tmp_path_factory, invocati
     assert doc["status"] == ("ok" if code == 0 else "error"), argv
     if code == 1:
         assert set(doc["payload"]) == {"code", "message"}, argv
+    if argv[0] == "graph":
+        values = dict(arg[2:].split("=") for arg in argv[1:] if "=" in arg)
+        if int(values["vertices"]) > VERTEX_CAP:
+            g, f = int(values["genus"]), int(values["faces"])
+            # the genus and face checks come first; then the cap refuses
+            expected = "out-of-range" if g >= 2 and 1 <= f <= 4 * g - 4 else "bound-violation"
+            assert doc["payload"]["code"] == expected, argv
