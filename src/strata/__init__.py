@@ -32,7 +32,6 @@ _EXPORTS = {
         "concatenate_factors",
         "factor_by_permutation",
         "factorize_kernel_word",
-        "free_reduce",
         "in_kernel",
         "kappa",
         "permutation_image",
@@ -59,17 +58,13 @@ _EXPORTS = {
         "copeland_generators",
         "delete_edge_preserving",
         "embed_complete",
-        "subdivide_edge",
-        "trace_faces",
     ),
     "signatures": (
         "ConnectivityReport",
-        "DoubleCoverSpec",
         "StratumSignature",
         "classify_connectivity",
         "dimension",
         "double_cover",
-        "is_empty",
     ),
 }
 _SUBMODULES = ("adjacency", "braids", "cli", "criteria", "errors", "graphs", "signatures")

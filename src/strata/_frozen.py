@@ -19,9 +19,15 @@ Assignment and deletion are refused by a ``__setattr__`` and ``__delattr__``
 that ``__init_subclass__`` puts on each value class, not on ``Frozen``.  A
 class that overrides ``__setattr__`` makes CPython call it, and so
 ``object.__setattr__``, for every field store; ``_derived`` avoids that by
-filling the fields on a private twin class, built once per value class with
-the same slots and no override, where a store is a plain slot write.  It then
-gives the filled object its real class.  The twin never leaves ``_derived``.
+filling the fields on a private twin class, built once per class as a
+subclass of it that adds no slots and puts ``object``'s ``__setattr__`` and
+``__delattr__`` back, where a store is a plain slot write.  It then gives the
+filled object its real class.  The twin never leaves ``_derived``.
+
+The fields are recorded once, as ``_fields``, on the class that declares
+them in ``__slots__``.  A subclass of a value class inherits them, with or
+without ``__slots__ = ()``, and gets its own twin and ``_derived``, so the
+value class's constructor builds instances of the subclass.
 
 ``require(value, cls)`` is the boundary check of every public call that takes
 a value: it raises the error class that ``cls._error`` names unless ``value``
@@ -53,14 +59,20 @@ class Frozen:
             return
         cls.__setattr__ = _refuse_assign
         cls.__delattr__ = _refuse_delete
-        names = cls.__slots__
-        get = attrgetter(*names)
-        # attrgetter of one name returns the bare value, of several a tuple
-        cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        if not hasattr(cls, "_fields"):  # a value class: its slots are the fields
+            names = cls._fields = cls.__slots__
+            get = attrgetter(*names)
+            # attrgetter of one name returns the bare value, of several a tuple
+            cls._values = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        names = cls._fields
         # CPython lets _derived reassign __class__ from the twin to cls because
-        # both are heap types with the same base and the same slots, so their
-        # instances have the same layout
-        twin_cls = type(cls.__name__, (Frozen,), {"__slots__": names}, twin=True)
+        # the twin adds no slots, so their instances have the same layout
+        twin_cls = type(
+            cls.__name__,
+            (cls,),
+            {"__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__},
+            twin=True,
+        )
         args = ", ".join("v%d" % k for k in range(len(names)))
         body = "".join("    obj.%s = v%d\n" % (name, k) for k, name in enumerate(names))
         scope = {"new": object.__new__, "twin": twin_cls}
@@ -83,7 +95,7 @@ class Frozen:
         return "%s(%s)" % (
             self.__class__.__qualname__,
             ", ".join(
-                "%s=%r" % item for item in zip(self.__slots__, self._values(self))
+                "%s=%r" % item for item in zip(self._fields, self._values(self))
             ),
         )
 

@@ -142,15 +142,12 @@ class Letter(Frozen):
             raise InvalidLetter("unknown letter kind %r" % (self.kind,)) from None
         return {"kind": self.kind, "i": self.i, second_key: self.second, "exp": self.exp}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "Letter":
-        return Letter(*_letter_fields(data))
-
 
 def _letter_fields(data: dict) -> tuple:
-    """The (kind, i, second, exp) of a letter's JSON object, after checking
-    its shape: a known ``kind`` and the keys that kind needs.  The field
-    types are checked with the rest by the BraidWord constructor."""
+    """The (kind, i, second, exp) of one letter object of a braid-word
+    document, after checking its shape: a known ``kind`` and the keys that
+    kind needs.  ``BraidWord.from_json_dict`` calls it on every letter; the
+    field types are checked with the rest by the BraidWord constructor."""
     if not isinstance(data, dict) or "kind" not in data:
         raise InvalidLetter("letter JSON needs 'kind'")
     kind = data["kind"]
@@ -301,6 +298,7 @@ class BraidWord(Frozen):
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
+    # free reduction: cancel adjacent inverse pairs until none remain
     stack: list[Letter] = []
     for lt in letters:
         if stack:
@@ -316,12 +314,6 @@ def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
 def _inverse(letters: Sequence[Letter]) -> list[Letter]:
     # the letters of the inverse word: reversed, each exponent negated
     return [Letter._derived(lt.kind, lt.i, lt.second, -lt.exp) for lt in reversed(letters)]
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs until none remain."""
-    require(w, BraidWord)
-    return BraidWord._derived(w.surface, tuple(_reduce_letters(w.letters)))
 
 
 def permutation_image(w: BraidWord) -> tuple[int, ...]:

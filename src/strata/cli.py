@@ -195,8 +195,9 @@ def cmd_cover(args) -> tuple[dict, list[str]]:
     from . import signatures
 
     base = signatures.StratumSignature(0, _parse_int_list(args.base_orders))
-    spec = signatures.DoubleCoverSpec(base, _parse_int_list(args.ramify), args.target_genus)
-    cover, maybe_abelian = signatures.double_cover(spec)
+    cover, maybe_abelian = signatures.double_cover(
+        base, _parse_int_list(args.ramify), args.target_genus
+    )
     return {"stratum": cover.to_json_dict(), "maybe_abelian": maybe_abelian}, []
 
 

@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Sequence
 from ._frozen import Frozen, require
 from .errors import (
     BoundViolation,
-    IndexOutOfRange,
     InvalidSpec,
     NoRemovableEdge,
     NotSimple,
@@ -215,12 +214,6 @@ class EmbeddedGraphReport(Frozen):
             "genus": self.genus,
             "simple": self.simple,
         }
-
-
-def trace_faces(m: CombinatorialMap) -> list[list[int]]:
-    """Face cycles of the map: orbits of sigma∘alpha, each from its least dart."""
-    require(m, CombinatorialMap)
-    return _faces(m.sigma)[0]
 
 
 def _survey(
@@ -503,20 +496,6 @@ def _subdivide_edge(sigma: list[int], e: int) -> None:
     sigma += [d, d]
     sigma[p] = n + 1  # sets sigma[d] when d is alone, so read it only now
     sigma[n + 1], sigma[d] = sigma[d], n
-
-
-def subdivide_edge(m: CombinatorialMap, e: int) -> CombinatorialMap:
-    """Place a new degree-2 vertex in the middle of edge e.
-
-    Vertex and edge counts grow by one; faces and genus are untouched.
-    """
-    require(m, CombinatorialMap)
-    # type() rather than isinstance: a bool is an int, and a float can equal one
-    if type(e) is not int or not 0 <= e < m.n_edges:
-        raise IndexOutOfRange("edge index %r out of range" % (e,))
-    sigma = list(m.sigma)
-    _subdivide_edge(sigma, e)
-    return CombinatorialMap._derived(tuple(sigma))
 
 
 def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMap:

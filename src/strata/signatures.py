@@ -92,36 +92,6 @@ class ConnectivityReport(Frozen):
         return cls._derived(component_count, is_empty, reason)
 
 
-class DoubleCoverSpec(Frozen):
-    """Branched double cover data: a genus-0 base and the ramified indices,
-    each named once."""
-
-    __slots__ = ("base", "ramified_indices", "target_genus")
-    _error = InvalidSpec
-    base: StratumSignature
-    ramified_indices: frozenset[int]
-    target_genus: int
-
-    def __new__(cls, base: StratumSignature, ramified_indices, target_genus: int):
-        require(base, StratumSignature)
-        try:
-            listed = list(ramified_indices)
-        except TypeError:  # not iterable
-            listed = None
-        # type() rather than isinstance: a bool is an int
-        if listed is None or any(type(i) is not int for i in listed + [target_genus]):
-            raise InvalidSpec("ramified indices and target genus must be integers")
-        ramified = frozenset(listed)
-        if len(ramified) != len(listed):
-            raise InvalidSpec("ramified indices name an index more than once: %r" % (listed,))
-        return cls._derived(base, ramified, target_genus)
-
-
-def is_empty(s: StratumSignature) -> bool:
-    require(s, StratumSignature)
-    return (s.genus, s.orders) in EMPTY_SIGNATURES
-
-
 def dimension(s: StratumSignature) -> int:
     """Complex dimension 2g - 2 + n of a non-empty stratum."""
     require(s, StratumSignature)
@@ -166,8 +136,11 @@ def classify_connectivity(s: StratumSignature) -> ConnectivityReport:
     return ConnectivityReport(1, False, REASON_DEFAULT)
 
 
-def double_cover(spec: DoubleCoverSpec) -> tuple[StratumSignature, bool]:
-    """Orders of the double cover branched over the chosen points.
+def double_cover(
+    base: StratumSignature, ramified_indices, target_genus: int
+) -> tuple[StratumSignature, bool]:
+    """Orders of the double cover of a genus-0 base branched over the points
+    at ``ramified_indices``, each named once.
 
     A ramified point of order k lifts to a single point of order 2k + 2
     (dropped when that is 0, i.e. a ramified simple pole smooths out); an
@@ -176,11 +149,20 @@ def double_cover(spec: DoubleCoverSpec) -> tuple[StratumSignature, bool]:
     be the square of an abelian differential rather than a genuine
     half-translation structure.
     """
-    require(spec, DoubleCoverSpec)
-    base, g = spec.base, spec.target_genus
+    require(base, StratumSignature)
+    g = target_genus
+    try:
+        listed = list(ramified_indices)
+    except TypeError:  # not iterable
+        listed = None
+    # type() rather than isinstance: a bool is an int
+    if listed is None or any(type(i) is not int for i in listed + [g]):
+        raise InvalidSpec("ramified indices and target genus must be integers")
+    idx = frozenset(listed)
+    if len(idx) != len(listed):
+        raise InvalidSpec("ramified indices name an index more than once: %r" % (listed,))
     if base.genus != 0:
         raise InvalidSpec("double cover base must have genus 0, got %d" % base.genus)
-    idx = spec.ramified_indices
     if any(i < 0 or i >= base.n for i in idx):
         raise InvalidSpec("ramified index out of range")
     if len(idx) != 2 * g + 2:

@@ -154,7 +154,22 @@ def factor_by_permutation_oracle(z: st.BraidWord) -> tuple[st.BraidWord, st.Brai
         for other in cycle[1:]:
             letters.append(st.sigma(min(cycle[0], other), max(cycle[0], other)))
     y = st.BraidWord(z.surface, tuple(letters))
-    return y, st.free_reduce(st.BraidWord(z.surface, inverse_word(y).letters + z.letters))
+    return y, free_reduce_oracle(st.BraidWord(z.surface, inverse_word(y).letters + z.letters))
+
+
+def free_reduce_oracle(w: st.BraidWord) -> st.BraidWord:
+    """Free reduction of w: delete the first adjacent pair of mutually
+    inverse letters, step back one place, and repeat until no pair is left."""
+    letters = list(w.letters)
+    k = 0
+    while k + 1 < len(letters):
+        a, b = letters[k], letters[k + 1]
+        if (a.kind, a.i, a.second, a.exp) == (b.kind, b.i, b.second, -b.exp):
+            del letters[k:k + 2]
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    return st.BraidWord(w.surface, tuple(letters))
 
 
 def minimal_d_oracle(weights: tuple[int, ...], l: int) -> tuple[int, tuple[int, ...]]:
@@ -193,9 +208,10 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def subdivide_edge_oracle(m: st.CombinatorialMap, e: int) -> st.CombinatorialMap:
-    """Oracle for ``subdivide_edge``: rebuild every vertex cycle of the map,
-    with dart 2e+1 moved to a new vertex beside the new dart 2E and its old
-    slot taken by the new dart 2E+1, and validate a fresh map from them."""
+    """Oracle for the subdivide move ``graphs._subdivide_edge``: rebuild
+    every vertex cycle of the map, with dart 2e+1 moved to a new vertex
+    beside the new dart 2E and its old slot taken by the new dart 2E+1, and
+    validate a fresh map from them."""
     E = m.n_edges
     cycles = [[2 * E + 1 if d == 2 * e + 1 else d for d in cyc] for cyc in m.vertices()]
     cycles.append([2 * e + 1, 2 * E])
@@ -524,7 +540,7 @@ def factorize_oracle(z: st.BraidWord) -> list[tuple]:
         rhos = [lt for lt in moving if lt.kind == "rho"]
         kappas = [lt for lt in moving if lt.kind == "kappa"]
         ordered = st.BraidWord(surf, sorted(rhos, key=lambda lt: lt.second) + kappas)
-        h = st.free_reduce(st.BraidWord(surf, tuple(moving) + inverse_word(ordered).letters))
+        h = free_reduce_oracle(st.BraidWord(surf, tuple(moving) + inverse_word(ordered).letters))
         if h.letters:
             out.append(("i_commutator", c, h.letters))
         d, coeffs = st.minimal_d(weights[:c], c - 1)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -52,14 +53,13 @@ def _parsed(surf, letters):
 
 
 class _Marked(st.Letter):
-    """A Letter subclass; _derived cannot build one, so _marked_letter does."""
+    """A Letter subclass that declares no __slots__, so it has a __dict__."""
 
 
-def _marked_letter(lt):
-    marked = object.__new__(_Marked)
-    for name in st.Letter.__slots__:
-        object.__setattr__(marked, name, getattr(lt, name))
-    return marked
+class _SlottedMarked(st.Letter):
+    """A Letter subclass that adds no slots."""
+
+    __slots__ = ()
 
 
 class TestSurfaceAndLetters:
@@ -221,11 +221,28 @@ class TestSurfaceAndLetters:
         assert letters[0] is not letters[2]  # each Letter call is still a new object
 
     def test_letter_subclass_is_kept(self):
-        plain, marked = st.rho(1, 1), _marked_letter(st.rho(1, 1))
+        plain, marked = st.rho(1, 1), _Marked("rho", 1, 1)
         assert marked != plain  # equal fields, another class
-        w = word(SURF112, plain, marked, st.rho(1, 1), _marked_letter(plain))
+        w = word(SURF112, plain, marked, st.rho(1, 1), _Marked("rho", 1, 1))
         assert [type(lt) for lt in w.letters] == [st.Letter, _Marked, st.Letter, _Marked]
         assert w.letters[0] is w.letters[2] is plain and w.letters[1] is w.letters[3] is marked
+
+    @pytest.mark.parametrize("cls", [_Marked, _SlottedMarked], ids=["dict", "no-slots"])
+    def test_letter_subclass_is_a_value(self, cls):
+        # the Letter constructor builds the subclass, with or without a __dict__
+        lt = cls("rho", 1, 1)
+        assert type(lt) is cls and cls._derived("rho", 1, 1, 1) == lt
+        assert lt != st.rho(1, 1)
+        assert repr(lt) == cls.__qualname__ + "(kind='rho', i=1, second=1, exp=1)"
+        with pytest.raises(AttributeError, match="cannot assign to field 'exp'"):
+            lt.exp = -1
+        with pytest.raises(AttributeError, match="cannot delete field 'kind'"):
+            del lt.kind
+        with pytest.raises(AttributeError):
+            lt.not_a_field = 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(lt, protocol))
+            assert type(back) is cls and back == lt and hash(back) == hash(lt)
 
     def test_certificate_needs_a_word(self):
         with pytest.raises(InvalidSurface, match=r"^expected a BraidWord, got NoneType$"):
@@ -235,11 +252,11 @@ class TestSurfaceAndLetters:
 class TestFreeReduce:
     def test_adjacent_cancellation(self):
         w = word(SURF112, st.rho(1, 1), st.rho(1, 1, -1))
-        assert st.free_reduce(w).letters == ()
+        assert braids._reduce_letters(w.letters) == []
 
     def test_already_reduced(self):
         w = word(SURF112, st.sigma(1, 2))
-        assert st.free_reduce(w) == w
+        assert braids._reduce_letters(w.letters) == list(w.letters)
 
     def test_nested_cancellation(self):
         w = word(
@@ -249,7 +266,7 @@ class TestFreeReduce:
             st.rho(2, 1, -1),
             st.rho(1, 1, -1),
         )
-        assert st.free_reduce(w).letters == ()
+        assert braids._reduce_letters(w.letters) == []
 
 
 class TestPermutationImage:
@@ -364,7 +381,6 @@ class TestWordEntryPointsRejectANonWord:
             st.abel_jacobi,
             st.permutation_image,
             st.in_kernel,
-            st.free_reduce,
             st.factor_by_permutation,
             st.factorize_kernel_word,
             st.certify_null_rho,
@@ -374,7 +390,6 @@ class TestWordEntryPointsRejectANonWord:
             "abel_jacobi",
             "permutation_image",
             "in_kernel",
-            "free_reduce",
             "factor_by_permutation",
             "factorize_kernel_word",
             "certify_null_rho",
@@ -772,7 +787,7 @@ class TestAgainstOracles:
                 v = random_word(surf, rng, length)
                 derived = [
                     *st.factor_by_permutation(u),
-                    st.free_reduce(st.BraidWord(surf, u.letters + v.letters)),
+                    st.BraidWord._derived(surf, tuple(braids._reduce_letters(u.letters + v.letters))),
                 ]
                 if surf.stratum_mode:
                     z = random_kernel_word(surf, rng, length)
@@ -803,7 +818,7 @@ class TestHomomorphismProperties:
         u = random_word(FLAGSHIP, rng, data.draw(hst.integers(0, 10)))
         u_inv = inverse_word(u)
         assert st.abel_jacobi(u_inv) == tuple(-a for a in st.abel_jacobi(u))
-        assert st.free_reduce(st.BraidWord(FLAGSHIP, u.letters + u_inv.letters)).letters == ()
+        assert braids._reduce_letters(u.letters + u_inv.letters) == []
 
     @given(data=hst.data())
     @settings(max_examples=150, deadline=None)

@@ -148,7 +148,7 @@ class TestHypothesisChain:
     def test_monotone_chain_and_connectivity(self):
         for g in range(2, 7):
             for s in enumerate_signatures(g, max_poles=2):
-                if st.is_empty(s):
+                if st.classify_connectivity(s).is_empty:
                     continue
                 if st.main_theorem_verdict(s)[0]:
                     assert st.null_prop_verdict(s)[0]

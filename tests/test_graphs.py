@@ -20,7 +20,6 @@ from support import (
 )
 from strata.errors import (
     BoundViolation,
-    IndexOutOfRange,
     InvalidSpec,
     NoRemovableEdge,
     NotSimple,
@@ -32,6 +31,13 @@ from strata.errors import (
 TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
 
 
+def _subdivided(m, e):
+    # m with edge e subdivided by the move construct_graph makes, on a list copy
+    sigma = list(m.sigma)
+    graphs._subdivide_edge(sigma, e)
+    return st.CombinatorialMap(sigma)
+
+
 def euler_ok(m):
     r = m.report()
     return r.V - r.E + r.F == 2 - 2 * r.genus
@@ -40,7 +46,7 @@ def euler_ok(m):
 class TestCombinatorialMap:
     def test_triangle_has_two_faces(self):
         m = st.build_map(3, TRIANGLE_EDGES)
-        assert len(st.trace_faces(m)) == 2
+        assert len(graphs._faces(m.sigma)[0]) == 2
         assert m.report() == st.EmbeddedGraphReport(3, 3, 2, 0, True)
 
     def test_path_has_one_face(self):
@@ -298,7 +304,7 @@ class TestRaiseMove:
         for n, orders in table.items():
             m = _kn_map(n, orders)
             E = n * (n - 1) // 2
-            F = len(st.trace_faces(m))
+            F = len(graphs._faces(m.sigma)[0])
             gamma, _ = st.complete_graph_genus_range(n)
             assert n - E + F == 2 - 2 * gamma, n
             assert m.report().simple
@@ -394,13 +400,13 @@ class TestDeleteEdge:
 
 class TestSubdivide:
     def test_path_grows(self):
-        m = st.subdivide_edge(st.build_map(2, [(0, 1)]), 0)
+        m = _subdivided(st.build_map(2, [(0, 1)]), 0)
         r = m.report()
         assert (r.V, r.E, r.F, r.genus) == (3, 2, 1, 0)
 
     def test_genus_two_example(self):
         m = st.embed_complete(5, 2)
-        m = st.subdivide_edge(m, 0)
+        m = _subdivided(m, 0)
         r = m.report()
         assert (r.V, r.E, r.F, r.genus, r.simple) == (6, 11, 3, 2, True)
 
@@ -408,21 +414,17 @@ class TestSubdivide:
         m = st.embed_complete(5, 1)
         base = m.report()
         for k in range(1, 6):
-            m = st.subdivide_edge(m, 0)
+            m = _subdivided(m, 0)
             r = m.report()
             assert (r.V, r.E) == (base.V + k, base.E + k)
             assert (r.F, r.genus) == (base.F, base.genus)
             assert r.simple
 
-    def test_edge_index_checked(self):
-        with pytest.raises(IndexOutOfRange):
-            st.subdivide_edge(st.build_map(2, [(0, 1)]), 1)
-
     def test_matches_oracle_on_every_edge(self):
         for n, g in ((4, 0), (5, 2), (7, 1), (8, 4)):
             m = st.embed_complete(n, g)
             for e in range(m.n_edges):
-                assert st.subdivide_edge(m, e) == subdivide_edge_oracle(m, e)
+                assert _subdivided(m, e) == subdivide_edge_oracle(m, e)
 
 
 def _connected(sigma):
@@ -462,15 +464,16 @@ class TestMovesMatchCycleOracle:
     @example(sigma=(0, 1))  # one edge on a single face
     @settings(max_examples=300, deadline=None)
     def test_every_edge(self, sigma):
-        # both public moves return the cycle-list oracles' sigma, or raise
-        # the same error class with the same message, at every edge index
+        # the public deletion and the subdivide move return the cycle-list
+        # oracles' sigma, or raise the same error class with the same
+        # message, at every edge index
         m = st.CombinatorialMap(sigma)
         for e in range(m.n_edges):
             first = _edge_first(m, e)
             want = _outcome(delete_edge_oracle, first)
             assert _outcome(st.delete_edge_preserving, first) == want, (sigma, e)
             want = _outcome(subdivide_edge_oracle, m, e)
-            assert _outcome(st.subdivide_edge, m, e) == want, (sigma, e)
+            assert _outcome(_subdivided, m, e) == want, (sigma, e)
 
     def test_construct_graph_far_past_the_bound(self):
         # every (g, f) the embedding table reaches, 3, 17 and 200 vertices
@@ -553,7 +556,7 @@ class TestConstructGraph:
         # cycles come in the order of those darts
         for args in ((2, 1, 5), (3, 6, 9), (5, 12, 10)):
             m = st.construct_graph(*args)
-            for cycles in (m.vertices(), st.trace_faces(m)):
+            for cycles in (m.vertices(), graphs._faces(m.sigma)[0]):
                 assert all(cyc[0] == min(cyc) for cyc in cycles)
                 firsts = [cyc[0] for cyc in cycles]
                 assert firsts == sorted(firsts)
@@ -622,7 +625,7 @@ class TestFacePairs:
                         if m.report().genus:
                             continue
                         count += 1
-                        faces = st.trace_faces(m)
+                        faces = graphs._faces(m.sigma)[0]
                         owner = _owner(m.vertices())
                         assigned = st.assign_face_pairs(m)
                         assert set(assigned) == set(range(len(faces)))
@@ -710,7 +713,7 @@ def _check_views_read_edges_lower_first(m):
     assert letters == sorted((u + 1, v + 1) for u, v in pairs)
     if report.genus == 0:
         owner = _owner(m.vertices())
-        faces = st.trace_faces(m)
+        faces = graphs._faces(m.sigma)[0]
         assigned = st.assign_face_pairs(m)
         assert sorted(assigned) == list(range(len(faces)))
         for face, pair in assigned.items():
@@ -815,7 +818,7 @@ class TestDerivedMaps:
         # every edge, on maps with no, one, two and forty subdivision vertices
         for m in itertools.chain(_complete_maps(), _constructed_maps((0, 1, 2, 40))):
             for e in range(m.n_edges):
-                assert _passes_checks(st.subdivide_edge(m, e)), (m, e)
+                assert _passes_checks(_subdivided(m, e)), (m, e)
 
     def test_delete_chains_to_one_face(self):
         for m in _complete_maps():
@@ -872,8 +875,6 @@ class TestStartTable:
         (lambda: st.point_bound(2.0, 1), OutOfRange),
         (lambda: st.a_min(2.5, 1), OutOfRange),
         (lambda: st.a_min(2, 1.5), OutOfRange),
-        (lambda: st.subdivide_edge(st.embed_complete(5, 1), 0.0), IndexOutOfRange),
-        (lambda: st.subdivide_edge(st.embed_complete(5, 1), True), IndexOutOfRange),
         (lambda: st.CombinatorialMap([1.0, 0]), InvalidSpec),
         (lambda: st.CombinatorialMap([True, False]), InvalidSpec),
         (lambda: st.CombinatorialMap(None), InvalidSpec),
@@ -888,8 +889,6 @@ class TestStartTable:
         "point-bound-float",
         "a-min-float",
         "a-min-float-count",
-        "subdivide-float-edge",
-        "subdivide-bool-edge",
         "map-float-darts",
         "map-bool-darts",
         "map-none",
@@ -903,13 +902,11 @@ def test_entry_points_keep_the_integer_contract(call, error):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: st.subdivide_edge("x", 0),
         lambda: st.delete_edge_preserving([1, 0]),
         lambda: st.copeland_generators([1, 0]),
         lambda: st.assign_face_pairs(None),
-        lambda: st.trace_faces("ab"),
     ],
-    ids=["subdivide-str", "delete-list", "copeland-list", "face-pairs-none", "trace-str"],
+    ids=["delete-list", "copeland-list", "face-pairs-none"],
 )
 def test_map_entry_points_reject_a_non_map(call):
     with pytest.raises(InvalidSpec):
@@ -930,7 +927,7 @@ def _frozen_maps():
         gamma, gamma_max = st.complete_graph_genus_range(n)
         for g in range(gamma, gamma_max + 1):
             m = st.embed_complete(n, g)
-            yield st.subdivide_edge(m, 0)
+            yield _subdivided(m, 0)
             yield m
             while m.report().F > 1:
                 m = st.delete_edge_preserving(m)
@@ -963,7 +960,7 @@ def test_graph_views_frozen():
             "report": report.to_json_dict(),
             "edges": [(owner[d], owner[d + 1]) for d in range(0, m.n_darts, 2)],
             "vertex_of": sorted(owner.items()),
-            "faces": st.trace_faces(m),
+            "faces": graphs._faces(m.sigma)[0],
             "copeland": [
                 [lt.to_json_dict() for lt in w.letters] for w in st.copeland_generators(m)
             ],

@@ -23,7 +23,7 @@ EXPORTS = {
     "braids": (
         "BraidWord", "FactorCertificate", "Letter", "MarkedSurface", "abel_jacobi",
         "certify_i_commutator", "certify_null_rho", "concatenate_factors",
-        "factor_by_permutation", "factorize_kernel_word", "free_reduce", "in_kernel", "kappa",
+        "factor_by_permutation", "factorize_kernel_word", "in_kernel", "kappa",
         "permutation_image", "puncture_loop", "rho", "sigma",
     ),
     "criteria": (
@@ -33,11 +33,11 @@ EXPORTS = {
     "graphs": (
         "CombinatorialMap", "EmbeddedGraphReport", "assign_face_pairs", "build_map",
         "complete_graph_genus_range", "construct_graph", "copeland_generators",
-        "delete_edge_preserving", "embed_complete", "subdivide_edge", "trace_faces",
+        "delete_edge_preserving", "embed_complete",
     ),
     "signatures": (
-        "ConnectivityReport", "DoubleCoverSpec", "StratumSignature", "classify_connectivity",
-        "dimension", "double_cover", "is_empty",
+        "ConnectivityReport", "StratumSignature", "classify_connectivity", "dimension",
+        "double_cover",
     ),
 }
 SUBMODULES = ("adjacency", "braids", "criteria", "errors", "graphs", "signatures")
@@ -58,7 +58,7 @@ def _fresh(code):
 
 
 def test_all_lists_the_exports():
-    assert len(NAMES) == 46
+    assert len(NAMES) == 41
     assert set(strata.__all__) == set(NAMES)
     assert len(strata.__all__) == len(NAMES)
 
@@ -99,7 +99,7 @@ def test_dir_lists_every_public_name():
     listed = set(dir(strata))
     assert set(NAMES) <= listed
     assert set(SUBMODULES) <= listed
-    assert len(set(NAMES) | set(SUBMODULES)) == 52
+    assert len(set(NAMES) | set(SUBMODULES)) == 47
     # nothing else public: an import at module level would show up here
     public = {name for name in listed if not name.startswith("_")}
     assert public <= set(strata.__all__) | set(strata._SUBMODULES)
@@ -122,7 +122,6 @@ def _value_instances():
     return [
         strata.StratumSignature(2, (4,)),
         strata.ConnectivityReport(1, False, "genus-le-1"),
-        strata.DoubleCoverSpec(strata.StratumSignature(0, (-1,) * 4), (0, 1, 2, 3), 1),
         surf,
         strata.sigma(1, 2),
         word,
@@ -174,10 +173,9 @@ VALUE_METHODS = {
     "BraidWord": ("from_json_dict", "to_json_dict"),
     "CombinatorialMap": ("from_json_dict", "report", "to_json_dict", "vertices"),
     "ConnectivityReport": (),
-    "DoubleCoverSpec": (),
     "EmbeddedGraphReport": ("to_json_dict",),
     "FactorCertificate": ("to_json_dict", "verify"),
-    "Letter": ("from_json_dict", "to_json_dict"),
+    "Letter": ("to_json_dict",),
     "MarkedSurface": ("from_json_dict", "to_json_dict"),
     "StratumSignature": ("to_json_dict",),
 }

@@ -73,7 +73,7 @@ class TestDimension:
     def test_positive_on_positive_genus(self):
         for g in (1, 2, 3):
             for s in enumerate_signatures(g, max_poles=3):
-                if not st.is_empty(s):
+                if not st.classify_connectivity(s).is_empty:
                     assert st.dimension(s) >= 1
 
 
@@ -82,13 +82,13 @@ class TestEmptiness:
         "g,orders", [(1, ()), (1, (-1, 1)), (2, (3, 1)), (2, (4,))]
     )
     def test_the_four_exceptions(self, g, orders):
-        assert st.is_empty(sig(g, orders))
+        assert st.classify_connectivity(sig(g, orders)).is_empty
 
     @pytest.mark.parametrize(
         "g,orders", [(2, (1, 1, 1, 1)), (2, (2, 2)), (1, (1, -1, 1, -1)), (3, (8,))]
     )
     def test_non_exceptions(self, g, orders):
-        assert not st.is_empty(sig(g, orders))
+        assert not st.classify_connectivity(sig(g, orders)).is_empty
 
 
 class TestConnectivity:
@@ -125,7 +125,7 @@ class TestConnectivity:
     def test_low_genus_never_two_components(self):
         for g in (0, 1):
             for s in enumerate_signatures(g, max_poles=4):
-                if st.is_empty(s):
+                if st.classify_connectivity(s).is_empty:
                     continue
                 assert st.classify_connectivity(s).component_count == 1
 
@@ -155,8 +155,7 @@ class TestConnectivity:
                     if base.n > r + 2:
                         continue
                     for idx in itertools.combinations(range(base.n), r):
-                        spec = st.DoubleCoverSpec(base, frozenset(idx), g)
-                        cover, maybe_abelian = st.double_cover(spec)
+                        cover, maybe_abelian = st.double_cover(base, idx, g)
                         if not maybe_abelian and st.dimension(cover) == st.dimension(base):
                             lifts.add(cover)
             assert sig(g, (2 * g - 1, 2 * g - 1, -1, -1)) in lifts
@@ -220,43 +219,59 @@ class TestFamilyRules:
 class TestDoubleCover:
     def test_pole_heavy_base(self):
         base = sig(0, (2, -1, -1, -1, -1, -1, -1))
-        cover, flag = st.double_cover(st.DoubleCoverSpec(base, frozenset(range(6)), 2))
+        cover, flag = st.double_cover(base, frozenset(range(6)), 2)
         assert cover == sig(2, (6, -1, -1))
         assert flag is False
 
     def test_all_poles_ramified(self):
         base = sig(0, (-1, -1, -1, -1))
-        cover, flag = st.double_cover(st.DoubleCoverSpec(base, frozenset(range(4)), 1))
+        cover, flag = st.double_cover(base, frozenset(range(4)), 1)
         assert cover == sig(1, ())
         assert flag is True
 
     def test_two_simple_zeros(self):
         base = sig(0, (1, 1, -1, -1, -1, -1, -1, -1))
-        cover, flag = st.double_cover(st.DoubleCoverSpec(base, frozenset(range(8)), 3))
+        cover, flag = st.double_cover(base, frozenset(range(8)), 3)
         assert cover == sig(3, (4, 4))
         assert flag is True
 
     def test_wrong_ramification_count(self):
         base = sig(0, (-1, -1, -1, -1))
         with pytest.raises(InvalidSpec):
-            st.double_cover(st.DoubleCoverSpec(base, frozenset({0, 1}), 1))
+            st.double_cover(base, frozenset({0, 1}), 1)
 
     def test_base_must_be_genus_zero(self):
         base = sig(2, (4,))
         with pytest.raises(InvalidSpec):
-            st.double_cover(st.DoubleCoverSpec(base, frozenset(range(1)), 0))
+            st.double_cover(base, frozenset(range(1)), 0)
 
     def test_index_out_of_range(self):
         base = sig(0, (-1, -1, -1, -1))
         with pytest.raises(InvalidSpec):
-            st.double_cover(st.DoubleCoverSpec(base, frozenset({0, 1, 2, 9}), 1))
+            st.double_cover(base, frozenset({0, 1, 2, 9}), 1)
 
     def test_repeated_index_rejected(self):
         # seven indices, six of them distinct: as a set they would pass for
         # the six that genus 2 needs
         base = sig(0, (2, -1, -1, -1, -1, -1, -1))
         with pytest.raises(InvalidSpec, match=r"more than once: \[0, 0, 1, 2, 3, 4, 5\]$"):
-            st.DoubleCoverSpec(base, [0, 0, 1, 2, 3, 4, 5], 2)
+            st.double_cover(base, [0, 0, 1, 2, 3, 4, 5], 2)
+
+    @pytest.mark.parametrize(
+        "base, indices, genus, message",
+        [
+            # integer types are checked before the base's genus
+            ((2, (1, 1, 1, 1)), (0, "1", 2, 3), 1, r"^ramified indices and target genus must be"),
+            # a repeated index before the count of indices
+            ((0, (-1,) * 4), (0, 0, 1), 1, r"^ramified indices name an index more than once: "),
+            # an index out of range before the count of indices
+            ((0, (-1,) * 4), (0, 1, 9), 1, r"^ramified index out of range$"),
+        ],
+        ids=["type-before-genus", "repeat-before-count", "range-before-count"],
+    )
+    def test_first_fault_in_check_order_is_reported(self, base, indices, genus, message):
+        with pytest.raises(InvalidSpec, match=message):
+            st.double_cover(sig(*base), indices, genus)
 
     @given(data=hst.data())
     @settings(max_examples=200, deadline=None)
@@ -268,7 +283,7 @@ class TestDoubleCover:
         idx = data.draw(
             hst.sets(hst.sampled_from(range(base.n)), min_size=2 * g + 2, max_size=2 * g + 2)
         )
-        cover, flag = st.double_cover(st.DoubleCoverSpec(base, frozenset(idx), g))
+        cover, flag = st.double_cover(base, frozenset(idx), g)
         assert cover.genus == g
         assert sum(cover.orders) == 4 * g - 4
         assert flag == all(k % 2 == 0 for k in cover.orders)
@@ -276,30 +291,25 @@ class TestDoubleCover:
 
 class TestWrongKindRejected:
     @pytest.mark.parametrize("s", ["x", None, 3, (2, (4,))], ids=["str", "None", "int", "tuple"])
-    @pytest.mark.parametrize("call", [st.classify_connectivity, st.dimension, st.is_empty])
+    @pytest.mark.parametrize("call", [st.classify_connectivity, st.dimension])
     def test_signature_entry_points(self, call, s):
         with pytest.raises(InvalidSignature):
             call(s)
 
     def test_cover_base(self):
         with pytest.raises(InvalidSignature):
-            st.DoubleCoverSpec("x", (0,), 1)
-
-    @pytest.mark.parametrize("spec", ["x", None, sig(0, (-1, -1, -1, -1))])
-    def test_double_cover_needs_a_spec(self, spec):
-        with pytest.raises(InvalidSpec):
-            st.double_cover(spec)
+            st.double_cover("x", (0,), 1)
 
     def test_cover_indices_must_be_iterable(self):
         with pytest.raises(InvalidSpec, match=r"^ramified indices and target genus must be integ"):
-            st.DoubleCoverSpec(sig(0, (-1, -1, -1, -1)), None, 1)
+            st.double_cover(sig(0, (-1, -1, -1, -1)), None, 1)
 
     @pytest.mark.parametrize(
         "indices, genus", [((0, 1, 2, 3), "x"), (("a", "b"), 0)], ids=["str-genus", "str-index"]
     )
     def test_cover_fields_must_be_integers(self, indices, genus):
         with pytest.raises(InvalidSpec, match=r"^ramified indices and target genus must be integ"):
-            st.double_cover(st.DoubleCoverSpec(sig(0, (-1, -1, -1, -1)), indices, genus))
+            st.double_cover(sig(0, (-1, -1, -1, -1)), indices, genus)
 
 
 class TestJson:

@@ -16,8 +16,6 @@ from strata._frozen import Frozen
 
 SURF = st.MarkedSurface(2, (1, 1, 1, 1), 0, True)
 WORD = st.BraidWord(SURF, (st.sigma(1, 2), st.rho(1, 1)))
-BASE = st.StratumSignature(0, (2, -1, -1, -1, -1, -1, -1))
-BASE_REPR = "StratumSignature(genus=0, orders=(2, -1, -1, -1, -1, -1, -1))"
 WORD_REPR = (
     "BraidWord(surface=MarkedSurface(genus=2, weights=(1, 1, 1, 1), punctures=0, "
     "stratum_mode=True), letters=(Letter(kind='sigma', i=1, second=2, exp=1), "
@@ -37,13 +35,6 @@ CASES = {
         lambda: st.ConnectivityReport(2, False, "c1-theorem"),
         "ConnectivityReport(component_count=1, is_empty=False, reason='c1-theorem')",
         {"component_count": 1, "is_empty": False, "reason": "c1-theorem"},
-    ),
-    "DoubleCoverSpec": (
-        lambda: st.DoubleCoverSpec(BASE, [5, 4, 3, 2, 1, 0], 2),
-        lambda: st.DoubleCoverSpec(BASE, [0, 1, 2, 3, 4, 6], 2),
-        "DoubleCoverSpec(base=%s, ramified_indices=frozenset({0, 1, 2, 3, 4, 5}), "
-        "target_genus=2)" % BASE_REPR,
-        {"base": BASE, "ramified_indices": frozenset(range(6)), "target_genus": 2},
     ),
     "MarkedSurface": (
         lambda: st.MarkedSurface(2, [1, 1, 1, 1]),
@@ -97,7 +88,7 @@ def assert_frozen_value(value, cls):
 
 def test_every_exported_class_is_covered():
     assert {name for name in st.__all__ if isinstance(getattr(st, name), type)} == set(CASES)
-    assert len(CASES) == 9
+    assert len(CASES) == 8
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -199,9 +190,6 @@ class TestConstruction:
         assert st.ConnectivityReport(
             reason="x", is_empty=True, component_count=0
         ) == st.ConnectivityReport(0, True, "x")
-        assert st.DoubleCoverSpec(
-            base=BASE, ramified_indices={0, 1, 2, 3}, target_genus=1
-        ) == st.DoubleCoverSpec(BASE, frozenset(range(4)), 1)
         surf = st.MarkedSurface(genus=2, weights=(4,), stratum_mode=True, punctures=1)
         assert surf == st.MarkedSurface(2, (4,), 1, True)
         assert st.Letter(kind="sigma", i=1, second=2, exp=-1) == st.sigma(1, 2, -1)
@@ -216,8 +204,6 @@ class TestConstruction:
 
     def test_normalisation(self):
         assert st.StratumSignature(2, [-1, 6, -1]).orders == (6, -1, -1)
-        spec = st.DoubleCoverSpec(BASE, [0, 1, 2, 3, 4, 5], 2)
-        assert type(spec.ramified_indices) is frozenset
         assert type(st.MarkedSurface(2, [4]).weights) is tuple
         assert type(st.BraidWord(SURF, [st.rho(1, 1)]).letters) is tuple
         assert type(st.CombinatorialMap([0, 1]).sigma) is tuple
