@@ -33,6 +33,7 @@ generated argv alike.
 """
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -58,14 +59,25 @@ def _signature(args):
     return signatures.StratumSignature(args.genus, _parse_int_list(args.orders))
 
 
+# a --word or --map file above this many bytes is refused before it is
+# decoded.  A 10**6-letter word is about 45 MB and the map of a 10**6-vertex
+# graph 16.9 MB; read whole, a 70 MB word ends in a MemoryError, not an
+# envelope, under a 600 MB address-space limit
+_MAX_INPUT_BYTES = 2**26
+
+
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as err:  # malformed JSON or text that is not UTF-8
-            raise InvalidJson("%s: %s" % (path, err))
-        except RecursionError:  # nesting deeper than the decoder's recursion limit
-            raise InvalidJson("%s: JSON nested too deeply" % path)
+    with open(path, "rb") as fh:
+        raw = fh.read(_MAX_INPUT_BYTES + 1)
+    if len(raw) > _MAX_INPUT_BYTES:
+        raise OutOfRange("%s: input file above the cap of %d bytes" % (path, _MAX_INPUT_BYTES))
+    try:
+        # decoded as a text-mode read of the whole file: UTF-8, universal newlines
+        return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except ValueError as err:  # malformed JSON or text that is not UTF-8
+        raise InvalidJson("%s: %s" % (path, err))
+    except RecursionError:  # nesting deeper than the decoder's recursion limit
+        raise InvalidJson("%s: JSON nested too deeply" % path)
 
 
 def cmd_info(args) -> tuple[dict, list[str]]:

@@ -20,7 +20,8 @@ final sigma.
 Every map is a connected rotation on a positive even number of darts.  The
 public ``CombinatorialMap`` constructor, ``from_json_dict`` and
 ``build_map`` check this, and maps this module derives from valid rotations
-by its own raise, delete and subdivide moves keep it by construction.
+by its own raise, delete and subdivide moves keep it by construction.  The
+JSON reader, ``build_map`` and the table read vertex cycles by one walk.
 
 Complete-graph embeddings take one deterministic path: a minimum-genus
 rotation of K_n from a table (Ringel, Map Color Theorem, 1974), then one
@@ -94,11 +95,21 @@ def _edges(owner: list[int]) -> list[tuple[int, int]]:
     return [(u, v) if u < v else (v, u) for u, v in zip(owner[::2], owner[1::2])]
 
 
-def _sigma_of(cycles: list[list[int]], n_darts: int) -> list[int]:
-    # vertex rotation from its cycles, each listing the darts at one vertex
-    sigma = [0] * n_darts
+def _sigma_of(cycles: Sequence[Sequence[int]], n_darts: int) -> list[int]:
+    # the vertex rotation spelled by its cycles of integer darts, one per
+    # vertex; refuses, in this order, an empty cycle (an isolated vertex), a
+    # dart total other than n_darts, and a dart out of range or listed twice
+    for k, cyc in enumerate(cycles):
+        if not cyc:
+            raise InvalidSpec("isolated vertex: rotation cycle %d is empty" % k)
+    total = sum(map(len, cycles))
+    if total != n_darts:
+        raise InvalidSpec("rotation cycles hold %d darts, expected %d" % (total, n_darts))
+    sigma = [-1] * n_darts
     for cyc in cycles:
         for d, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+            if not 0 <= d < n_darts or sigma[d] != -1:
+                raise InvalidSpec("bad dart %r in rotation cycles" % (d,))
             sigma[d] = nxt
     return sigma
 
@@ -181,18 +192,7 @@ class CombinatorialMap(Frozen):
             for cyc in cycles
         ):
             raise InvalidSpec("map 'sigma' must be a list of integer lists")
-        if [] in cycles:
-            raise InvalidSpec("isolated vertex: rotation cycle %d is empty" % cycles.index([]))
-        total = sum(map(len, cycles))
-        if total != n:
-            raise InvalidSpec("rotation cycles hold %d darts, expected %d" % (total, n))
-        sigma = [-1] * n
-        for cyc in cycles:
-            for pos, d in enumerate(cyc):
-                if not 0 <= d < n or sigma[d] != -1:
-                    raise InvalidSpec("bad dart %r in rotation cycles" % (d,))
-                sigma[d] = cyc[(pos + 1) % len(cyc)]
-        return CombinatorialMap(tuple(sigma))
+        return CombinatorialMap(tuple(_sigma_of(cycles, n)))
 
 
 class EmbeddedGraphReport(Frozen):
@@ -271,8 +271,6 @@ def build_map(
         if listed != darts_at or any(type(d) is not int for r in rotations for d in r):
             raise InvalidSpec("rotations must list exactly the darts at each vertex")
         darts_at = rotations
-    if not all(darts_at):
-        raise InvalidSpec("isolated vertex in map construction")
     return CombinatorialMap(tuple(_sigma_of(darts_at, 2 * len(edges))))
 
 

@@ -41,9 +41,10 @@ class StratumSignature(Frozen):
     """Genus plus the multiset of orders, stored descending.
 
     Every signature's orders are -1 or positive and sum to 4g - 4: the public
-    constructor checks this, and the signatures ``adjacency`` derives with
-    ``_derived`` keep it by construction: each comes from a valid signature
-    by one legal split of one zero, with its orders sorted again.
+    constructor checks this, and the signatures derived with ``_derived``
+    keep it by construction: each of ``adjacency``'s comes from a valid
+    signature by one legal split of one zero, with its orders sorted again,
+    and ``double_cover`` lifts a valid genus-0 base to a genus g >= 0.
     """
 
     __slots__ = ("genus", "orders")
@@ -165,6 +166,8 @@ def double_cover(
         raise InvalidSpec("double cover base must have genus 0, got %d" % base.genus)
     if any(i < 0 or i >= base.n for i in idx):
         raise InvalidSpec("ramified index out of range")
+    if g < 0:
+        raise InvalidSpec("target genus must be non-negative, got %d" % g)
     if len(idx) != 2 * g + 2:
         raise InvalidSpec(
             "need exactly %d ramified indices for target genus %d, got %d"
@@ -178,6 +181,10 @@ def double_cover(
                 orders.append(lifted)
         else:
             orders.extend((k, k))
-    cover = StratumSignature(g, tuple(orders))
+    # valid by construction, so not checked again: g >= 0, every order is -1
+    # or positive (a ramified k > 0 lifts to 2k + 2 > 0, a ramified pole is
+    # dropped, an unramified point is copied), and the orders sum to twice
+    # the base's -4 plus 2 per ramified point: 2 * (-4) + 2(2g + 2) = 4g - 4
+    cover = StratumSignature._derived(g, tuple(sorted(orders, reverse=True)))
     maybe_abelian = all(k % 2 == 0 for k in cover.orders)
     return cover, maybe_abelian

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import random
 from typing import Iterator
 
@@ -67,6 +68,61 @@ def two_component_reason_oracle(s: st.StratumSignature) -> str | None:
         if key == tuple(sorted((a, a, b, b), reverse=True)):
             return REASON_FAMILY[2]
     return None
+
+
+def branched_lifts(g: int) -> Iterator[tuple]:
+    """Every double cover of genus g over a genus-0 base that the
+    hyperelliptic construction allows, as (points, poles, ramified, r, lift).
+
+    The base has one to three non-pole points, ``points``, each of order
+    k >= 0 (k = 0 a marked regular point), descending, and sum(k) + 4 simple
+    poles, counted rather than listed.  The cover is branched at the points
+    whose indices ``ramified`` lists, every marked point among them, and at
+    r = 2g + 2 - len(ramified) of the poles.  A ramified point of order k
+    lifts to one of order 2k + 2, a ramified pole to none, an unramified
+    point or pole to two copies of itself; ``lift`` is the descending
+    orders.  The cover branched exactly at the odd-order points is the
+    square of an abelian differential and is left out.  A base with more
+    than 2g + 7 poles is never needed: its unramified poles alone lift to a
+    dimension above its own (see ``hyperelliptic_oracle``)."""
+    for m in (1, 2, 3):
+        for points in itertools.combinations_with_replacement(range(2 * g + 4), m):
+            points = points[::-1]
+            poles = sum(points) + 4
+            if poles > 2 * g + 7:
+                continue
+            for size in range(m + 1):
+                for ramified in itertools.combinations(range(m), size):
+                    r = 2 * g + 2 - size
+                    if not 0 <= r <= poles:
+                        continue
+                    if any(k == 0 and i not in ramified for i, k in enumerate(points)):
+                        continue
+                    odd = tuple(i for i, k in enumerate(points) if k % 2)
+                    if r == poles and ramified == odd:
+                        continue
+                    lift = [2 * k + 2 if i in ramified else k for i, k in enumerate(points)]
+                    lift += [k for i, k in enumerate(points) if i not in ramified]
+                    lift += [-1] * (2 * (poles - r))
+                    yield points, poles, ramified, r, tuple(sorted(lift, reverse=True))
+
+
+def hyperelliptic_oracle(g: int) -> set[tuple[int, ...]]:
+    """The orders of the genus-g strata with a hyperelliptic component,
+    derived from the double-cover lift and the dimension formula alone,
+    without the family rules (Lanneau, Comment. Math. Helv. 79, 2004).
+
+    A lift from ``branched_lifts`` whose stratum has the dimension of its
+    base, 2g - 2 + len(lift) = n - 2 with n the base's points and poles,
+    fills a component of that stratum, and that component is hyperelliptic.
+    The bound on the poles: the lift holds at least 2(poles - r) poles, so
+    with m <= 3 non-pole points and r <= 2g + 2, equal dimensions need
+    poles <= m + 2r - 2g <= 2g + 7."""
+    return {
+        lift
+        for points, poles, _, _, lift in branched_lifts(g)
+        if 2 * g - 2 + len(lift) == len(points) + poles - 2
+    }
 
 
 def random_letter(

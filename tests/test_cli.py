@@ -234,6 +234,23 @@ class TestCover:
         assert code == 1 and doc["status"] == "error"
         assert doc["payload"]["code"] == "invalid-spec"
 
+    @pytest.mark.parametrize("ramify", ["", "0,1,2,3"])
+    def test_negative_target_genus(self, capsys, ramify):
+        # the genus the user gave is named, not a signature they never gave
+        code, doc = run(
+            capsys,
+            "cover",
+            "--base-orders=-1,-1,-1,-1",
+            "--ramify",
+            ramify,
+            "--target-genus",
+            "-1",
+        )
+        assert code == 1 and doc["payload"] == {
+            "code": "invalid-spec",
+            "message": "target genus must be non-negative, got -1",
+        }
+
     def test_all_poles_ramified(self, capsys):
         code, doc = run(
             capsys,
@@ -303,6 +320,48 @@ class TestGraphPipeline:
         doc = json.loads(lines[0])
         assert doc["status"] == "error" and doc["payload"]["code"] == "out-of-range"
         assert "99999999" in doc["payload"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, flag", [("aj", "--word"), ("factorize", "--word"), ("copeland", "--map")]
+    )
+    def test_input_file_cap(self, capsys, tmp_path, command, flag):
+        # a file of exactly the cap is decoded, and one byte more is refused
+        # unread, naming the file and the cap
+        path = tmp_path / "input.json"
+        path.write_bytes(b" " * cli._MAX_INPUT_BYTES)
+        code, doc = run(capsys, command, flag, str(path))
+        assert code == 1 and doc["payload"]["code"] == "invalid-json"
+        with path.open("ab") as fh:
+            fh.write(b" ")
+        code, doc = run(capsys, command, flag, str(path))
+        assert code == 1 and doc["payload"]["code"] == "out-of-range"
+        assert str(path) in doc["payload"]["message"]
+        assert str(cli._MAX_INPUT_BYTES) in doc["payload"]["message"]
+
+    def test_input_cap_keeps_the_envelope(self, tmp_path):
+        # a valid word padded past the cap is refused before it is decoded,
+        # so the child's limited address space is never reached: one envelope
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        word = {"surface": GENUS_TWO, "letters": [{"kind": "rho", "i": 1, "r": 1}]}
+        text = json.dumps(word).encode()
+        path = tmp_path / "word.json"
+        path.write_bytes(text + b" " * (cli._MAX_INPUT_BYTES + 1 - len(text)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "strata.cli", "aj", "--word", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            preexec_fn=limit,
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["status"] == "error" and doc["payload"]["code"] == "out-of-range"
 
     def test_graph_to_copeland_to_aj(self, capsys, tmp_path):
         code, doc = run(
@@ -419,7 +478,8 @@ class TestInputTypes:
         assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
 
     def test_map_empty_cycle(self, capsys, tmp_path):
-        # an empty vertex cycle is an isolated vertex, refused as build_map refuses one
+        # an empty vertex cycle is an isolated vertex, refused by the reader
+        # that build_map's cycles go through too
         data = {"darts": 4, "sigma": [[0, 2], [1], [3], []], "alpha_convention": "pairs"}
         assert _file_code(capsys, tmp_path, "copeland", "--map", data) == "invalid-spec"
 

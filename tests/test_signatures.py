@@ -8,7 +8,13 @@ from hypothesis import strategies as hst
 import strata as st
 from strata.errors import EmptyStratum, InvalidSignature, InvalidSpec
 from strata import signatures
-from support import enumerate_signatures, positive_partitions, two_component_reason_oracle
+from support import (
+    branched_lifts,
+    enumerate_signatures,
+    hyperelliptic_oracle,
+    positive_partitions,
+    two_component_reason_oracle,
+)
 
 
 def sig(g, orders):
@@ -216,6 +222,40 @@ class TestFamilyRules:
             assert (report.component_count, report.reason) == expected, orders
 
 
+class TestHyperellipticOracle:
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_oracle_finds_the_two_component_strata(self, g):
+        # the strata with a hyperelliptic component, derived from the lift and
+        # the dimension formula alone, are the ones given two or more
+        # components; no lift has more than four poles.  At genus 2 the
+        # oracle also finds three strata that are wholly hyperelliptic, so one
+        # component.  Lanneau's exceptional strata of genus 3 and 4, not yet
+        # given two components, must leave the right-hand side once they are
+        found = hyperelliptic_oracle(g)
+        assert all(sum(orders) == 4 * g - 4 for orders in found)
+        two = {
+            s.orders
+            for s in enumerate_signatures(g, max_poles=4)
+            if st.classify_connectivity(s).component_count >= 2
+        }
+        extra = {(1, 1, 1, 1), (2, 1, 1), (2, 2)} if g == 2 else set()
+        assert found == two | extra
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_double_cover_lifts_as_the_oracle(self, g):
+        # every base without a marked point, its poles after its zeros
+        checked = 0
+        for points, poles, ramified, r, lift in branched_lifts(g):
+            if 0 in points:
+                continue
+            base = sig(0, points + (-1,) * poles)
+            indices = ramified + tuple(range(len(points), len(points) + r))
+            cover, _ = st.double_cover(base, indices, g)
+            assert cover.orders == lift, (points, poles, ramified)
+            checked += 1
+        assert checked
+
+
 class TestDoubleCover:
     def test_pole_heavy_base(self):
         base = sig(0, (2, -1, -1, -1, -1, -1, -1))
@@ -272,6 +312,13 @@ class TestDoubleCover:
     def test_first_fault_in_check_order_is_reported(self, base, indices, genus, message):
         with pytest.raises(InvalidSpec, match=message):
             st.double_cover(sig(*base), indices, genus)
+
+    @pytest.mark.parametrize("indices", [(), (0, 1, 2, 3)], ids=["no-index", "four-indices"])
+    def test_negative_target_genus(self, indices):
+        # refused as such, before the count of indices; the lift's own
+        # signature is never checked, so no invalid signature is named
+        with pytest.raises(InvalidSpec, match=r"^target genus must be non-negative, got -1$"):
+            st.double_cover(sig(0, (-1,) * 4), indices, -1)
 
     @given(data=hst.data())
     @settings(max_examples=200, deadline=None)
