@@ -29,6 +29,10 @@ them in ``__slots__``.  A subclass of a value class inherits them, with or
 without ``__slots__ = ()``, and gets its own twin and ``_derived``, so the
 value class's constructor builds instances of the subclass.
 
+``Frozen`` itself declares one slot, ``__weakref__``, and no field, so a
+value can be held in a ``weakref.WeakValueDictionary``: ``braids`` shares
+its letters through one.
+
 ``require(value, cls)`` is the boundary check of every public call that takes
 a value: it raises the error class that ``cls._error`` names unless ``value``
 is a ``cls``.
@@ -51,7 +55,7 @@ def _refuse_delete(self, name):
 
 
 class Frozen:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls, twin=False):
         super().__init_subclass__()

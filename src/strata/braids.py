@@ -20,6 +20,7 @@ from collections import deque
 from itertools import chain, groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
+from weakref import WeakValueDictionary
 
 from ._frozen import Frozen, require
 from .errors import (
@@ -43,6 +44,10 @@ I_COMMUTATOR = "i_commutator"
 
 # JSON key used for the second index of each letter kind
 _SECOND_KEY = {RHO: "r", SIGMA: "j", KAPPA: "j", PUNCTURE: "l"}
+
+# the live letters with a str kind and int fields, by (class, kind, i,
+# second, exp): the one object Letter(...) returns for those fields
+_LETTERS: WeakValueDictionary[tuple, Letter] = WeakValueDictionary()
 
 
 class MarkedSurface(Frozen):
@@ -123,7 +128,13 @@ class Letter(Frozen):
     puncture loops.
 
     The public constructor checks nothing: a ``BraidWord`` checks each
-    letter's fields against its surface when it is built.
+    letter's fields against its surface when it is built.  A letter whose
+    ``kind`` is a ``str`` and whose other fields are exact ``int``s is shared
+    process-wide: while one lives, ``Letter(...)`` with the same class and
+    fields returns it (``rho(1, 1) is rho(1, 1)``).  The table that finds it
+    holds letters weakly, so it keeps none alive.  A letter with any other
+    field types, a ``bool`` or a float among them, is a new object on each
+    call and never merges with an int letter.
     """
 
     __slots__ = ("kind", "i", "second", "exp")
@@ -133,6 +144,14 @@ class Letter(Frozen):
     exp: int
 
     def __new__(cls, kind: str, i: int, second: int, exp: int = 1):
+        # type() rather than isinstance: a bool or a float hashes and compares
+        # as the int it equals, and a str subclass may redefine both
+        if type(kind) is str and type(i) is int and type(second) is int and type(exp) is int:
+            key = (cls, kind, i, second, exp)
+            lt = _LETTERS.get(key)
+            if lt is None:
+                lt = _LETTERS[key] = cls._derived(kind, i, second, exp)
+            return lt
         return cls._derived(kind, i, second, exp)
 
     def to_json_dict(self) -> dict:
@@ -176,19 +195,20 @@ def puncture_loop(i: int, l: int, exp: int = 1) -> Letter:
 
 
 def _validate_letters(letters: Iterable[Letter], surf: MarkedSurface) -> tuple[Letter, ...]:
-    """The letters as a tuple in which equal letters are one object; raise
-    InvalidLetter for the first letter, in word order, not valid on surf, and
-    TypeError for an element that is not a Letter.
+    """The letters as a tuple; raise InvalidLetter for the first letter, in
+    word order, not valid on surf, and TypeError for an element that is not a
+    Letter.
 
-    A letter with integer fields and a str kind is looked up by its class and
-    fields in a dict local to the call: a repeat is replaced by the first
-    equal letter, which passed the checks, and is not checked again.
+    Each distinct object is checked once, at its first occurrence: a repeat
+    of an object already checked passed.  Equal letters are one object when
+    ``Letter(...)`` made them, so a word checks each distinct letter once.
     """
+    letters = tuple(letters)
     weights, m = surf.weights, surf.punctures
     n, dirs = len(weights), 2 * surf.genus
-    shared: dict[tuple, Letter] = {}
-    out: list[Letter] = []
-    for lt in letters:
+    # keyed by id, which the tuple keeps valid: each object once, in order
+    # of first occurrence
+    for lt in dict(zip(map(id, letters), letters)).values():
         if not isinstance(lt, Letter):
             raise TypeError("expected a Letter, got %s" % type(lt).__name__)
         kind, i, second, exp = lt.kind, lt.i, lt.second, lt.exp
@@ -199,14 +219,6 @@ def _validate_letters(letters: Iterable[Letter], surf: MarkedSurface) -> tuple[L
             raise InvalidLetter(
                 "%s letter fields 'i', %r and 'exp' must be integers" % (kind, _SECOND_KEY[kind])
             )
-        if type(kind) is str:
-            # stored before its checks: if they fail, the call raises and the
-            # dict goes with it
-            first = shared.setdefault((lt.__class__, kind, i, second, exp), lt)
-            if first is not lt:
-                out.append(first)
-                continue
-        out.append(lt)
         if exp not in (1, -1):
             raise InvalidLetter("letter exponent must be +-1, got %r" % (exp,))
         if not 1 <= i <= n:
@@ -232,7 +244,7 @@ def _validate_letters(letters: Iterable[Letter], surf: MarkedSurface) -> tuple[L
                 raise InvalidLetter("puncture index %d out of range 1..%d" % (second, m))
         else:
             raise InvalidLetter("unknown letter kind %r" % (kind,))
-    return tuple(out)
+    return letters
 
 
 class BraidWord(Frozen):
@@ -243,10 +255,11 @@ class BraidWord(Frozen):
     by construction: each of their letters comes from a valid word on an
     equal surface, is such a letter's inverse, or is valid by how it was made.
 
-    Each element given to the constructor must be a ``Letter``.  Equal
-    letters of one word are one shared object: the constructor keeps the
-    first of each class and fields and checks its types and ranges once.
-    ``Letter(...)`` itself still makes a new object on each call.  Errors
+    Each element given to the constructor must be a ``Letter``.  The
+    constructor keeps the elements as given and checks each distinct object's
+    types and ranges once.  Since ``Letter(...)`` returns one shared object
+    per class and integer fields, a word built from it, or read by
+    ``from_json_dict``, holds one object per distinct letter.  Errors
     come in this order: from ``from_json_dict``, every letter's shape
     (``kind`` and its keys) first; then each letter's field types and ranges
     in word order, so the first invalid letter is the one reported.
@@ -280,21 +293,8 @@ class BraidWord(Frozen):
         if not isinstance(letters, list):
             raise InvalidLetter("braid-word 'letters' must be a list")
         # every letter's shape is checked here, before the constructor checks
-        # any field's type or range; each distinct letter with integer fields
-        # is made once
-        made: dict[tuple, Letter] = {}
-        word: list[Letter] = []
-        for d in letters:
-            fields = _letter_fields(d)
-            _kind, i, second, exp = fields
-            if type(i) is int and type(second) is int and type(exp) is int:
-                lt = made.get(fields)
-                if lt is None:
-                    lt = made[fields] = Letter._derived(*fields)
-            else:  # a bool would hash as an int, a list not at all
-                lt = Letter._derived(*fields)
-            word.append(lt)
-        return BraidWord(surf, word)
+        # any field's type or range
+        return BraidWord(surf, [Letter(*_letter_fields(d)) for d in letters])
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:

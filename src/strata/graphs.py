@@ -264,8 +264,11 @@ def build_map(
         darts_at[v].append(2 * e + 1)
     if rotations is not None:
         try:
+            # the reader measures and slices each rotation, so a set, a dict
+            # or an iterator is refused like a rotation that is not iterable
+            rotations = [r if isinstance(r, (list, tuple)) else None for r in rotations]
             listed = [sorted(r) for r in rotations]
-        except TypeError:  # a rotation that is not a list, or that mixes types
+        except TypeError:  # not a list of lists, or a rotation that mixes types
             listed = None
         # type() rather than isinstance: a bool is an int, and a float can equal one
         if listed != darts_at or any(type(d) is not int for r in rotations for d in r):

@@ -10,7 +10,7 @@ from typing import Iterator
 
 import strata as st
 from strata import cli, graphs
-from strata.errors import NoRemovableEdge
+from strata.errors import InvalidLetter, NoRemovableEdge
 from strata.signatures import _G2_TWO_COMPONENT, REASON_FAMILY, REASON_G2
 
 
@@ -165,6 +165,54 @@ def inverse_word(w: st.BraidWord) -> st.BraidWord:
     return st.BraidWord(
         w.surface, tuple(st.Letter(lt.kind, lt.i, lt.second, -lt.exp) for lt in reversed(w.letters))
     )
+
+
+def validate_letters_oracle(letters, surf: st.MarkedSurface) -> tuple[st.Letter, ...]:
+    """Oracle for the letter checks of the ``BraidWord`` constructor: every
+    element checked in word order, one at a time, whatever its identity.
+    Returns the letters with each repeat of a (class, kind, i, second, exp)
+    with a str kind and int fields replaced by its first occurrence; raises
+    InvalidLetter for the first letter not valid on surf, and TypeError for
+    the first element that is not a Letter."""
+    second_key = {"rho": "r", "sigma": "j", "kappa": "j", "kappa_puncture": "l"}
+    weights, m = surf.weights, surf.punctures
+    n, dirs = len(weights), 2 * surf.genus
+    first: dict[tuple, st.Letter] = {}
+    out = []
+    for lt in letters:
+        if not isinstance(lt, st.Letter):
+            raise TypeError("expected a Letter, got %s" % type(lt).__name__)
+        kind, i, second, exp = lt.kind, lt.i, lt.second, lt.exp
+        if type(i) is not int or type(second) is not int or type(exp) is not int:
+            if kind not in tuple(second_key):  # a tuple: kind may not hash
+                raise InvalidLetter("unknown letter kind %r" % (kind,))
+            raise InvalidLetter(
+                "%s letter fields 'i', %r and 'exp' must be integers" % (kind, second_key[kind])
+            )
+        if type(kind) is str:
+            lt = first.setdefault((lt.__class__, kind, i, second, exp), lt)
+        out.append(lt)
+        if exp not in (1, -1):
+            raise InvalidLetter("letter exponent must be +-1, got %r" % (exp,))
+        if not 1 <= i <= n:
+            raise InvalidLetter("point index %d out of range 1..%d" % (i, n))
+        if kind == "rho":
+            if not 1 <= second <= dirs:
+                raise InvalidLetter("homology direction %d out of range 1..%d" % (second, dirs))
+        elif kind in ("sigma", "kappa"):
+            if not i < second <= n:
+                raise InvalidLetter("%s needs i < j <= n, got (%d, %d)" % (kind, i, second))
+            if kind == "sigma" and weights[i - 1] != weights[second - 1]:
+                raise InvalidLetter(
+                    "sigma exchanges equal weights only: %d vs %d"
+                    % (weights[i - 1], weights[second - 1])
+                )
+        elif kind == "kappa_puncture":
+            if not 1 <= second <= m:
+                raise InvalidLetter("puncture index %d out of range 1..%d" % (second, m))
+        else:
+            raise InvalidLetter("unknown letter kind %r" % (kind,))
+    return tuple(out)
 
 
 def random_kernel_word(surf: st.MarkedSurface, rng, length: int = 8) -> st.BraidWord:

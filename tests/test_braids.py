@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import types
+import weakref
 from collections import Counter, namedtuple
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from support import (
     permutation_image_oracle,
     random_kernel_word,
     random_word,
+    validate_letters_oracle,
 )
 
 SURF112 = st.MarkedSurface(2, (1, 1, 2))
@@ -218,7 +221,7 @@ class TestSurfaceAndLetters:
         w = build(SURF112, letters)
         assert w.letters == tuple(letters)
         assert len({id(lt) for lt in w.letters}) == len(set(letters)) == 3
-        assert letters[0] is not letters[2]  # each Letter call is still a new object
+        assert letters[0] is letters[2]  # each Letter call returns the shared object
 
     def test_letter_subclass_is_kept(self):
         plain, marked = st.rho(1, 1), _Marked("rho", 1, 1)
@@ -244,9 +247,99 @@ class TestSurfaceAndLetters:
             back = pickle.loads(pickle.dumps(lt, protocol))
             assert type(back) is cls and back == lt and hash(back) == hash(lt)
 
+    def test_dropped_letter_leaves_the_table(self):
+        # fields no other test uses, so that only this name holds the letter
+        lt = st.Letter("rho", 97, 89, -1)
+        key, ref = (st.Letter, "rho", 97, 89, -1), weakref.ref(lt)
+        assert braids._LETTERS[key] is lt
+        del lt
+        gc.collect()
+        assert ref() is None and key not in braids._LETTERS
+
+    @pytest.mark.parametrize("field", [True, 1.0], ids=["bool", "float"])
+    def test_letter_with_a_non_int_field_is_not_shared(self, field):
+        for fields in [(field, 1, 1), (1, field, 1), (1, 1, field)]:
+            lt = st.Letter("rho", *fields)
+            assert lt == st.Letter("rho", 1, 1) and lt is not st.Letter("rho", 1, 1)
+            assert lt is not st.Letter("rho", *fields)
+
+    def test_subclass_letter_is_shared_apart(self):
+        marked, plain = _Marked("rho", 1, 1), st.rho(1, 1)
+        assert marked is not plain and marked is _Marked("rho", 1, 1) and plain is st.rho(1, 1)
+        assert _SlottedMarked("rho", 1, 1) is not marked
+
+    @pytest.mark.parametrize("cls", [st.Letter, _Marked], ids=["Letter", "subclass"])
+    def test_pickle_returns_the_shared_letter(self, cls):
+        lt = cls("sigma", 1, 2, -1)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(lt, protocol)) is lt
+
     def test_certificate_needs_a_word(self):
         with pytest.raises(InvalidSurface, match=r"^expected a BraidWord, got NoneType$"):
             st.FactorCertificate(NULL_RHO, None).verify()
+
+
+# The letters of the property below, all made through a public constructor:
+# letters valid on PUNCTURED of every kind and class, letters with
+# out-of-range, bool or float fields or an unknown kind, and elements that
+# are not letters.
+PUNCTURED = st.MarkedSurface(2, (1, 1, 2), 1)
+_CLASSES = hst.sampled_from([st.Letter, st.Letter, _Marked, _SlottedMarked])
+_VALID = hst.builds(
+    lambda cls, fields, exp: cls(*fields, exp),
+    _CLASSES,
+    hst.sampled_from(
+        [("rho", i, r) for i in (1, 2, 3) for r in (1, 2, 3, 4)]
+        + [("sigma", 1, 2), ("kappa", 1, 2), ("kappa", 2, 3), ("kappa_puncture", 3, 1)]
+    ),
+    hst.sampled_from([1, -1]),
+)
+_FIELDS = hst.one_of(hst.integers(-1, 5), hst.sampled_from([True, False, 1.0, 2.0]))
+_FAULTY = hst.builds(
+    lambda cls, kind, i, second, exp: cls(kind, i, second, exp),
+    _CLASSES,
+    hst.sampled_from(["rho", "sigma", "kappa", "kappa_puncture", "tau", []]),
+    _FIELDS,
+    _FIELDS,
+    _FIELDS,
+)
+_NOT_LETTERS = hst.sampled_from(
+    [None, ("rho", 1, 1, 1), types.SimpleNamespace(kind="rho", i=1, second=1, exp=1)]
+)
+
+
+class TestLettersAgainstOracle:
+    @given(data=hst.data())
+    @settings(max_examples=300, deadline=None)
+    def test_word_matches_the_per_letter_loop(self, data):
+        # each element repeats an earlier one, as the same object or rebuilt
+        # through its constructor, or is new: most often a valid letter
+        letters = []
+        for _ in range(data.draw(hst.integers(0, 12))):
+            if letters and data.draw(hst.booleans()):
+                lt = data.draw(hst.sampled_from(letters))
+                if isinstance(lt, st.Letter) and data.draw(hst.booleans()):
+                    lt = type(lt)(lt.kind, lt.i, lt.second, lt.exp)
+            else:
+                pick = data.draw(hst.integers(0, 9))
+                lt = data.draw(_VALID if pick < 8 else _FAULTY if pick == 8 else _NOT_LETTERS)
+            letters.append(lt)
+        try:
+            expected = validate_letters_oracle(letters, PUNCTURED)
+        except InvalidLetter as exc:
+            with pytest.raises(InvalidLetter) as info:
+                st.BraidWord(PUNCTURED, letters)
+            assert str(info.value) == str(exc)
+            return
+        except TypeError:
+            with pytest.raises(InvalidLetter, match="^word letters must be a sequence of Letter"):
+                st.BraidWord(PUNCTURED, letters)
+            return
+        got = st.BraidWord(PUNCTURED, letters).letters
+        assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+        # one object per distinct (class, fields)
+        distinct = {(type(lt), lt.kind, lt.i, lt.second, lt.exp) for lt in got}
+        assert len({id(lt) for lt in got}) == len(distinct)
 
 
 class TestFreeReduce:

@@ -167,6 +167,23 @@ class TestCheckAndBounds:
         assert code == 0
         assert doc["payload"]["b_list"] == [2]
 
+    @pytest.mark.parametrize(
+        "genus, orders, criterion, clause",
+        [
+            (5, "2,2,2" + ",1" * 10, "hy2", "even pair present"),
+            (4, "2,2,2,2,2,2", "gen2", "leading class 6 vs bound 6; cascade holds"),
+        ],
+        ids=["hy2-g+5-simple-zeros", "gen2-leading-class-at-bound"],
+    )
+    def test_criterion_holds_at_its_bound(self, capsys, genus, orders, criterion, clause):
+        # each bound is one the signature must reach, so meeting it exactly
+        # satisfies the criterion
+        code, doc = run(
+            capsys, "check", "--genus", str(genus), "--orders", orders, "--criterion", criterion
+        )
+        assert code == 0
+        assert doc["payload"]["satisfied"] is True and doc["payload"]["clause"] == clause
+
     @pytest.mark.parametrize("genus, orders", [(0, "1,-1,-1,-1,-1,-1"), (1, "1,-1")])
     def test_gen2_below_genus_two(self, capsys, genus, orders):
         # the bounds start at genus 2: a verdict, like the other criteria, not

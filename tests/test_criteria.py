@@ -111,6 +111,14 @@ class TestHy2:
     def test_principal_stratum(self):
         assert not st.hy2_verdict(sig(2, (1, 1, 1, 1)))[0]
 
+    def test_exactly_g_plus_5_simple_zeros(self):
+        # at least g+5 simple zeros: ten are enough at g = 5, not at g = 6
+        assert st.hy2_verdict(sig(5, (2, 2, 2) + (1,) * 10)) == (True, "even pair present")
+        assert st.hy2_verdict(sig(6, (2,) * 5 + (1,) * 10)) == (
+            False,
+            "need at least g+5 simple zeros, have 10",
+        )
+
     def test_odd_simple_zero_count(self):
         # 2n must be even: nine simple zeros cannot satisfy the shape
         assert not st.hy2_verdict(sig(4, (1,) * 9 + (2, 2) + (-1,)))[0]

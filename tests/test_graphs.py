@@ -106,6 +106,12 @@ class TestCombinatorialMap:
         with pytest.raises(InvalidSpec):
             st.build_map(3, [(0, 1), (1, 2)], rotations=rotations)
 
+    @pytest.mark.parametrize("make", [set, dict.fromkeys, iter], ids=["set", "dict", "iterator"])
+    def test_rotation_must_be_a_list_or_tuple(self, make):
+        # each rotation holds the right dart, but the reader measures and slices it
+        with pytest.raises(InvalidSpec, match="^rotations must list exactly the darts at each vertex$"):
+            st.build_map(2, [(0, 1)], rotations=[make([0]), make([1])])
+
     def test_disconnected_rejected(self):
         with pytest.raises(InvalidSpec):
             st.CombinatorialMap((1, 0, 3, 2))

@@ -140,6 +140,9 @@ GARBLED = hst.one_of(
     hst.builds(list),
     hst.builds(lambda: [[]]),
     hst.builds(dict),
+    # nested values that are not lists: a list of sets, a list of iterators
+    hst.lists(hst.sets(hst.integers(0, 3), max_size=2), max_size=3),
+    hst.lists(hst.lists(hst.integers(0, 3), max_size=2).map(iter), max_size=3),
 )
 
 

@@ -114,6 +114,15 @@ class TestConnectivity:
         assert report.component_count == 1
         assert report.reason == "c1-theorem"
 
+    @pytest.mark.parametrize("genus", [3, 4, 5, 6])
+    def test_simple_zeros_at_the_genus(self, genus):
+        # the criterion asks for at least g simple zeros: exactly g is enough,
+        # g - 1 is not, and neither stratum is hyperelliptic
+        at = st.classify_connectivity(sig(genus, (3 * genus - 4,) + (1,) * genus))
+        below = st.classify_connectivity(sig(genus, (3 * genus - 5, 2) + (1,) * (genus - 1)))
+        assert (at.component_count, at.reason) == (1, "c1-theorem")
+        assert (below.component_count, below.reason) == (1, "one-component-default")
+
     def test_sphere_always_connected(self):
         report = st.classify_connectivity(sig(0, (-1, -1, -1, -1)))
         assert report.component_count == 1
