@@ -177,27 +177,15 @@ def cmd_check(args) -> tuple[dict, list[str]]:
     s = _signature(args)
     payload = s.to_json_dict()
     payload["criterion"] = args.criterion
-    if args.criterion == "main":
-        ok, clause = criteria.main_theorem_verdict(s)
-    elif args.criterion == "hy2":
-        ok, clause = criteria.hy2_verdict(s)
-    elif args.criterion == "null":
-        ok, clause = criteria.null_prop_verdict(s)
-    else:  # gen2: cascaded bounds on the secondary class sizes
-        classes = sorted(Counter(s.orders).items(), key=lambda kv: (-kv[1], kv[0]))
-        b_list = [count for _, count in classes[1:]]
-        payload["b_list"] = b_list
-        if s.genus < 2:  # the bounds are stated from genus 2 on
-            ok, clause = False, "needs genus at least 2"
-        else:
-            a = classes[0][1] if classes else 0
-            bound = criteria.a_min(s.genus, sum(b_list))
-            cascade = criteria.gen2_cascade_ok(s.genus, b_list)
-            ok = cascade and a >= bound
-            clause = (
-                "leading class %d vs bound %d; cascade %s"
-                % (a, bound, "holds" if cascade else "fails")
-            )
+    if args.criterion == "gen2":
+        ok, clause, payload["b_list"] = criteria._gen2_verdict(s)
+    else:
+        verdicts = {
+            "main": criteria.main_theorem_verdict,
+            "hy2": criteria.hy2_verdict,
+            "null": criteria.null_prop_verdict,
+        }
+        ok, clause = verdicts[args.criterion](s)
     payload["satisfied"] = ok
     payload["clause"] = clause
     return payload, []

@@ -11,6 +11,7 @@ factorization its balancing witness.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import IndexOutOfRange, NoOtherWeights, OutOfRange, ZeroWeight
@@ -65,6 +66,21 @@ def gen2_cascade_ok(g: int, b_list: list[int]) -> bool:
         if b_i < point_bound(g, tail):
             return False
     return True
+
+
+def _gen2_verdict(s: StratumSignature) -> tuple[bool, str, list[int]]:
+    # cascaded bounds on the class sizes after the leading one, stated from
+    # genus 2 on; those sizes, b_list, come with every verdict
+    sizes = sorted(Counter(s.orders).values(), reverse=True)
+    b_list = sizes[1:]
+    if s.genus < 2:
+        return False, "needs genus at least 2", b_list
+    bound = a_min(s.genus, sum(b_list))
+    cascade = gen2_cascade_ok(s.genus, b_list)
+    clause = "leading class %d vs bound %d; cascade %s" % (
+        sizes[0], bound, "holds" if cascade else "fails"
+    )
+    return cascade and sizes[0] >= bound, clause, b_list
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as hs
 import strata as st
 from strata import cli
 from strata.cli import main
+from console_runs import check
 from support import argparse_oracle, argv_corpus, parse_outcome, random_argv, version_dependent
 
 
@@ -331,11 +332,7 @@ class TestGraphPipeline:
             text=True,
             preexec_fn=limit,
         )
-        assert proc.returncode == 1, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 1
-        doc = json.loads(lines[0])
-        assert doc["status"] == "error" and doc["payload"]["code"] == "out-of-range"
+        doc = check(proc, 1, {"code": "out-of-range"})
         assert "99999999" in doc["payload"]["message"]
 
     @pytest.mark.parametrize(
@@ -374,11 +371,7 @@ class TestGraphPipeline:
             text=True,
             preexec_fn=limit,
         )
-        assert proc.returncode == 1, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 1
-        doc = json.loads(lines[0])
-        assert doc["status"] == "error" and doc["payload"]["code"] == "out-of-range"
+        check(proc, 1, {"code": "out-of-range"})
 
     def test_graph_to_copeland_to_aj(self, capsys, tmp_path):
         code, doc = run(
@@ -975,3 +968,17 @@ def test_every_invocation_keeps_the_envelope_contract(tmp_path_factory, invocati
             # the genus and face checks come first; then the cap refuses
             expected = "out-of-range" if g >= 2 and 1 <= f <= 4 * g - 4 else "bound-violation"
             assert doc["payload"]["code"] == expected, argv
+
+
+def test_console_runs():
+    # every row of the table CI runs against the installed console script,
+    # here through python -m strata.cli on src/, with this interpreter's -O
+    flags = ["-O"] * sys.flags.optimize
+    script = Path(__file__).with_name("console_runs.py")
+    proc = subprocess.run(
+        [sys.executable, *flags, str(script), sys.executable, *flags, "-m", "strata.cli"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

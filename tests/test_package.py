@@ -170,6 +170,35 @@ def test_public_names_raise_only_strata_errors(name, data):
     _garbled_call(getattr(strata, name), data)
 
 
+# paths and cycles on 2-4 vertices: edge lists build_map accepts, which GARBLED
+# never draws but for [], so that a garbled rotation reaches its check
+PATHS_AND_CYCLES = [[(v, v + 1) for v in range(n - 1)] for n in (2, 3, 4)] + [
+    [(v, (v + 1) % n) for v in range(n)] for n in (3, 4)
+]
+CONTAINERS = (list, tuple, set, dict.fromkeys, iter)
+
+
+def _packed_darts(darts_at):
+    # each vertex's darts, in some order, in some container
+    each = [hst.tuples(hst.sampled_from(CONTAINERS), hst.permutations(d)) for d in darts_at]
+    return hst.tuples(*each).map(lambda rotations: [make(d) for make, d in rotations])
+
+
+@given(data=hst.data())
+@settings(max_examples=200, deadline=None)
+def test_build_map_rotations_raise_only_strata_errors(data):
+    # a valid edge list with garbled rotations, or with its own darts packed
+    # in any container, gives a map or a StrataError
+    edges = data.draw(hst.sampled_from(PATHS_AND_CYCLES))
+    n = 1 + max(map(max, edges))
+    darts_at = [[d for d in range(2 * len(edges)) if edges[d // 2][d % 2] == v] for v in range(n)]
+    rotations = data.draw(GARBLED | _packed_darts(darts_at))
+    try:
+        strata.build_map(n, edges, rotations)
+    except StrataError:
+        pass
+
+
 # the public methods and static constructors of each value class; properties
 # and fields are not listed
 VALUE_METHODS = {
