@@ -60,6 +60,7 @@ to B has exactly three parts.  So it is NP-complete even in unary.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import GenusMismatch, InvalidMove
@@ -141,9 +142,15 @@ def splits_into(order: int, parts: Sequence[int]) -> bool:
     return _reaches(len(parts), order % 2 == 1, all(p % 2 == 0 for p in parts))
 
 
+_ODD = (1).__and__  # p & 1: whether an order is odd, with no Python frame per entry
+
+
 def _reaches(size: int, order_odd: bool, all_even: bool) -> bool:
     # a zero and a group of ``size`` entries that sum to it
     return size != 2 or order_odd or all_even
+
+
+_COUNT = itemgetter(1)  # a group state's positive count
 
 
 def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
@@ -161,14 +168,19 @@ def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
     failed are kept for the length of the call.  The child order changes
     only which grouping a True answer finds (module docstring); the worst
     case stays exponential.
+
+    A node step counts its empty groups with builtins and bounds each
+    child with conditional expressions, with no Python loop per group; the
+    states and the order the children are tried in are as above.
     """
     last = len(positives)
     cut = last - positives.count(1)  # positives descend: the ones are last
 
     def children(i: int, groups: tuple, excess: int) -> Iterator[tuple]:
-        if sum(1 for g in groups if g[1] == 0) > last - i:
+        if list(map(_COUNT, groups)).count(0) > last - i:  # groups with no positive yet
             return
         p = positives[i]
+        p_odd = p % 2 == 1
         prev = None
         for j in range(len(groups) - 1, -1, -1):  # the most room left first
             state = groups[j]
@@ -176,11 +188,11 @@ def _groupable(zeros: list[int], positives: list[int], spare: int) -> bool:
                 continue
             prev = state
             left, count, odd, zero_odd = state
-            grown = excess - max(0, -left) + max(0, p - left)
+            grown = excess + (left if left < 0 else 0) + (p - left if p > left else 0)
             if grown > spare:  # grown never falls as left falls
                 break
-            count = min(count + 1, 3)
-            state = (left - p, count, count < 3 and (odd or p % 2 == 1), count < 3 and zero_odd)
+            count = count + 1 if count < 3 else 3
+            state = (left - p, count, count < 3 and (odd or p_odd), count < 3 and zero_odd)
             yield tuple(sorted(groups[:j] + (state,) + groups[j + 1 :])), grown
 
     start = tuple(sorted((z, 0, False, z % 2 == 1) for z in zeros))
@@ -213,21 +225,24 @@ def _fill(groups: tuple, ones: int) -> bool:
 
 
 def _cancel(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Both descending tuples without their common entries."""
-    i = j = 0
+    """Both descending tuples without their common entries.
+
+    One pass over ``a`` with a pointer into ``b``: the entries of ``b`` above
+    an entry of ``a`` are kept, then an equal one cancels it.  Each entry is
+    looked at once, so the cost is linear in the entries however many of
+    them are equal (``list.remove`` would make it quadratic)."""
     only_a: list[int] = []
     only_b: list[int] = []
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            i += 1
-            j += 1
-        elif a[i] > b[j]:
-            only_a.append(a[i])
-            i += 1
-        else:
+    j = 0
+    last = len(b)
+    for x in a:
+        while j < last and b[j] > x:
             only_b.append(b[j])
             j += 1
-    only_a.extend(a[i:])
+        if j < last and b[j] == x:
+            j += 1
+        else:
+            only_a.append(x)
     only_b.extend(b[j:])
     return only_a, only_b
 
@@ -243,11 +258,14 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
     reaches any three or more parts summing to it by induction: split off
     the two smallest parts in one three-part split, and the part left over
     is a zero that reaches the rest.  No intermediate signature is built.
+    Equal entries cancel first, in one pass over the zeros of ``lower``
+    with a pointer into the positives of ``higher``, linear in the entries.
     One zero left, and the ones and spare poles at the end, are decided in
     closed form.  Fewer entries left than twice the zeros left is False
     before any search, since each zero left needs two entries.  Only the
     entries above 1 among two or more zeros are grouped by a depth-first
-    search, roomiest group first, which is exponential in the worst case.
+    search, roomiest group first, which is exponential in the worst case;
+    its states and child order are those of ``_groupable``.
     """
     require(higher, StratumSignature)
     require(lower, StratumSignature)
@@ -255,12 +273,14 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
         raise GenusMismatch(
             "genus %d vs %d" % (higher.genus, lower.genus)
         )
-    if lower.orders == higher.orders:
+    low, high = lower.orders, higher.orders
+    if low == high:
         return True
-    if lower.n >= higher.n:
+    n_low, n_high = len(low), len(high)
+    if n_low >= n_high:
         return False
-    lower_poles = lower.orders.count(-1)
-    higher_poles = higher.orders.count(-1)
+    lower_poles = low.count(-1)
+    higher_poles = high.count(-1)
     spare = higher_poles - lower_poles
     if spare < 0:
         return False
@@ -270,17 +290,15 @@ def is_adjacent(higher: StratumSignature, lower: StratumSignature) -> bool:
     # if h sits in z's own group P, the rest of P sums to 0, so it has two
     # entries or more and joins a kept zero's group.  Either way the group
     # that grew has three entries or more (or the swap just relabels).
-    zeros, positives = _cancel(
-        lower.orders[: lower.n - lower_poles], higher.orders[: higher.n - higher_poles]
-    )
+    zeros, positives = _cancel(low[: n_low - lower_poles], high[: n_high - higher_poles])
     if not zeros:
         # what is left sums to 0 with the spare poles and joins a lone zero
-        return lower.n > lower_poles
+        return n_low > lower_poles
     if len(zeros) == 1:
         # One zero takes every entry left and every spare pole.  The sums
         # make the group sum to it, so only the group's size and parity
         # matter.
-        all_even = spare == 0 and all(p % 2 == 0 for p in positives)
+        all_even = spare == 0 and not any(map(_ODD, positives))
         return _reaches(len(positives) + spare, zeros[0] % 2 == 1, all_even)
     if len(positives) + spare < 2 * len(zeros):
         return False  # each zero left needs two entries (module docstring)

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import strata as st
 from strata import adjacency
@@ -103,6 +105,56 @@ class TestLegalSplits:
         # same tuples in the same order as trying every first part
         for k in range(1, 61):
             assert st.legal_splits(k, include_poles) == legal_splits_oracle(k, include_poles), k
+
+
+def partitions_into(parts, total):
+    """The number of partitions of ``total`` into exactly ``parts`` positive
+    parts, for 1 <= parts <= 4, in closed form."""
+    if parts == 1:
+        return 1
+    if parts == 2:
+        return total // 2
+    if parts == 3:
+        return (total * total + 6) // 12
+    return (total**3 + 3 * total**2 - 9 * total * (total % 2) + 72) // 144
+
+
+def split_count(order, include_poles):
+    """How many splits ``legal_splits`` lists for one zero: m parts of which
+    j are -1, the other m - j a partition of order + j, less the two-part
+    splits of an even zero that are not both even."""
+    count = sum(
+        partitions_into(m - j, order + j)
+        for m in (2, 3, 4)
+        for j in (range(m) if include_poles else (0,))
+    )
+    if order % 2 == 0:
+        count -= partitions_into(2, order) - partitions_into(2, order // 2)  # two odd parts
+        count -= include_poles  # (-1, order + 1)
+    return count
+
+
+class TestSuccessorCounts:
+    # closed forms for the successor counts, checked against the enumerations
+    @pytest.mark.parametrize("include_poles", [True, False])
+    def test_splits_per_zero(self, include_poles):
+        for k in range(1, 81):
+            assert len(st.legal_splits(k, include_poles)) == split_count(k, include_poles), k
+
+    @pytest.mark.parametrize("include_poles", [True, False])
+    def test_successors_per_signature(self, include_poles):
+        # with poles, adding (1, -1) or (2, -1, -1) to the orders is a split
+        # of any of the d distinct positive orders z, into (z, 1, -1) or
+        # (z, 2, -1, -1), so each of those two successors is counted d times
+        checked = 0
+        for g in range(2, 5):
+            for s in enumerate_signatures(g, max_poles=2):
+                distinct = {k for k in s.orders if k > 0}
+                total = sum(len(st.legal_splits(k, include_poles)) for k in distinct)
+                want = total - 2 * (len(distinct) - 1) * include_poles
+                assert len(st.poset_successors(s, include_poles)) == want, s.orders
+                checked += 1
+        assert checked > 100
 
 
 class TestPosetSuccessors:
@@ -215,6 +267,24 @@ class TestRoundTrip:
                 back.remove(p)
             back.append(sum(parts))
             assert st.StratumSignature(t.genus, tuple(back)) == s
+
+
+descending_orders = hst.lists(
+    hst.one_of(hst.integers(1, 3), hst.integers(1, 12)), max_size=40
+).map(lambda orders: tuple(sorted(orders, reverse=True)))
+
+
+class TestCancel:
+    @settings(max_examples=400, deadline=None)
+    @given(descending_orders, descending_orders)
+    @example((), ())
+    @example((3, 1, 1), ())
+    @example((), (2, 2))
+    @example((2,) + (1,) * 50, (1,) * 52)
+    def test_is_both_multiset_differences(self, a, b):
+        only_a, only_b = adjacency._cancel(a, b)
+        assert only_a == sorted((Counter(a) - Counter(b)).elements(), reverse=True)
+        assert only_b == sorted((Counter(b) - Counter(a)).elements(), reverse=True)
 
 
 class TestIsAdjacent:
@@ -396,6 +466,38 @@ class TestIsAdjacent:
         assert not partition_oracle(higher, lower)
         monkeypatch.setattr(adjacency, "_groupable", search)
         assert not st.is_adjacent(higher, lower)
+
+    @pytest.mark.parametrize(
+        "g,higher,lower,answer",
+        [
+            pytest.param(g, (1,) * (4 * g - 4), (4 * g - 4,), True, id="ladder-g%d" % g)
+            for g in (10, 100, 1000)
+        ]
+        + [
+            pytest.param(g, (1,) * (4 * g - 4), (2,) + (1,) * (4 * g - 6), False, id="two-g%d" % g)
+            for g in (10, 100, 1000)
+        ]
+        + [
+            pytest.param(2, (3, 1), (4,), False, id="odd-pair"),
+            pytest.param(2, (3, 2, -1), (4,), True, id="pole-triple"),
+            pytest.param(2, (6, -1, -1), (4,), True, id="pole-overshoot"),
+            pytest.param(3, (7, 2, -1), (6, 2), False, id="pole-odd-pair"),
+            pytest.param(
+                5, (3,) + (2,) * 8 + (1,) * 11 + (-1,) * 14, (16,), True, id="many-poles"
+            ),
+            pytest.param(100, (2,) * 198, (4,) + (2,) * 196, True, id="twos-g100"),
+        ],
+    )
+    def test_one_zero_left_never_searches(self, monkeypatch, g, higher, lower, answer):
+        # the one zero left takes every entry left, so its size and parity decide
+        def search(*args):
+            raise AssertionError("the grouping search ran")
+
+        higher, lower = sig(g, higher), sig(g, lower)
+        left = Counter(k for k in lower.orders if k > 0) - Counter(higher.orders)
+        assert sum(left.values()) == 1
+        monkeypatch.setattr(adjacency, "_groupable", search)
+        assert st.is_adjacent(higher, lower) is answer
 
     def test_entry_count_bound_against_partition_oracle(self, monkeypatch):
         # pairs one or two entries apart at g <= 8 with at most 12 entries:
