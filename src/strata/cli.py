@@ -8,11 +8,11 @@ returns them: json writes a tuple as an array, so no handler copies one
 into a list.
 
 Start-up dominates a one-shot run, so each handler imports the library
-modules it uses and a run loads only those.  For the same reason the
-command line is read without argparse, whose import (with gettext and
-locale) cost a one-shot run about 6 % of its wall time.  ``COMMANDS`` is
-the one table of subcommands and their options, and ``parse_args`` reads
-argv against it by argparse's rules:
+modules it uses and a run loads only those.  For the same reason no
+successful run imports argparse, whose import (with gettext and locale)
+costs about 5 % of a one-shot run's wall time.  ``COMMANDS`` is the one
+table of subcommands and their options, and ``parse_args`` reads argv
+against it by argparse's rules:
 
 - each word is read, in this order, as an exact option name, as
   ``--name=value`` with an exact name, as a unique prefix of a long name
@@ -24,12 +24,12 @@ argv against it by argparse's rules:
   the last of repeated options wins;
 - flags take no value, and unknown options and stray words are errors;
 - ``-h``/``--help`` prints help and exits 0; a usage error prints usage and
-  ``strata <cmd>: error: ...`` to stderr and exits 2.
+  ``strata <cmd>: error: ...`` to stderr and exits 2, each through the
+  argparse parsers that ``_argparsers`` builds from the same table.
 
 argparse versions disagree on a ``--`` separator, on ``--name=--`` and on
 ``-h`` with text attached, so each of those is a usage error.  The tests
-build the argparse parser from the same table and check that both read
-generated argv alike.
+check that ``parse_args`` and those parsers read generated argv alike.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ import json
 import re
 import sys
 from collections import Counter
+from functools import cache, partial
 from types import SimpleNamespace
 
 from .errors import InvalidIntList, InvalidJson, OutOfRange, StrataError
@@ -163,10 +164,21 @@ def cmd_graph(args) -> tuple[dict, list[str]]:
     return {"map": m.to_json_dict(), "report": m.report().to_json_dict()}, []
 
 
+# each generator repeats the surface's V weights, so copeland prints V * E of
+# them.  At this cap a --pretty run prints about 63 MB and peaks near 400 MB;
+# at 2**24 it would end in a MemoryError under a 1 GiB address-space limit
+_MAX_COPELAND_WEIGHTS = 2**22
+
+
 def cmd_copeland(args) -> tuple[dict, list[str]]:
     from . import graphs
 
-    m = graphs.CombinatorialMap.from_json_dict(_load_json(args.map))
+    doc = _load_json(args.map)
+    m = graphs.CombinatorialMap.from_json_dict(doc)
+    count = len(doc["sigma"]) * m.n_edges  # a valid map lists one cycle per vertex
+    if count > _MAX_COPELAND_WEIGHTS:  # refused before the map is surveyed
+        message = "copeland output of %d weights (vertices times edges) above the cap of %d"
+        raise OutOfRange(message % (count, _MAX_COPELAND_WEIGHTS))
     words = graphs.copeland_generators(m)
     return {"generators": [w.to_json_dict() for w in words]}, []
 
@@ -265,48 +277,34 @@ def _dest(name: str) -> str:
     return name[2:].replace("-", "_")
 
 
-def _invocation(name: str, kind) -> str:
-    # an option as usage and help show it: its name, then a name for its value
-    if kind is bool:
-        return name
-    value = "{%s}" % ",".join(kind) if type(kind) is tuple else _dest(name).upper()
-    return "%s %s" % (name, value)
+@cache
+def _argparsers() -> dict:
+    """The argparse parser of each subcommand, and of the top level under
+    None: help and usage errors print through them; ``parse_args`` does not."""
+    import argparse
 
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return "usage: strata [-h] {%s} ..." % ",".join(COMMANDS)
-    words = ["usage: strata %s [-h]" % command]
-    for name, kind, default, _ in COMMON + COMMANDS[command][2]:
-        word = _invocation(name, kind)
-        words.append(word if default is REQUIRED else "[%s]" % word)
-    return " ".join(words)
+    formatter = partial(argparse.HelpFormatter, width=sys.maxsize)  # one line per usage
+    top = argparse.ArgumentParser(prog="strata", description=DESCRIPTION, formatter_class=formatter)
+    sub = top.add_subparsers(dest="command", required=True)
+    parsers = {None: top}
+    for command, (text, _, options) in COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=text, formatter_class=formatter)
+        for name, kind, default, help_text in COMMON + options:
+            if kind is bool:
+                p.add_argument(name, action="store_true", help=help_text)
+                continue
+            choices = kind if type(kind) is tuple else None
+            p.add_argument(name, help=help_text, required=default is REQUIRED, default=default,
+                           type=int if kind is int else None, choices=choices)
+    return parsers
 
 
 def _fail(command: str | None, message: str):
-    prog = "strata" if command is None else "strata " + command
-    sys.stderr.write("%s\n%s: error: %s\n" % (_usage(command), prog, message))
-    raise SystemExit(2)
+    _argparsers()[command].error(message)  # usage and the message to stderr, exit 2
 
 
 def _help(command: str | None):
-    if command is None:
-        commands = [(name, spec[0]) for name, spec in COMMANDS.items()]
-        blocks = [(DESCRIPTION, []), ("commands:", commands)]
-        options = []
-    else:
-        blocks = []
-        options = [
-            (_invocation(name, kind), text or "")
-            for name, kind, _, text in COMMON + COMMANDS[command][2]
-        ]
-    blocks.append(("options:", [("-h, --help", "show this help message and exit")] + options))
-    width = max(len(left) for _, rows in blocks for left, _ in rows)
-    lines = [_usage(command)]
-    for title, rows in blocks:
-        lines += ["", title]
-        lines += [("  %-*s  %s" % (width, left, text)).rstrip() for left, text in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _argparsers()[command].print_help()
     raise SystemExit(0)
 
 

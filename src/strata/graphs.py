@@ -36,8 +36,7 @@ so no call replays a raise.  Only this chain lists each vertex's darts as a
 cycle: a raise tries corners in the order its cycle lists them, and that
 order, which the moves before it set, fixes the embedding it returns.  A
 raise reads the faces traced before it and edits only the dart cycles; the
-faces of its result are traced afresh.  Building the table takes about
-0.33 ms (Python 3.11, 2-core x86-64 host).
+faces of its result are traced afresh.
 """
 
 from __future__ import annotations

@@ -74,8 +74,15 @@ ROWS = [
     Row("cover --base-orders=-1,-1,-1,-1 --ramify '' --target-genus -1", 1,
         {"code": "invalid-spec"}),
     Row("copeland --map spaces.json", 1, {"code": "out-of-range"}),  # 2**26 + 1 bytes
+    # a 181 KB map whose generators would print 1.4 * 10**8 weights
+    Row("graph --genus 2 --faces 1 --vertices 12000", save="big.json"),
+    Row("copeland --map big.json", 1, {"code": "out-of-range"}),
     Row("info --genus 3", 2, "usage: strata info "),
     Row("--help", 0, "usage: strata "),
+] + [
+    Row("%s --help" % command, 0, "usage: strata %s " % command)
+    for command in ("info", "poset", "aj", "factorize", "graph", "copeland", "check", "cover",
+                    "dmin")
 ]
 
 

@@ -528,25 +528,10 @@ def partition_oracle(higher: st.StratumSignature, lower: st.StratumSignature) ->
 
 
 def argparse_oracle():
-    """Oracle for ``cli.parse_args``: the argparse parser ``strata`` used to
-    build, made from the same table, ``cli.COMMANDS``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="strata", description=cli.DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, _, options) in cli.COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        for name, kind, default, help_text in cli.COMMON + options:
-            if kind is bool:
-                p.add_argument(name, action="store_true", help=help_text)
-                continue
-            extra = {"required": True} if default is cli.REQUIRED else {"default": default}
-            if kind is int:
-                extra["type"] = int
-            elif type(kind) is tuple:
-                extra["choices"] = kind
-            p.add_argument(name, help=help_text, **extra)
-    return parser
+    """Oracle for ``cli.parse_args``: the top-level argparse parser that
+    ``strata`` prints help and usage errors through, made from the same
+    table, ``cli.COMMANDS``."""
+    return cli._argparsers()[None]
 
 
 def parse_outcome(parse, argv: list[str]) -> tuple:

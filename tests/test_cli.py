@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -335,6 +336,41 @@ class TestGraphPipeline:
         doc = check(proc, 1, {"code": "out-of-range"})
         assert "99999999" in doc["payload"]["message"]
 
+    def test_copeland_cap(self, capsys, tmp_path, monkeypatch):
+        # a map of V vertices and E edges prints V * E weights: exactly the cap
+        # is printed, and one weight more is refused, naming the count and the cap
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(st.construct_graph(2, 1, 5).to_json_dict()))
+        monkeypatch.setattr(cli, "_MAX_COPELAND_WEIGHTS", 5 * 8)  # 5 vertices, 8 edges
+        code, doc = run(capsys, "copeland", "--map", str(path))
+        assert code == 0 and len(doc["payload"]["generators"]) == 8
+        monkeypatch.setattr(cli, "_MAX_COPELAND_WEIGHTS", 5 * 8 - 1)
+        code, doc = run(capsys, "copeland", "--map", str(path))
+        assert code == 1 and doc["payload"]["code"] == "out-of-range"
+        assert "40 weights" in doc["payload"]["message"]
+        assert str(5 * 8 - 1) in doc["payload"]["message"]
+
+    def test_copeland_cap_keeps_the_envelope(self, capsys, tmp_path):
+        # the map of 12 000 vertices is 181 KB; its generators would print
+        # 1.4 * 10**8 weights and end in a MemoryError under the limit
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        code, doc = run(capsys, "graph", "--genus", "2", "--faces", "1", "--vertices", "12000")
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc["payload"]["map"]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "strata.cli", "copeland", "--map", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            preexec_fn=limit,
+        )
+        doc = check(proc, 1, {"code": "out-of-range"})
+        assert str(cli._MAX_COPELAND_WEIGHTS) in doc["payload"]["message"]
+
     @pytest.mark.parametrize(
         "command, flag", [("aj", "--word"), ("factorize", "--word"), ("copeland", "--map")]
     )
@@ -654,6 +690,34 @@ def test_output_bytes_pinned(capsys, tmp_path, name, pretty):
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[name][pretty]
 
 
+SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+
+
+def _read_envelope(doc):
+    # the envelope example is the output of this run
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["dmin", "--weights", "4,6", "--index", "0"]) == 0
+    assert doc == json.loads(out.getvalue())
+
+
+# the reader of the example in each schema document, which must accept it
+SCHEMA_READERS = {
+    "braid-word.md": st.BraidWord.from_json_dict,
+    "cli-envelope.md": _read_envelope,
+    "combinatorial-map.md": st.CombinatorialMap.from_json_dict,
+    "signature.md": lambda doc: st.StratumSignature(doc["genus"], tuple(doc["orders"])),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SCHEMAS.glob("*.md")), ids=lambda path: path.name)
+def test_schema_examples_are_read(path):
+    blocks = re.findall(r"```json\n(.*?)```", path.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        SCHEMA_READERS[path.name](json.loads(block))
+
+
 class TestImportFootprint:
     def test_import_loads_no_library_module(self):
         assert not _footprint()[0] & LIBRARY
@@ -742,6 +806,66 @@ class TestUsage:
             cli.parse_args(["info", "--genus", "3", "--orders=4"] + words)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+# the sha256 of stdout of each parser's --help and of stderr of its usage
+# error with no options
+HELP_AND_USAGE_DIGESTS = {
+    "": (
+        "d6905ead5fa4d44a00b296a2b3b268ef76bcd6f88904b26e0df44d8f010bcdb1",
+        "5f962f5ceeef17fc97040c2c0ef309a4d909a6d540a499a11550e6ecd9155088",
+    ),
+    "info": (
+        "924f6bd4a2fd87f815d266f5d86bf0686d39b5848f0c2316f392c279a03bcaba",
+        "77f6c4bdd3a8ecb5b8dc1335df2cab73438a6684463060f410849c8ae3a61aba",
+    ),
+    "poset": (
+        "02102d5f8bd741ca46f04b015373366e61a449f47539da8ecacc95a5d3d9accc",
+        "af5723215fc835caee11c2cc491dfc733edcdfd6cb53e1118e13eef17a90d819",
+    ),
+    "aj": (
+        "8f79b21b21ac62b3672c80013d0225b8dec1a8a1508542faeb857b6940b78871",
+        "64d1f4bff60d2e82ad93f15f2655bbe4a53813c7315731c4e084e003d14c7d50",
+    ),
+    "factorize": (
+        "d77d3840157abefeb83a303624af24a2e8a8adbc6e6aa5afd01471eaab77e428",
+        "34aec9918b30dea88aceae930baa8649e3901479a65459e3cdd6e57e3325522b",
+    ),
+    "graph": (
+        "372b3b2654848f88a770d14fd2493a3f1425b287946420b94914cf0300b2de9a",
+        "1bc99094febcf35eb61222ecf5462b46872cb1155647e315fdd8281377b4942d",
+    ),
+    "copeland": (
+        "4bdefad452172c517c59f19d8326347e5ce77368a45c4325d360e9785c4b6d54",
+        "ce049a546cceb0f20b2829f183570e741b4d7e8c5bb71406fab2cce3e60e915a",
+    ),
+    "check": (
+        "dc10b0f10e017891b70045c53cef5b39177196b701d068b8d576739611b1e64c",
+        "6761a0f28b0bc8df04799a803eca85e1a47b44de5e5c54c235e742c42bd778af",
+    ),
+    "cover": (
+        "54083d470c95b0f79d68ef492c2bd0f7493d51bff893e9be872ba250f55197f5",
+        "96997750a5110841bca270eca16b33686e8fec85b4f9aeaa931fd7296483211e",
+    ),
+    "dmin": (
+        "6ac19efd26812ee1edea7e704a10ccb38222d2a85c3028a734b7e247e1790b69",
+        "94db62e7ba6d4b1e6355e5c3a1578c6c13c9e5d983587e07a15a6d520159c0ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_AND_USAGE_DIGESTS), ids=lambda c: c or "strata")
+def test_help_and_usage_bytes_pinned(capsys, command):
+    # the same on every Python version that CI runs, whatever the terminal width
+    words = [command] if command else []
+    for argv, code, digest in zip(
+        (words + ["--help"], words), (0, 2), HELP_AND_USAGE_DIGESTS[command]
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == code and (err if code == 0 else out) == ""
+        assert hashlib.sha256((out or err).encode()).hexdigest() == digest, argv
 
 
 ORACLE = argparse_oracle()
