@@ -8,34 +8,26 @@ returns them: json writes a tuple as an array, so no handler copies one
 into a list.
 
 Start-up dominates a one-shot run, so each handler imports the library
-modules it uses and a run loads only those.  For the same reason no
-successful run imports argparse, whose import (with gettext and locale)
-costs about 5 % of a one-shot run's wall time.  ``COMMANDS`` is the one
-table of subcommands and their options, and ``parse_args`` reads argv
-against it by argparse's rules:
-
-- each word is read, in this order, as an exact option name, as
-  ``--name=value`` with an exact name, as a unique prefix of a long name
-  (an ambiguous prefix is an error), or as a value when it is a negative
-  number (``-3``, ``-.5``) or holds a space;
-- a value given as its own word may not otherwise start with a dash, so
-  ``--orders -1,2`` is an error and ``--orders=-1,2`` is not;
-- a value goes through ``int()`` where the option takes an integer, and
-  the last of repeated options wins;
-- flags take no value, and unknown options and stray words are errors;
-- ``-h``/``--help`` prints help and exits 0; a usage error prints usage and
-  ``strata <cmd>: error: ...`` to stderr and exits 2, each through the
-  argparse parsers that ``_argparsers`` builds from the same table.
+modules it uses and a run loads only those.  ``COMMANDS`` is the one table
+of subcommands and their options, and the argparse parsers that
+``_argparsers`` builds from it define the grammar: unique prefixes of long
+names, values that start with a dash only after ``=`` (or as a negative
+number), ``int()`` for integer options, the last repeat winning, help,
+usage errors and their text.  Importing argparse (with gettext and locale)
+and building the parsers costs about 5 ms, some 9 % of a one-shot run, so
+``_exact`` first reads an argv that spells everything in full (the
+subcommand first, then each option by its whole name) without them; any
+other argv goes to the parsers.
 
 argparse versions disagree on a ``--`` separator, on ``--name=--`` and on
 ``-h`` with text attached, so each of those is a usage error.  The tests
-check that ``parse_args`` and those parsers read generated argv alike.
+check that ``parse_args``, ``_exact`` and the parsers read generated argv
+alike.
 """
 from __future__ import annotations
 
 import io
 import json
-import re
 import sys
 from collections import Counter
 from functools import cache, partial
@@ -269,10 +261,6 @@ COMMANDS = {
     )),
 }
 
-_HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # argparse's pattern: such a word is a value
-
-
 def _dest(name: str) -> str:
     return name[2:].replace("-", "_")
 
@@ -280,7 +268,7 @@ def _dest(name: str) -> str:
 @cache
 def _argparsers() -> dict:
     """The argparse parser of each subcommand, and of the top level under
-    None: help and usage errors print through them; ``parse_args`` does not."""
+    None: the one grammar of the CLI, made from ``COMMANDS``."""
     import argparse
 
     formatter = partial(argparse.HelpFormatter, width=sys.maxsize)  # one line per usage
@@ -299,37 +287,6 @@ def _argparsers() -> dict:
     return parsers
 
 
-def _fail(command: str | None, message: str):
-    _argparsers()[command].error(message)  # usage and the message to stderr, exit 2
-
-
-def _help(command: str | None):
-    _argparsers()[command].print_help()
-    raise SystemExit(0)
-
-
-def _classify(word: str, names, command: str | None):
-    """argparse's reading of one word against the option ``names``, in its
-    order: None for a value or a stray word, else (name, the value attached
-    to it or None), with name None for an unknown option."""
-    if word[:1] != "-" or word == "-":
-        return None
-    if word in names:
-        return word, None
-    head, eq, tail = word.partition("=")
-    if eq and head in names:
-        return head, tail
-    if word[1] == "-":  # a unique prefix of a long name, with any value after "="
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            _fail(command, "ambiguous option: %s could match %s" % (word, ", ".join(found)))
-        if found:
-            return found[0], tail if eq else None
-    if re.match(_NEGATIVE_NUMBER, word) or " " in word:
-        return None
-    return None, None
-
-
 def _unaccepted(word: str) -> bool:
     # the words argparse reads differently from one Python version to the next:
     # a "--" separator, "--" as the value after "=" of an option, and -h with
@@ -342,79 +299,59 @@ def _unaccepted(word: str) -> bool:
     )
 
 
-def _value(command: str, name: str, kind, text: str):
-    if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            _fail(command, "argument %s: invalid int value: %r" % (name, text))
-    if type(kind) is tuple and text not in kind:
-        choices = ", ".join(map(repr, kind))
-        _fail(command, "argument %s: invalid choice: %r (choose from %s)" % (name, text, choices))
-    return text
+def _exact(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse reads from ``argv`` when it spells everything in full,
+    else None: the subcommand first, then each option by its whole name as
+    ``--name=value``, ``--name value`` with a value not starting with a dash,
+    or a bare flag, with every value valid and every required option given."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    specs = {spec[0]: spec for spec in COMMON + COMMANDS[argv[0]][2]}
+    values = {_dest(name): default for name, _, default, _ in specs.values()}
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, text = word.partition("=")
+        if name not in specs:
+            return None
+        kind = specs[name][1]
+        if kind is bool:
+            if eq:
+                return None
+            values[_dest(name)] = True
+            continue
+        if not eq:
+            text = next(words, "-")
+            if text.startswith("-"):
+                return None
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                return None
+        elif type(kind) is tuple and text not in kind:
+            return None
+        values[_dest(name)] = text
+    if REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The subcommand and option values ``argv`` gives, read against
-    ``COMMANDS`` as argparse would read it.  A usage error writes usage and
-    the error to stderr and exits 2; -h or --help writes help and exits 0."""
+    """The subcommand and option values ``argv`` gives, as the parsers of
+    ``_argparsers`` read it.  A usage error writes usage and the error to
+    stderr and exits 2; -h or --help writes help and exits 0."""
     for word in argv:
         if _unaccepted(word):
-            _fail(None, "%r is not accepted: no '--' separator or value, no value for -h" % word)
-    stray: list[str] = []
-    # words before the subcommand are read against -h alone
-    for at, word in enumerate(argv):
-        found = _classify(word, _HELP, None)
-        if found is None:
-            break
-        if found[0] is None:
-            stray.append(word)
-        elif found[1] is not None:
-            _fail(None, "argument -h/--help: ignored explicit argument %r" % found[1])
-        else:
-            _help(None)
-    else:
-        _fail(None, "the following arguments are required: command")
-    command = argv[at]
-    if command not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        _fail(None, "argument command: invalid choice: %r (choose from %s)" % (command, choices))
-    specs = COMMON + COMMANDS[command][2]
-    options = dict.fromkeys(_HELP)
-    options.update((spec[0], spec) for spec in specs)
-    values = {_dest(name): default for name, _, default, _ in specs}
-    words = argv[at + 1 :]
-    # like argparse, read every word before taking any: an ambiguous one fails first
-    kinds = [_classify(word, options, command) for word in words]
-    at = 0
-    while at < len(words):
-        word, found = words[at], kinds[at]
-        at += 1
-        if found is None or found[0] is None:
-            stray.append(word)
-            continue
-        name, text = found
-        spec = options[name]
-        if spec is None or spec[1] is bool:  # -h, --help and flags take no value
-            if text is not None:
-                label = "-h/--help" if spec is None else name
-                _fail(command, "argument %s: ignored explicit argument %r" % (label, text))
-            if spec is None:
-                _help(command)
-            values[_dest(name)] = True
-            continue
-        if text is None:
-            if at == len(words) or kinds[at] is not None:
-                _fail(command, "argument %s: expected one argument" % name)
-            text = words[at]
-            at += 1
-        values[_dest(name)] = _value(command, name, spec[1], text)
-    missing = [spec[0] for spec in specs if values[_dest(spec[0])] is REQUIRED]
-    if missing:
-        _fail(command, "the following arguments are required: %s" % ", ".join(missing))
-    if stray:
-        _fail(command, "unrecognized arguments: %s" % " ".join(stray))
-    return SimpleNamespace(command=command, **values)
+            message = "%r is not accepted: no '--' separator or value, no value for -h" % word
+            _argparsers()[None].error(message)
+    args = _exact(argv)
+    if args is not None:
+        return args
+    parsers = _argparsers()
+    namespace, stray = parsers[None].parse_known_args(argv)
+    if stray:  # under the usage line of the subcommand, not of the top level
+        parsers[namespace.command].error("unrecognized arguments: %s" % " ".join(stray))
+    return SimpleNamespace(**vars(namespace))
 
 
 def _emit(doc: dict, pretty: bool) -> None:

@@ -255,12 +255,8 @@ def build_map(
         for edge in edges
     ):
         raise InvalidSpec("edges must be pairs of integer vertices in 0..n_vertices - 1")
-    darts_at: list[list[int]] = [[] for _ in range(n_vertices)]
-    for e, (u, v) in enumerate(edges):
-        if u == v:
-            raise NotSimple("loops are not representable with distinct endpoints")
-        darts_at[u].append(2 * e)
-        darts_at[v].append(2 * e + 1)
+    if any(u == v for u, v in edges):
+        raise NotSimple("loops are not representable with distinct endpoints")
     if rotations is not None:
         try:
             # the reader measures and slices each rotation, so a set, a dict
@@ -269,6 +265,18 @@ def build_map(
             listed = [sorted(r) for r in rotations]
         except TypeError:  # not a list of lists, or a rotation that mixes types
             listed = None
+    # darts_at stops one vertex past where the outcome is settled, so a huge
+    # n_vertices costs nothing: at most 2E vertices hold a dart, so _sigma_of
+    # refuses an empty cycle by index 2E, and rotations of a shorter list
+    # differ from darts_at one entry past their end
+    bound = 2 * len(edges) if rotations is None else len(listed or ())
+    darts_at: list[list[int]] = [[] for _ in range(min(n_vertices, bound + 1))]
+    for e, (u, v) in enumerate(edges):
+        if u < len(darts_at):
+            darts_at[u].append(2 * e)
+        if v < len(darts_at):
+            darts_at[v].append(2 * e + 1)
+    if rotations is not None:
         # type() rather than isinstance: a bool is an int, and a float can equal one
         if listed != darts_at or any(type(d) is not int for r in rotations for d in r):
             raise InvalidSpec("rotations must list exactly the darts at each vertex")

@@ -42,11 +42,14 @@ BLOCK = WORD + [_letter("kappa", 3, 14), _letter("rho", 13, 2, -1), _letter("rho
 LONG = BLOCK * 1000
 INPUTS = {"word.json": WORD, "long.json": LONG, "bad.json": LONG + [_letter("rho", 15, 1)]}
 COVER = "cover --base-orders=2,-1,-1,-1,-1,-1,-1 --ramify %s --target-genus 2"
+INFO = {"genus": 3, "orders": [4, 4], "empty": False, "components": 1,
+        "reason": "one-component-default", "dimension": 6}
 
 ROWS = [
     # first, so that the peak RSS of the children is its own; timed below
     Row("factorize --word long.json", expect={"permutation_match": True, "aj_zero": True}),
-    Row("info --genus 3 --orders 4,4"),
+    Row("info --genus 3 --orders 4,4", expect=INFO),
+    Row("info --gen 3 --ord 4,4", expect=INFO),  # abbreviated: argparse reads it
     Row("poset --genus 3 --root 8 --depth 1"),
     Row("poset --genus 4 --root 6,6 --depth 1 --no-poles"),  # two components: a note
     Row("check --genus 5 --orders 1,1,1,1,1,1,1,1,1,1,1,1,2,2 --criterion main"),
@@ -68,6 +71,8 @@ ROWS = [
         {"code": "invalid-letter", "message": "point index 15 out of range 1..14"}),
     Row("poset --genus 3 --root 8 --depth 2 --pretty"),
     Row("dmin --weights 4 --index 0", 1, {"code": "no-other-weights"}),
+    # a dash-leading value in its own word: argparse reads it, and cmd_poset refuses it
+    Row("poset --genus 3 --root 8 --depth -1", 1, {"code": "out-of-range"}),
     # double_cover checks its indices itself: a repeated index, a wrong count, a negative genus
     Row(COVER % "0,0,1,2,3,4,5", 1, {"code": "invalid-spec"}),
     Row(COVER % "0,1,2", 1, {"code": "invalid-spec"}),

@@ -527,22 +527,20 @@ def partition_oracle(higher: st.StratumSignature, lower: st.StratumSignature) ->
     return place(0, tuple((k, ()) for k in sorted(lower.orders)))
 
 
-def argparse_oracle():
-    """Oracle for ``cli.parse_args``: the top-level argparse parser that
-    ``strata`` prints help and usage errors through, made from the same
-    table, ``cli.COMMANDS``."""
-    return cli._argparsers()[None]
-
-
-def parse_outcome(parse, argv: list[str]) -> tuple:
-    """("ok", the parsed values) or ("exit", code): what ``parse(argv)`` did,
-    with what it printed thrown away."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def parse_outcome(parse, argv: list[str], digest=None) -> tuple:
+    """("ok", the parsed values) or ("exit", code): what ``parse(argv)`` did.
+    What it printed is thrown away, or fed with the outcome to the hashlib
+    object ``digest``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            namespace = parse(argv)
+            outcome = "ok", vars(parse(argv))
         except SystemExit as exc:
-            return "exit", exc.code
-    return "ok", vars(namespace)
+            outcome = "exit", exc.code
+    if digest is not None:
+        shown = sorted(outcome[1].items()) if outcome[0] == "ok" else outcome[1]
+        digest.update(repr((outcome[0], shown, out.getvalue(), err.getvalue())).encode())
+    return outcome
 
 
 def version_dependent(argv: list[str]) -> bool:

@@ -16,7 +16,7 @@ import strata as st
 from strata import cli
 from strata.cli import main
 from console_runs import check
-from support import argparse_oracle, argv_corpus, parse_outcome, random_argv, version_dependent
+from support import argv_corpus, parse_outcome, random_argv, version_dependent
 
 
 def run(capsys, *argv):
@@ -868,11 +868,11 @@ def test_help_and_usage_bytes_pinned(capsys, command):
         assert hashlib.sha256((out or err).encode()).hexdigest() == digest, argv
 
 
-ORACLE = argparse_oracle()
+ORACLE = cli._argparsers()[None]  # the grammar that parse_args reads by, and its oracle
 
 
-def _agrees_with_argparse(argv):
-    got = parse_outcome(cli.parse_args, argv)
+def _agrees_with_argparse(argv, digest=None):
+    got = parse_outcome(cli.parse_args, argv, digest)
     if version_dependent(argv):
         assert got == ("exit", 2), argv
     else:
@@ -895,11 +895,32 @@ def test_no_subcommand(capsys, argv):
     _agrees_with_argparse(argv)
 
 
+# the sha256 of what parse_args did on each argv of argv_corpus(2000), in
+# order: its exit code or its values, and what it printed to stdout and stderr
+CORPUS_DIGEST = "2b4b5f4c2b7193130fd7a57ece35681146b027a3282f15954865c4ddba57ee8d"
+
+
 def test_fixed_corpus_agrees_with_argparse():
     # the same argv on every Python version, so each CI interpreter's argparse
-    # is checked on the same words
+    # is checked on the same words, and must print the same bytes
+    digest = hashlib.sha256()
+    exact = 0
     for argv in argv_corpus(2000):
-        _agrees_with_argparse(argv)
+        _agrees_with_argparse(argv, digest)
+        args = None if version_dependent(argv) else cli._exact(argv)
+        if args is not None:  # the shortcut answers: argparse must read the same
+            exact += 1
+            assert vars(args) == vars(ORACLE.parse_args(argv)), argv
+    assert exact >= 100
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS) + sorted(PINNED_RUNS))
+def test_pinned_runs_take_the_shortcut(name, pretty):
+    # so that TestImportFootprint's runs, which load no argparse, cover them
+    argv = PINNED_RUNS[name] if name in PINNED_RUNS else (name,) + SUBCOMMANDS[name]
+    assert cli._exact(list(argv) + ["--pretty"] * pretty) is not None
 
 
 # --- the envelope contract over generated argv --------------------------------

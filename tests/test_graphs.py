@@ -2,7 +2,11 @@ import copy
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +166,37 @@ class TestCombinatorialMap:
             st.CombinatorialMap.from_json_dict(data)
         with pytest.raises(InvalidSpec, match="^isolated vertex: rotation cycle 2 is empty$"):
             st.build_map(3, [(0, 1)])
+
+    def test_huge_vertex_count_is_refused_at_once(self):
+        # at most 2E vertices hold a dart, so build_map looks no further for
+        # the first empty cycle; a list per declared vertex would end in a
+        # MemoryError under the child's 512 MB address-space limit
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        program = (
+            "import strata\n"
+            "for edges in ([], [(0, 1)]):\n"
+            "    try:\n"
+            "        strata.build_map(10**12, edges)\n"
+            "    except strata.errors.InvalidSpec as err:\n"
+            "        print(err)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True,
+            text=True,
+            preexec_fn=limit,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            "isolated vertex: rotation cycle 0 is empty\n"
+            "isolated vertex: rotation cycle 2 is empty\n"
+        )
 
     def test_json_requires_pair_convention(self):
         with pytest.raises(InvalidSpec):
