@@ -13,7 +13,9 @@ that checks and normalises its arguments and ends with ``return
 cls._derived(...)``; the package calls ``_derived`` directly for the values
 it derives itself, whose fields come from a valid value by moves that keep it
 valid.  Like a dataclass ``__init__``, ``_derived`` is compiled once per
-class.
+class.  It is a ``staticmethod``: a plain function closed over the class it
+was compiled for, so a call makes no bound method, and ``Cls._derived``
+builds a ``Cls`` whether it is reached through the class or an instance.
 
 Assignment and deletion are refused by a ``__setattr__`` and ``__delattr__``
 that ``__init_subclass__`` puts on each value class, not on ``Frozen``.  A
@@ -79,13 +81,13 @@ class Frozen:
         )
         args = ", ".join("v%d" % k for k in range(len(names)))
         body = "".join("    obj.%s = v%d\n" % (name, k) for k, name in enumerate(names))
-        scope = {"new": object.__new__, "twin": twin_cls}
+        scope ={"new": object.__new__, "twin": twin_cls, "cls": cls}
         exec(
-            "def _derived(cls, %s):\n    obj = new(twin)\n%s    obj.__class__ = cls\n"
+            "def _derived(%s):\n    obj = new(twin)\n%s    obj.__class__ = cls\n"
             "    return obj\n" % (args, body),
             scope,
         )
-        cls._derived = classmethod(scope["_derived"])
+        cls._derived = staticmethod(scope["_derived"])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -298,16 +298,36 @@ class BraidWord(Frozen):
 
 
 def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
-    # free reduction: cancel adjacent inverse pairs until none remain
+    # free reduction: cancel adjacent inverse pairs until none remain.  The
+    # field that differs most often between neighbours is tested first
     stack: list[Letter] = []
+    top = None  # stack[-1], or None when the stack is empty
     for lt in letters:
-        if stack:
-            top = stack[-1]
-            if (top.exp == -lt.exp and top.i == lt.i
-                    and top.second == lt.second and top.kind == lt.kind):
-                stack.pop()
-                continue
-        stack.append(lt)
+        if (top is not None and top.second == lt.second and top.i == lt.i
+                and top.exp == -lt.exp and top.kind == lt.kind):
+            stack.pop()
+            top = stack[-1] if stack else None
+        else:
+            stack.append(lt)
+            top = lt
+    return stack
+
+
+def _reduce_times_inverse(u: Iterable[Letter], v: Sequence[Letter]) -> list[Letter]:
+    """``_reduce_letters(chain(u, _inverse(v)))``, equal by value, making the
+    inverse of a letter of v only when it stays: v's letter cancels the top
+    of the stack when the top equals it, field by field."""
+    stack = _reduce_letters(u)
+    top = stack[-1] if stack else None
+    derived = Letter._derived
+    for lt in reversed(v):
+        if top is lt or (top is not None and top.second == lt.second
+                         and top.exp == lt.exp and top.i == lt.i and top.kind == lt.kind):
+            stack.pop()
+            top = stack[-1] if stack else None
+        else:
+            top = derived(lt.kind, lt.i, lt.second, -lt.exp)
+            stack.append(top)
     return stack
 
 
@@ -336,9 +356,10 @@ def permutation_image(w: BraidWord) -> tuple[int, ...]:
 
 
 def _direction_vector(genus: int) -> list[int]:
-    """One zero per homology direction: a list of 2g entries."""
+    """One zero per homology direction after a leading zero slot: a list of
+    2g + 1 entries, so that direction r is entry r."""
     try:
-        return [0] * (2 * genus)
+        return [0] * (2 * genus + 1)
     except (OverflowError, MemoryError):  # past the index range or the address space
         raise OutOfRange("genus %d is too large for a vector of 2g coordinates" % genus)
 
@@ -351,11 +372,12 @@ def abel_jacobi(w: BraidWord) -> tuple[int, ...]:
     """
     require(w, BraidWord)
     coords = _direction_vector(w.surface.genus)
-    weights, rho_kind = w.surface.weights, RHO
+    # a leading zero slot, so that point i's weight is entry i
+    weights, rho_kind = (0,) + w.surface.weights, RHO
     for lt in w.letters:
         if lt.kind == rho_kind:
-            coords[lt.second - 1] += lt.exp * weights[lt.i - 1]
-    return tuple(coords)
+            coords[lt.second] += lt.exp * weights[lt.i]
+    return tuple(coords[1:])
 
 
 def in_kernel(w: BraidWord) -> bool:
@@ -373,11 +395,11 @@ def certify_null_rho(w: BraidWord) -> tuple[bool, int | None]:
         return True, None
     r = w.letters[0].second
     total = 0
-    weights = w.surface.weights
+    weights = (0,) + w.surface.weights  # point i's weight is entry i
     for lt in w.letters:
         if lt.kind != RHO or lt.second != r:
             return False, None
-        total += lt.exp * weights[lt.i - 1]
+        total += lt.exp * weights[lt.i]
     if total != 0:
         return False, None
     return True, r
@@ -401,7 +423,7 @@ def certify_i_commutator(w: BraidWord, i: int) -> bool:
     kappa_sums = {l: 0 for l in range(i + 1, n + 1)}
     for lt in w.letters:
         if lt.kind == RHO and lt.i == i:
-            rho_sums[lt.second - 1] += lt.exp
+            rho_sums[lt.second] += lt.exp
         elif lt.kind == KAPPA and lt.i == i:
             kappa_sums[lt.second] += lt.exp
         else:
@@ -429,8 +451,12 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
             seen.add(cur)
             cur = perm[cur - 1]
     y_word = BraidWord._derived(z.surface, tuple(y))
-    if permutation_image(y_word) != perm:
-        raise AssertionError
+    y_perm = permutation_image(y_word)
+    if y_perm != perm:
+        raise AssertionError(
+            "internal error: the exchange split's permutation image %r differs from "
+            "the word's %r" % (y_perm, perm)
+        )
     x = _reduce_letters(chain(_inverse(y), z.letters))
     return y_word, BraidWord._derived(z.surface, tuple(x))
 
@@ -489,13 +515,18 @@ def _one_letter_factors(
     (kappa) factor of each letter, made and verified at its first occurrence
     and kept in entries under its fields' tuple, which hashes in C where a
     Letter would call Python code."""
+    get, append = entries.get, out.append
+    word, certificate = BraidWord._derived, FactorCertificate._derived
     for lt in letters:
         key = (lt.kind, lt.i, lt.second, lt.exp)
-        cert = entries.get(key)
+        cert = get(key)
         if cert is None:
             tag = TRANSPOSITION if lt.kind == SIGMA else SQUARE_TRANSPOSITION
-            cert = entries[key] = _certified(tag, BraidWord._derived(surf, (lt,)), None)
-        out.append(cert)
+            cert = certificate(tag, word(surf, (lt,)), None)
+            if not cert.verify():
+                raise AssertionError("internal error: emitted an uncertifiable factor")
+            entries[key] = cert
+        append(cert)
 
 
 def _peel_stage(
@@ -516,7 +547,7 @@ def _peel_stage(
     kappas = [lt for lt in moving if lt.kind == KAPPA]
     sorted_word = sorted(rhos, key=attrgetter("second")) + kappas
     certs: list[FactorCertificate] = []
-    h_inv = _reduce_letters(chain(moving, _inverse(sorted_word)))
+    h_inv = _reduce_times_inverse(moving, sorted_word)
     if h_inv:
         certs.append(_certified(I_COMMUTATOR, BraidWord._derived(surf, tuple(h_inv)), c))
     d, coeffs = balance
@@ -524,13 +555,16 @@ def _peel_stage(
     debt: dict[int, list[Letter]] = {}
     windings = _direction_vector(surf.genus)
     for lt in rhos:
-        windings[lt.second - 1] += lt.exp
-    for r, e in enumerate(windings, 1):
-        if e == 0:
+        windings[lt.second] += lt.exp
+    for r, e in enumerate(windings):
+        if e == 0:  # the leading slot among them
             continue
         # kernel membership of the whole word forces d | e
         if e % d:
-            raise AssertionError("net winding must be a multiple of the balance step")
+            raise AssertionError(
+                "internal error: point %d's net winding %d in direction %d is not a "
+                "multiple of the balance step %d" % (c, e, r, d)
+            )
         q = e // d
         block = [Letter._derived(RHO, c, r, 1 if e > 0 else -1)] * abs(e)
         for p, cf in lenders:
@@ -560,12 +594,17 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     occurrence in that call.  Every factor's word is on z's surface object.
     Every certificate is verified where it is made, so there is one
     verification per distinct one-letter factor and per multi-letter factor.
-    Cost: a few linear passes over the word and one over the balancing debt:
-    one pass puts each letter in the bucket of the stage that peels it, each
-    stage's debt goes straight to the front of the bucket it is owed to, and
-    a stage reads only its bucket.  One gcd chain over the weights gives
-    every stage's balancing witness.  No factor's letters are validated
-    again: they come from z, or are made valid.
+    Cost: a few linear passes over the word and one over the balancing debt.
+    One placement pass puts each letter where it is used: a sigma letter in
+    the exchange list, a letter of a point above the leading class in the
+    bucket of the stage that peels it, and any other letter in its final
+    group (rho letters by direction, kappa letters in one list).  Each
+    stage's debt goes straight to the front of the bucket or group it is
+    owed to, and a stage reads only its bucket.  A stage reduces its letters
+    against its sorted word from the back, and makes the inverse of a sorted
+    letter only when it stays in the commutator.  One gcd chain over the
+    weights gives every stage's balancing witness.  No factor's letters are
+    validated again: they come from z, or are made valid.
     """
     # imported at the call, so that aj and copeland runs never load criteria
     from . import criteria
@@ -595,18 +634,26 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     y, x = factor_by_permutation(z)
     certs: list[FactorCertificate] = []
     sigmas = list(y.letters)
-    # bucket c > a holds the letters stage c peels; the points up to a share
-    # the low bucket, which no stage peels.  The debt a stage owes a bucket
-    # goes in front of it, ahead of the debt of earlier stages.
-    low: deque[Letter] = deque()
-    buckets = [low] * (a + 1) + [deque() for _ in range(b)]
-    # no puncture letter is valid without punctures, so the buckets hold only
-    # rho and kappa letters
+    # bucket c > a holds the letters stage c peels.  No stage peels the
+    # points up to a: their rho letters go to the group of their direction r
+    # (entry r; entry 0 is unused) and their kappa letters to low_kappas.  The
+    # debt a stage owes a bucket or a group goes in front of it, ahead of the
+    # debt of earlier stages.
+    buckets = [None] * (a + 1) + [deque() for _ in range(b)]
+    groups: list[deque[Letter]] = [deque() for _ in range(2 * surf.genus + 1)]
+    low_kappas: list[Letter] = []
+    # no puncture letter is valid without punctures, so only sigma, rho and
+    # kappa letters occur
     for lt in x.letters:
-        if lt.kind == SIGMA:
+        kind = lt.kind
+        if kind == SIGMA:
             sigmas.append(lt)
-        else:
+        elif lt.i > a:
             buckets[lt.i].append(lt)
+        elif kind == RHO:
+            groups[lt.second].append(lt)
+        else:
+            low_kappas.append(lt)
     # permutation-exact: these keep their relative order and multiply to the
     # identity, everything else emitted is permutation-trivial
     _one_letter_factors(surf, one_letter, sigmas, certs)
@@ -622,19 +669,16 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
             certs.extend(stage_certs)
             _one_letter_factors(surf, one_letter, stage_kappas, certs)
             for slot, letters in debt.items():
-                buckets[slot].extendleft(reversed(letters))
+                if slot:
+                    buckets[slot].extendleft(reversed(letters))
+                else:  # debt is rho letters: each goes in front of its group
+                    for lt in reversed(letters):
+                        groups[lt.second].appendleft(lt)
 
-    groups: list[list[Letter]] = [[] for _ in range(2 * surf.genus)]
-    kappas: list[Letter] = []
-    for lt in low:
-        if lt.kind == RHO:
-            groups[lt.second - 1].append(lt)
-        else:
-            kappas.append(lt)
-    for r, group in enumerate(groups, 1):
-        if group:
+    for r, group in enumerate(groups):
+        if group:  # never entry 0
             certs.append(_certified(NULL_RHO, BraidWord._derived(surf, tuple(group)), r))
-    _one_letter_factors(surf, one_letter, kappas, certs)
+    _one_letter_factors(surf, one_letter, low_kappas, certs)
     return certs
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import IndexOutOfRange, NoOtherWeights, OutOfRange, ZeroWeight
@@ -124,8 +125,11 @@ def _balance(weights: Sequence[int], steps: list, m: int) -> tuple[int, list[int
     scale = -(d * target) // g
     coeffs = [scale * c for c in coeffs]
     coeffs[m] = d
-    if sum(c * w for c, w in zip(coeffs, weights)) != 0:
-        raise AssertionError
+    total = sum(map(mul, coeffs, weights))
+    if total != 0:
+        raise AssertionError(
+            "internal error: the balancing witness's weighted sum is %d, not 0" % total
+        )
     return d, coeffs
 
 

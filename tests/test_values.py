@@ -140,6 +140,35 @@ def test_derived_sets_the_fields_in_order(name):
     assert value == build() and repr(value) == text
 
 
+DERIVED_NAMES = [
+    "MarkedSurface",
+    "Letter",
+    "BraidWord",
+    "FactorCertificate",
+    "StratumSignature",
+    "CombinatorialMap",
+]
+
+
+@pytest.mark.parametrize("subclass", [False, True], ids=["class", "subclass"])
+@pytest.mark.parametrize("name", DERIVED_NAMES)
+def test_derived_is_a_function_of_its_own_class(name, subclass):
+    # _derived is a plain function compiled for each class, the subclass of a
+    # value class included, and builds that class, as its constructor does
+    cls = getattr(st, name)
+    if subclass:
+        cls = type("Sub" + name, (cls,), {"__slots__": ()})
+    assert type(vars(cls)["_derived"]) is staticmethod
+    fields = CASES[name][3]
+    value = cls._derived(*fields.values())
+    assert type(value) is cls and value == cls(**fields)
+    if subclass:  # another class: not equal to the value class's value
+        assert value != getattr(st, name)._derived(*fields.values())
+    for field in fields:
+        with pytest.raises(AttributeError, match="cannot assign to field %r" % field):
+            setattr(value, field, 0)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_hash_is_the_hash_of_the_fields(name):
     build, _, _, fields = CASES[name]
