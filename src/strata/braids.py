@@ -297,12 +297,15 @@ class BraidWord(Frozen):
         return BraidWord(surf, [Letter(*_letter_fields(d)) for d in letters])
 
 
-def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
-    # free reduction: cancel adjacent inverse pairs until none remain.  The
-    # field that differs most often between neighbours is tested first
+def _reduce(u: Iterable[Letter], v: Sequence[Letter] = ()) -> list[Letter]:
+    """The letters of u followed by the inverse of v, freely reduced: no two
+    neighbours are mutually inverse.  Each comparison tests ``second`` first,
+    the field that differs most often between neighbours.  A letter of v
+    cancels a stack top that equals it (``is`` first, then field by field);
+    its inverse is made only when it is kept."""
     stack: list[Letter] = []
     top = None  # stack[-1], or None when the stack is empty
-    for lt in letters:
+    for lt in u:
         if (top is not None and top.second == lt.second and top.i == lt.i
                 and top.exp == -lt.exp and top.kind == lt.kind):
             stack.pop()
@@ -310,30 +313,15 @@ def _reduce_letters(letters: Iterable[Letter]) -> list[Letter]:
         else:
             stack.append(lt)
             top = lt
-    return stack
-
-
-def _reduce_times_inverse(u: Iterable[Letter], v: Sequence[Letter]) -> list[Letter]:
-    """``_reduce_letters(chain(u, _inverse(v)))``, equal by value, making the
-    inverse of a letter of v only when it stays: v's letter cancels the top
-    of the stack when the top equals it, field by field."""
-    stack = _reduce_letters(u)
-    top = stack[-1] if stack else None
-    derived = Letter._derived
     for lt in reversed(v):
         if top is lt or (top is not None and top.second == lt.second
                          and top.exp == lt.exp and top.i == lt.i and top.kind == lt.kind):
             stack.pop()
             top = stack[-1] if stack else None
         else:
-            top = derived(lt.kind, lt.i, lt.second, -lt.exp)
+            top = Letter._derived(lt.kind, lt.i, lt.second, -lt.exp)
             stack.append(top)
     return stack
-
-
-def _inverse(letters: Sequence[Letter]) -> list[Letter]:
-    # the letters of the inverse word: reversed, each exponent negated
-    return [Letter._derived(lt.kind, lt.i, lt.second, -lt.exp) for lt in reversed(letters)]
 
 
 def permutation_image(w: BraidWord) -> tuple[int, ...]:
@@ -457,7 +445,7 @@ def factor_by_permutation(z: BraidWord) -> tuple[BraidWord, BraidWord]:
             "internal error: the exchange split's permutation image %r differs from "
             "the word's %r" % (y_perm, perm)
         )
-    x = _reduce_letters(chain(_inverse(y), z.letters))
+    x = _reduce(chain(_reduce((), y), z.letters))
     return y_word, BraidWord._derived(z.surface, tuple(x))
 
 
@@ -547,7 +535,7 @@ def _peel_stage(
     kappas = [lt for lt in moving if lt.kind == KAPPA]
     sorted_word = sorted(rhos, key=attrgetter("second")) + kappas
     certs: list[FactorCertificate] = []
-    h_inv = _reduce_times_inverse(moving, sorted_word)
+    h_inv = _reduce(moving, sorted_word)
     if h_inv:
         certs.append(_certified(I_COMMUTATOR, BraidWord._derived(surf, tuple(h_inv)), c))
     d, coeffs = balance
@@ -601,10 +589,11 @@ def factorize_kernel_word(z: BraidWord) -> list[FactorCertificate]:
     group (rho letters by direction, kappa letters in one list).  Each
     stage's debt goes straight to the front of the bucket or group it is
     owed to, and a stage reads only its bucket.  A stage reduces its letters
-    against its sorted word from the back, and makes the inverse of a sorted
-    letter only when it stays in the commutator.  One gcd chain over the
-    weights gives every stage's balancing witness.  No factor's letters are
-    validated again: they come from z, or are made valid.
+    against its sorted word from the back in one ``_reduce`` call, which
+    makes the inverse of a sorted letter only when it stays in the
+    commutator.  One gcd chain over the weights gives every stage's
+    balancing witness.  No factor's letters are validated again: they come
+    from z, or are made valid.
     """
     # imported at the call, so that aj and copeland runs never load criteria
     from . import criteria

@@ -10,7 +10,6 @@ import sys
 import types
 import weakref
 from collections import Counter, namedtuple
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,7 @@ from strata.errors import (
 from support import (
     factor_by_permutation_oracle,
     factorize_oracle,
+    free_reduce_oracle,
     inverse_word,
     minimal_d_oracle,
     permutation_image_oracle,
@@ -346,11 +346,11 @@ class TestLettersAgainstOracle:
 class TestFreeReduce:
     def test_adjacent_cancellation(self):
         w = word(SURF112, st.rho(1, 1), st.rho(1, 1, -1))
-        assert braids._reduce_letters(w.letters) == []
+        assert braids._reduce(w.letters) == []
 
     def test_already_reduced(self):
         w = word(SURF112, st.sigma(1, 2))
-        assert braids._reduce_letters(w.letters) == list(w.letters)
+        assert braids._reduce(w.letters) == list(w.letters)
 
     def test_nested_cancellation(self):
         w = word(
@@ -360,7 +360,7 @@ class TestFreeReduce:
             st.rho(2, 1, -1),
             st.rho(1, 1, -1),
         )
-        assert braids._reduce_letters(w.letters) == []
+        assert braids._reduce(w.letters) == []
 
 
 # four letters on SURF112, each with both exponents, each as the shared
@@ -379,12 +379,14 @@ def _lazy_letters(data, size):
 
 
 class TestReduceTimesInverse:
-    """``_reduce_times_inverse(u, v)``, which makes the inverse of a letter of
-    v only when it stays, against reducing u followed by the inverse of v."""
+    """``_reduce(u, v)``, which makes the inverse of a letter of v only when
+    it stays, against the step-back oracle on u followed by the inverse of v
+    built through the public constructor."""
 
     @staticmethod
     def expected(u, v):
-        return braids._reduce_letters(chain(u, braids._inverse(v)))
+        inverse = inverse_word(st.BraidWord(SURF112, tuple(v))).letters
+        return list(free_reduce_oracle(st.BraidWord(SURF112, tuple(u) + inverse)).letters)
 
     @given(data=hst.data())
     @settings(max_examples=300, deadline=None)
@@ -393,23 +395,25 @@ class TestReduceTimesInverse:
         u = _lazy_letters(data, data.draw(hst.integers(3, 4)))
         ranks = data.draw(hst.lists(hst.integers(0, 2), min_size=len(u), max_size=len(u)))
         v = [lt for _, lt in sorted(zip(ranks, u), key=lambda pair: pair[0])]
-        assert braids._reduce_times_inverse(u, v) == self.expected(u, v)
+        assert braids._reduce(u, v) == self.expected(u, v)
         peel_order = sorted((lt for lt in u if lt.kind == "rho"), key=lambda lt: lt.second)
         peel_order += [lt for lt in u if lt.kind == "kappa"]
-        assert braids._reduce_times_inverse(u, peel_order) == self.expected(u, peel_order)
+        assert braids._reduce(u, peel_order) == self.expected(u, peel_order)
 
     @given(data=hst.data())
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_second_word(self, data):
         size = data.draw(hst.integers(3, 4))
         u, v = _lazy_letters(data, size), _lazy_letters(data, size)
-        assert braids._reduce_times_inverse(u, v) == self.expected(u, v)
+        assert braids._reduce(u, v) == self.expected(u, v)
+        # v defaults to empty: the first loop alone
+        assert braids._reduce(u) == self.expected(u, ())
 
     def test_equal_distinct_letter_cancels(self):
         lt = st.rho(1, 1)
         twin = st.Letter._derived("rho", 1, 1, 1)
-        assert twin is not lt and braids._reduce_times_inverse([lt], [twin]) == []
-        kept = braids._reduce_times_inverse([lt], [st.rho(1, 1, -1)])
+        assert twin is not lt and braids._reduce([lt], [twin]) == []
+        kept = braids._reduce([lt], [st.rho(1, 1, -1)])
         assert kept == [lt, lt] and kept[1] is not lt  # the inverse, made when kept
 
 
@@ -953,7 +957,7 @@ class TestAgainstOracles:
                 v = random_word(surf, rng, length)
                 derived = [
                     *st.factor_by_permutation(u),
-                    st.BraidWord._derived(surf, tuple(braids._reduce_letters(u.letters + v.letters))),
+                    st.BraidWord._derived(surf, tuple(braids._reduce(u.letters + v.letters))),
                 ]
                 if surf.stratum_mode:
                     z = random_kernel_word(surf, rng, length)
@@ -984,7 +988,7 @@ class TestHomomorphismProperties:
         u = random_word(FLAGSHIP, rng, data.draw(hst.integers(0, 10)))
         u_inv = inverse_word(u)
         assert st.abel_jacobi(u_inv) == tuple(-a for a in st.abel_jacobi(u))
-        assert braids._reduce_letters(u.letters + u_inv.letters) == []
+        assert braids._reduce(u.letters + u_inv.letters) == []
 
     @given(data=hst.data())
     @settings(max_examples=150, deadline=None)

@@ -16,7 +16,7 @@ import strata as st
 from strata import cli
 from strata.cli import main
 from console_runs import check
-from support import argv_corpus, parse_outcome, random_argv, version_dependent
+from support import argv_corpus, enumerate_signatures, parse_outcome, random_argv, version_dependent
 
 
 def run(capsys, *argv):
@@ -139,6 +139,27 @@ class TestPoset:
         assert code == 0 and built == [(12,)]
         assert [6, 6] in doc["payload"]["nodes"]
         assert any(note.startswith("stratum [6, 6] has two") for note in doc["diagnostics"])
+
+    def test_notes_name_exactly_the_two_component_nodes(self, capsys):
+        # a node is noted when _two_component_reason answers, and the note
+        # says "two connected components": (a) no empty signature has a
+        # reason, so (b) the notes name exactly the nodes of count 2
+        reason = st.signatures._two_component_reason
+        assert not [(g, o) for g, o in st.signatures.EMPTY_SIGNATURES if reason(g, o) is not None]
+        note = "stratum %s has two connected components; adjacency is stratum-level"
+
+        def count(g, node):
+            return st.classify_connectivity(st.StratumSignature(g, node)).component_count
+
+        for g in (2, 3, 4):
+            for root in enumerate_signatures(g, max_poles=2):
+                for flags in ((), ("--no-poles",)):
+                    argv = ["poset", "--genus", str(g), "--root=" + _csv(root.orders), "--depth", "1"]
+                    code, doc = run(capsys, *argv, *flags)
+                    assert code == 0
+                    nodes = doc["payload"]["nodes"]
+                    expected = [note % (node,) for node in nodes if count(g, node) == 2]
+                    assert doc["diagnostics"] == expected, argv
 
     def test_two_component_diagnostic_at_huge_genus(self, capsys):
         g = 10**12
@@ -370,6 +391,39 @@ class TestGraphPipeline:
         )
         doc = check(proc, 1, {"code": "out-of-range"})
         assert str(cli._MAX_COPELAND_WEIGHTS) in doc["payload"]["message"]
+
+    def test_copeland_pretty_at_the_cap_fits_the_limit(self, capsys, tmp_path):
+        # the cap's stated reason: V * E = 2046 * 2049 weights, just under
+        # 2**22, print about 63 MB indented and peak near 400 MB, so the run
+        # ends in one envelope under the same 1 GiB limit.  The output is
+        # streamed, not decoded: its first and last lines, and one "kind" per
+        # generator, since each generator is one letter
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        code, doc = run(capsys, "graph", "--genus", "2", "--faces", "1", "--vertices", "2046")
+        assert code == 0 and len(doc["payload"]["map"]["sigma"]) == 2046
+        assert 2046 * 2049 <= cli._MAX_COPELAND_WEIGHTS
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc["payload"]["map"]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "strata.cli", "copeland", "--map", str(path), "--pretty"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE,
+            preexec_fn=limit,
+        ) as proc:
+            head = proc.stdout.read(1 << 16)
+            kinds, tail = head.count(b'"kind"'), head
+            # a chunk repeats the last 5 bytes of the text before it, so a
+            # "kind" cut in two is counted once and no other twice
+            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+                tail = tail[-5:] + chunk
+                kinds += tail.count(b'"kind"')
+        assert proc.returncode == 0
+        assert head.startswith(b'{\n  "diagnostics": [],\n  "payload": {\n    "generators": [\n')
+        assert tail.endswith(b'\n  "status": "ok"\n}\n') and kinds == 2049
 
     @pytest.mark.parametrize(
         "command, flag", [("aj", "--word"), ("factorize", "--word"), ("copeland", "--map")]
