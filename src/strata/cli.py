@@ -14,7 +14,8 @@ of subcommands and their options, and the argparse parsers that
 names, values that start with a dash only after ``=`` (or as a negative
 number), ``int()`` for integer options, the last repeat winning, help,
 usage errors and their text.  Importing argparse (with gettext and locale)
-and building the parsers costs about 5 ms, some 9 % of a one-shot run, so
+and building the parsers costs about 7 ms, some 12 % of a one-shot run with
+bytecode cached (10 % when strata is compiled on each run), so
 ``_exact`` first reads an argv that spells everything in full (the
 subcommand first, then each option by its whole name) without them; any
 other argv goes to the parsers.
@@ -27,6 +28,7 @@ alike.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import sys
 from collections import Counter
@@ -157,8 +159,9 @@ def cmd_graph(args) -> tuple[dict, list[str]]:
 
 
 # each generator repeats the surface's V weights, so copeland prints V * E of
-# them.  At this cap a --pretty run prints about 63 MB and peaks near 400 MB;
-# at 2**24 it would end in a MemoryError under a 1 GiB address-space limit
+# them.  At this cap a --pretty run prints about 63 MB, in batches, and peaks
+# near 50 MB; at 2**24 it would print 253 MB in about 10 s, and a compact run,
+# which holds its text whole, would peak near 215 MB
 _MAX_COPELAND_WEIGHTS = 2**22
 
 
@@ -355,11 +358,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def _emit(doc: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(doc, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    print(text)  # the text, then the newline: no second copy of the document
+    if not pretty:
+        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        return
+    # json indents in pure Python, and json.dumps would hold every chunk and
+    # then their join, so the indented text goes out 4096 chunks at a time
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,9 +30,9 @@ sides lie on two faces and re-inserts it between corners of its endpoints on
 two different faces, so the face count drops by two and the genus rises by
 one on the same graph (Duke's interpolation theorem made constructive, Canad.
 J. Math. 18, 1966; the face rule is Gross & Tucker, Topological Graph
-Theory).  That path runs once, at import: every genus of K_3..K_8, 27
-embeddings, is tabled as its face labels and vertex rotation, both tuples,
-so no call replays a raise.  Only this chain lists each vertex's darts as a
+Theory).  That path runs once per n, on first use: every genus of K_n is
+tabled as its face labels and vertex rotation, both tuples, so no later
+call replays a raise.  Only this chain lists each vertex's darts as a
 cycle: a raise tries corners in the order its cycle lists them, and that
 order, which the moves before it set, fixes the embedding it returns.  A
 raise reads the faces traced before it and edits only the dart cycles; the
@@ -41,6 +41,7 @@ faces of its result are traced afresh.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import TYPE_CHECKING, Sequence
 
@@ -340,9 +341,9 @@ _MIN_GENUS_ROTATIONS = {
     8: _K8_GENUS2_ROTATION,
 }
 
-# the table above is the cap, and every genus of K_3..K_8 is tabled from it
-# at import (_EMBEDDINGS, below); minimum-genus starts for K_9 and up (or a
-# genus-lowering move in construct_graph) would raise it
+# the table above is the cap, and every genus of K_n is tabled from it once
+# per n, on first use (_ladder, below); minimum-genus starts for K_9 and up
+# (or a genus-lowering move in construct_graph) would raise it
 MAX_COMPLETE_VERTICES = max(_MIN_GENUS_ROTATIONS)
 
 # construct_graph refuses more vertices than this before it allocates: a
@@ -388,6 +389,7 @@ def _raise_genus(rot: list[list[int]], label: Sequence[int]) -> None:
 _Entry = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+@functools.cache
 def _ladder(n: int) -> tuple[_Entry, ...]:
     # K_n at every genus from the tabled minimum up, one raise move apart,
     # indexed by g - gamma(K_n).  The chain edits dart cycles, since a raise
@@ -404,11 +406,6 @@ def _ladder(n: int) -> tuple[_Entry, ...]:
     return tuple(entries)
 
 
-# every embedding the module makes of K_3..K_8, keyed by n and indexed by
-# g - gamma(K_n): 27 (label, sigma) entries, built once at import, all tuples
-_EMBEDDINGS = {n: _ladder(n) for n in _MIN_GENUS_ROTATIONS}
-
-
 def _complete_entry(n: int, g: int) -> _Entry:
     # the tabled embedding of K_n at genus g
     if type(n) is not int or type(g) is not int:
@@ -421,7 +418,7 @@ def _complete_entry(n: int, g: int) -> _Entry:
             "genus %d outside the embeddable range [%d, %d] for K_%d"
             % (g, gamma, gamma_max, n)
         )
-    return _EMBEDDINGS[n][g - gamma]
+    return _ladder(n)[g - gamma]
 
 
 def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
@@ -429,9 +426,10 @@ def embed_complete(n: int, g: int, *, seed: int = 0) -> CombinatorialMap:
 
     Covers 3 <= n <= MAX_COMPLETE_VERTICES and every genus in
     complete_graph_genus_range(n), each the vertex rotation of one entry of
-    the table built at import: the tabled minimum-genus rotation of K_n,
-    then one raise move per unit of genus above the minimum.  The result is
-    deterministic; ``seed`` is accepted for compatibility and ignored.
+    the table built once per n, on first use: the tabled minimum-genus
+    rotation of K_n, then one raise move per unit of genus above the minimum.
+    The result is deterministic; ``seed`` is accepted for compatibility and
+    ignored.
     """
     return CombinatorialMap._derived(_complete_entry(n, g)[1])
 
@@ -510,9 +508,9 @@ def construct_graph(g: int, f: int, n: int, *, seed: int = 0) -> CombinatorialMa
     """A simple connected map with n vertices, f faces and the given genus.
 
     Starts from the sigma of K_n at genus g on the fewest possible vertices,
-    tabled at import for every genus of K_3..K_8, makes every deletion down
-    to f faces in one scan over its edges (one pass, however many faces are
-    dropped), subdivides edge 0 up to n vertices and builds the map once.
+    tabled once per n, on first use, makes every deletion down to f faces in
+    one scan over its edges (one pass, however many faces are dropped),
+    subdivides edge 0 up to n vertices and builds the map once.
     The result is deterministic; ``seed`` is accepted for compatibility and ignored.
     More than a million vertices is refused as out of range.
     """

@@ -57,7 +57,7 @@ ROWS = [
     Row(COVER % "0,1,2,3,4,5"),
     Row("dmin --weights 4,6 --index 0"),
     Row("graph --genus 3 --faces 6 --vertices 8", save="map.json"),  # for copeland
-    # the last embedding tabled at import, K_8 at genus 10, less one edge, plus one subdivision
+    # the last embedding of the K_8 ladder, K_8 at genus 10, less one edge, plus one subdivision
     Row("graph --genus 10 --faces 1 --vertices 9"),
     Row("graph --genus 2 --faces 1 --vertices 300"),  # 295 subdivisions
     # K_8 at genus 8 down to one face: five deletions, as long a chain as graph makes

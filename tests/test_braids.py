@@ -655,8 +655,9 @@ class TestFactorize:
             st.factorize_kernel_word(word(FLAGSHIP, st.rho(1, 1)))
 
     def test_rejects_small_leading_class(self):
+        # genus 2 passes the genus check, so the leading-class bound refuses it
         surf = st.MarkedSurface(2, (1, 1, 1, 1), stratum_mode=True)
-        with pytest.raises(PreconditionUnmet):
+        with pytest.raises(PreconditionUnmet, match="^leading class has 4 points, bound requires 5$"):
             st.factorize_kernel_word(st.BraidWord(surf))
 
     def test_rejects_punctured_surface(self):

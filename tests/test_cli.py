@@ -394,14 +394,14 @@ class TestGraphPipeline:
 
     def test_copeland_pretty_at_the_cap_fits_the_limit(self, capsys, tmp_path):
         # the cap's stated reason: V * E = 2046 * 2049 weights, just under
-        # 2**22, print about 63 MB indented and peak near 400 MB, so the run
-        # ends in one envelope under the same 1 GiB limit.  The output is
-        # streamed, not decoded: its first and last lines, and one "kind" per
-        # generator, since each generator is one letter
+        # 2**22, print about 63 MB indented, written in batches at a peak near
+        # 50 MB, so the run ends in one envelope under a 256 MB limit.  The
+        # output is streamed, not decoded: its first and last lines, and one
+        # "kind" per generator, since each generator is one letter
         import resource
 
         def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
 
         code, doc = run(capsys, "graph", "--genus", "2", "--faces", "1", "--vertices", "2046")
         assert code == 0 and len(doc["payload"]["map"]["sigma"]) == 2046

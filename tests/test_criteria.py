@@ -145,6 +145,16 @@ class TestNullProp:
     def test_genus_two_excluded(self):
         assert not st.null_prop_verdict(sig(2, (1, 1, 1, 1)))[0]
 
+    @pytest.mark.parametrize(
+        "genus, orders, clause",
+        [
+            (2, (2, 2), "needs genus greater than 2"),
+            (3, (2, 2) + (1,) * 4, "need more than 7 simple zeros, have 4"),
+        ],
+    )
+    def test_genus_clause_ends_at_two(self, genus, orders, clause):
+        assert st.null_prop_verdict(sig(genus, orders)) == (False, clause)
+
     def test_bound_is_weaker_than_main(self):
         # ten simple zeros: above g+4=9 but not above g+5=10
         s = sig(5, (1,) * 10 + (2, 2, 2))

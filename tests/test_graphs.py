@@ -129,7 +129,7 @@ class TestCombinatorialMap:
         # back, through the checked reader, as the map it was written from
         maps = [
             graphs.CombinatorialMap._derived(sigma)
-            for ladder in graphs._EMBEDDINGS.values()
+            for ladder in _ladders().values()
             for _, sigma in ladder
         ]
         assert len(maps) == 27
@@ -378,8 +378,8 @@ class TestRaiseMove:
                 before = after
 
     def test_no_move_from_one_face(self):
-        # only a bad start tabled at import could reach this, so it is an
-        # internal error, not an input error
+        # only a bad tabled start could reach this, so it is an internal
+        # error, not an input error
         n = 5
         rot = graphs._kn_rotation(n, graphs._MIN_GENUS_ROTATIONS[n])
         for _ in range(2):
@@ -549,6 +549,13 @@ class TestConstructGraph:
     def test_vertex_bound_enforced(self):
         with pytest.raises(BoundViolation):
             st.construct_graph(2, 1, 4)
+
+    def test_vertex_cap(self, monkeypatch):
+        # exactly the cap is built, and one vertex more is refused, naming both
+        monkeypatch.setattr(graphs, "_MAX_VERTICES", 7)
+        assert st.construct_graph(2, 1, 7).report().V == 7
+        with pytest.raises(OutOfRange, match="^vertex count 8 above the cap of 7$"):
+            st.construct_graph(2, 1, 8)
 
     def test_face_bound_enforced(self):
         with pytest.raises(BoundViolation):
@@ -809,6 +816,11 @@ class TestEdgeOrientation:
             _check_views_read_edges_lower_first(_with_edges_reversed(m, flip))
 
 
+def _ladders():
+    # every K_n ladder, built here if no call has asked for it yet
+    return {n: graphs._ladder(n) for n in graphs._MIN_GENUS_ROTATIONS}
+
+
 def _ladder_plan():
     # every (g, f, n) the graph-embed benchmark ladder can ask for: f in
     # {1, 2g, 4g - 4} with point bound at most 8, and n up to 2 above it
@@ -887,8 +899,8 @@ class TestStartTable:
     def test_labels_are_a_fresh_trace(self):
         # every (n, g) in range, against the per-call raise chain of the
         # oracle, which keeps a dart -> vertex index and merges labels
-        assert sorted(graphs._EMBEDDINGS) == sorted(graphs._MIN_GENUS_ROTATIONS)
-        for n, ladder in graphs._EMBEDDINGS.items():
+        assert sorted(_ladders()) == sorted(graphs._MIN_GENUS_ROTATIONS)
+        for n, ladder in _ladders().items():
             gamma, gamma_max = st.complete_graph_genus_range(n)
             assert type(ladder) is tuple and len(ladder) == gamma_max - gamma + 1
             E = n * (n - 1) // 2
@@ -905,13 +917,40 @@ class TestStartTable:
     def test_unchanged_by_builds(self):
         # builds and the deletion test read an entry's labels and sigma and
         # edit only list copies: none may reach the table's tuples
-        before = copy.deepcopy(graphs._EMBEDDINGS)
+        before = copy.deepcopy(_ladders())
         for _ in _complete_maps():
             pass
         for _ in _constructed_maps((0, 3)):
             pass
         TestDeleteEdge().test_one_scan_matches_single_deletions()
-        assert graphs._EMBEDDINGS == before
+        assert _ladders() == before
+
+    def test_each_ladder_is_built_on_first_use(self):
+        # in a fresh process: importing builds no ladder, a graph builds only
+        # the K_n it starts from, and copeland generators build none
+        program = (
+            "import strata\n"
+            "from strata import graphs\n"
+            "def built():\n"
+            "    return graphs._ladder.cache_info().currsize\n"
+            "print(built())\n"
+            "strata.construct_graph(2, 1, 5)\n"
+            "print(built())\n"
+            "graphs._ladder(5)\n"  # a hit: the one ladder built is K_5's
+            "print(built())\n"
+            "graphs._ladder.cache_clear()\n"
+            "m = strata.build_map(3, [(0, 1), (1, 2), (0, 2)])\n"
+            "print(len(strata.copeland_generators(m)), built())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "0\n1\n1\n3 0\n"
 
 
 @pytest.mark.parametrize(

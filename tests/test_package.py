@@ -6,6 +6,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import FunctionType
 
@@ -42,7 +43,9 @@ EXPORTS = {
 }
 SUBMODULES = ("adjacency", "braids", "criteria", "errors", "graphs", "signatures")
 NAMES = [name for names in EXPORTS.values() for name in names]
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PYTHON_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _fresh(code):
@@ -93,6 +96,15 @@ def test_no_module_imports_dataclasses(path):
             assert not any(a.name.split(".")[0] == "dataclasses" for a in node.names), path
         elif isinstance(node, ast.ImportFrom):
             assert (node.module or "").split(".")[0] != "dataclasses", path
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_compiles_with_warnings_as_errors(path):
+    # compile() on the file's text, so a SyntaxWarning such as an invalid
+    # escape fails on every version; nothing is imported and no bytecode written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 def test_dir_lists_every_public_name():

@@ -123,6 +123,12 @@ class TestConnectivity:
         assert (at.component_count, at.reason) == (1, "c1-theorem")
         assert (below.component_count, below.reason) == (1, "one-component-default")
 
+    @pytest.mark.parametrize("orders", [(1, 1, -1, -1), (2, -1, -1)])
+    def test_genus_one_is_low_genus(self, orders):
+        # the genus clause comes before the simple-zero count, which these pass
+        report = st.classify_connectivity(sig(1, orders))
+        assert (report.component_count, report.reason) == (1, "genus-le-1")
+
     def test_sphere_always_connected(self):
         report = st.classify_connectivity(sig(0, (-1, -1, -1, -1)))
         assert report.component_count == 1
@@ -315,8 +321,10 @@ class TestDoubleCover:
             ((0, (-1,) * 4), (0, 0, 1), 1, r"^ramified indices name an index more than once: "),
             # an index out of range before the count of indices
             ((0, (-1,) * 4), (0, 1, 9), 1, r"^ramified index out of range$"),
+            # the base's point count is one past the last index
+            ((0, (-1,) * 4), (0, 1, 2, 4), 1, r"^ramified index out of range$"),
         ],
-        ids=["type-before-genus", "repeat-before-count", "range-before-count"],
+        ids=["type-before-genus", "repeat-before-count", "range-before-count", "index-n"],
     )
     def test_first_fault_in_check_order_is_reported(self, base, indices, genus, message):
         with pytest.raises(InvalidSpec, match=message):
