@@ -57,15 +57,24 @@ def _signature(args):
 # a --word or --map file above this many bytes is refused before it is
 # decoded.  A 10**6-letter word is about 45 MB and the map of a 10**6-vertex
 # graph 16.9 MB; read whole, a 70 MB word ends in a MemoryError, not an
-# envelope, under a 600 MB address-space limit
+# envelope, under a 600 MB address-space limit.  The file is read in 1 MiB
+# chunks, so that no buffer the size of the cap is reserved for a small file:
+# `strata aj` on a 5-letter word runs under a 24 MB address-space limit
 _MAX_INPUT_BYTES = 2**26
 
 
-def _load_json(path: str) -> dict:
+def _read_capped(path: str) -> bytes:
+    # at most one chunk past the cap is read; the chunks are freed on return
     with open(path, "rb") as fh:
-        raw = fh.read(_MAX_INPUT_BYTES + 1)
-    if len(raw) > _MAX_INPUT_BYTES:
+        chunks = list(itertools.islice(iter(partial(fh.read, 1 << 20), b""),
+                                       (_MAX_INPUT_BYTES >> 20) + 1))
+    if sum(map(len, chunks)) > _MAX_INPUT_BYTES:
         raise OutOfRange("%s: input file above the cap of %d bytes" % (path, _MAX_INPUT_BYTES))
+    return b"".join(chunks)
+
+
+def _load_json(path: str) -> dict:
+    raw = _read_capped(path)
     try:
         # decoded as a text-mode read of the whole file: UTF-8, universal newlines
         return json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))

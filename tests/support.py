@@ -5,13 +5,34 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterator
 
 import strata as st
 from strata import cli, graphs
 from strata.errors import InvalidLetter, NoRemovableEdge
 from strata.signatures import _G2_TWO_COMPONENT, REASON_FAMILY, REASON_G2
+from console_runs import limiter
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *flags: str, limit_mb: int | None = None) -> subprocess.CompletedProcess:
+    """The finished run of ``code`` in a new interpreter started with ``flags``,
+    importing strata from ``src``, its output captured as text; ``limit_mb``
+    limits its address space as a row of the console table does."""
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limiter(limit_mb),
+    )
 
 
 def positive_partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -2,15 +2,11 @@ import functools
 import gc
 import hashlib
 import json
-import os
 import pickle
 import random
-import subprocess
-import sys
 import types
 import weakref
 from collections import Counter, namedtuple
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +34,7 @@ from support import (
     permutation_image_oracle,
     random_kernel_word,
     random_word,
+    run_python,
     validate_letters_oracle,
 )
 
@@ -1176,11 +1173,6 @@ def test_certificate_checks_survive_optimize():
     # one-letter factor, final null_rho group, peeled null_rho block,
     # commutator, permutation split, winding step, balancing witness: none
     # may vanish with the asserts under -O
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
-        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    proc = run_python(OPTIMIZED_CHECKS, "-O")
+    proc.check_returncode()
     assert proc.stdout.split() == ["False"] + ["True"] * 7

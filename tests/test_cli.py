@@ -15,8 +15,10 @@ from hypothesis import strategies as hs
 import strata as st
 from strata import cli
 from strata.cli import main
-from console_runs import check
-from support import argv_corpus, enumerate_signatures, parse_outcome, random_argv, version_dependent
+from support import (
+    SRC, argv_corpus, enumerate_signatures, parse_outcome, random_argv, run_python,
+    version_dependent,
+)
 
 
 def run(capsys, *argv):
@@ -338,25 +340,6 @@ class TestGraphPipeline:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_vertex_cap_keeps_the_envelope(self):
-        # past the cap the build is refused before anything is allocated, so
-        # the child's limited address space is never reached: one envelope
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        argv = ["graph", "--genus", "3", "--faces", "6", "--vertices", "99999999"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "strata.cli"] + argv,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True,
-            text=True,
-            preexec_fn=limit,
-        )
-        doc = check(proc, 1, {"code": "out-of-range"})
-        assert "99999999" in doc["payload"]["message"]
-
     def test_copeland_cap(self, capsys, tmp_path, monkeypatch):
         # a map of V vertices and E edges prints V * E weights: exactly the cap
         # is printed, and one weight more is refused, naming the count and the cap
@@ -370,60 +353,6 @@ class TestGraphPipeline:
         assert code == 1 and doc["payload"]["code"] == "out-of-range"
         assert "40 weights" in doc["payload"]["message"]
         assert str(5 * 8 - 1) in doc["payload"]["message"]
-
-    def test_copeland_cap_keeps_the_envelope(self, capsys, tmp_path):
-        # the map of 12 000 vertices is 181 KB; its generators would print
-        # 1.4 * 10**8 weights and end in a MemoryError under the limit
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        code, doc = run(capsys, "graph", "--genus", "2", "--faces", "1", "--vertices", "12000")
-        path = tmp_path / "map.json"
-        path.write_text(json.dumps(doc["payload"]["map"]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "strata.cli", "copeland", "--map", str(path)],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True,
-            text=True,
-            preexec_fn=limit,
-        )
-        doc = check(proc, 1, {"code": "out-of-range"})
-        assert str(cli._MAX_COPELAND_WEIGHTS) in doc["payload"]["message"]
-
-    def test_copeland_pretty_at_the_cap_fits_the_limit(self, capsys, tmp_path):
-        # the cap's stated reason: V * E = 2046 * 2049 weights, just under
-        # 2**22, print about 63 MB indented, written in batches at a peak near
-        # 50 MB, so the run ends in one envelope under a 256 MB limit.  The
-        # output is streamed, not decoded: its first and last lines, and one
-        # "kind" per generator, since each generator is one letter
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
-
-        code, doc = run(capsys, "graph", "--genus", "2", "--faces", "1", "--vertices", "2046")
-        assert code == 0 and len(doc["payload"]["map"]["sigma"]) == 2046
-        assert 2046 * 2049 <= cli._MAX_COPELAND_WEIGHTS
-        path = tmp_path / "map.json"
-        path.write_text(json.dumps(doc["payload"]["map"]))
-        with subprocess.Popen(
-            [sys.executable, "-m", "strata.cli", "copeland", "--map", str(path), "--pretty"],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            stdout=subprocess.PIPE,
-            preexec_fn=limit,
-        ) as proc:
-            head = proc.stdout.read(1 << 16)
-            kinds, tail = head.count(b'"kind"'), head
-            # a chunk repeats the last 5 bytes of the text before it, so a
-            # "kind" cut in two is counted once and no other twice
-            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
-                tail = tail[-5:] + chunk
-                kinds += tail.count(b'"kind"')
-        assert proc.returncode == 0
-        assert head.startswith(b'{\n  "diagnostics": [],\n  "payload": {\n    "generators": [\n')
-        assert tail.endswith(b'\n  "status": "ok"\n}\n') and kinds == 2049
 
     @pytest.mark.parametrize(
         "command, flag", [("aj", "--word"), ("factorize", "--word"), ("copeland", "--map")]
@@ -441,27 +370,6 @@ class TestGraphPipeline:
         assert code == 1 and doc["payload"]["code"] == "out-of-range"
         assert str(path) in doc["payload"]["message"]
         assert str(cli._MAX_INPUT_BYTES) in doc["payload"]["message"]
-
-    def test_input_cap_keeps_the_envelope(self, tmp_path):
-        # a valid word padded past the cap is refused before it is decoded,
-        # so the child's limited address space is never reached: one envelope
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        word = {"surface": GENUS_TWO, "letters": [{"kind": "rho", "i": 1, "r": 1}]}
-        text = json.dumps(word).encode()
-        path = tmp_path / "word.json"
-        path.write_bytes(text + b" " * (cli._MAX_INPUT_BYTES + 1 - len(text)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "strata.cli", "aj", "--word", str(path)],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            capture_output=True,
-            text=True,
-            preexec_fn=limit,
-        )
-        check(proc, 1, {"code": "out-of-range"})
 
     def test_graph_to_copeland_to_aj(self, capsys, tmp_path):
         code, doc = run(
@@ -619,7 +527,6 @@ class TestPretty:
         json.loads(out)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 LIBRARY = {"adjacency", "braids", "criteria", "graphs", "signatures"}
 
 
@@ -638,13 +545,8 @@ def _footprint(*argv):
             "print(' '.join(m for m in set(sys.modules) - before if not m.startswith('strata')))",
         ]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    proc = run_python(script)
+    proc.check_returncode()
     submodules, added = proc.stdout.splitlines()[-2:]
     return set(submodules.split()), set(added.split())
 

@@ -2,11 +2,7 @@ import copy
 import hashlib
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +16,7 @@ from support import (
     delete_edge_in_cycles,
     delete_edge_oracle,
     raised_rotation_oracle,
+    run_python,
     subdivide_edge_oracle,
 )
 from strata.errors import (
@@ -171,11 +168,6 @@ class TestCombinatorialMap:
         # at most 2E vertices hold a dart, so build_map looks no further for
         # the first empty cycle; a list per declared vertex would end in a
         # MemoryError under the child's 512 MB address-space limit
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
-
         program = (
             "import strata\n"
             "for edges in ([], [(0, 1)]):\n"
@@ -184,14 +176,7 @@ class TestCombinatorialMap:
             "    except strata.errors.InvalidSpec as err:\n"
             "        print(err)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", program],
-            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
-            capture_output=True,
-            text=True,
-            preexec_fn=limit,
-            timeout=60,
-        )
+        proc = run_python(program, limit_mb=512)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == (
             "isolated vertex: rotation cycle 0 is empty\n"
@@ -942,13 +927,7 @@ class TestStartTable:
             "m = strata.build_map(3, [(0, 1), (1, 2), (0, 2)])\n"
             "print(len(strata.copeland_generators(m)), built())\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", program],
-            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_python(program)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "0\n1\n1\n3 0\n"
 

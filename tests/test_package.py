@@ -3,11 +3,7 @@
 import ast
 import importlib
 import inspect
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 from types import FunctionType
 
 import pytest
@@ -16,6 +12,7 @@ from hypothesis import strategies as hst
 
 import strata
 from strata.errors import StrataError
+from support import SRC, run_python
 
 EXPORTS = {
     "adjacency": (
@@ -43,20 +40,14 @@ EXPORTS = {
 }
 SUBMODULES = ("adjacency", "braids", "criteria", "errors", "graphs", "signatures")
 NAMES = [name for names in EXPORTS.values() for name in names]
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+ROOT = SRC.parent
 PYTHON_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _fresh(code):
     """The words printed by ``code`` run after ``import strata`` in a new interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import strata\n" + code],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    proc = run_python("import strata\n" + code)
+    proc.check_returncode()
     return proc.stdout.split()
 
 
